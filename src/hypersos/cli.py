@@ -36,6 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _read_poly_text(source: str) -> str:
     if source.startswith("@"):
         with open(source[1:], "r", encoding="utf-8") as fh:
@@ -98,9 +113,9 @@ def _add_common(p: argparse.ArgumentParser, poly: bool = True) -> None:
     p.add_argument("--e", dest="e", help="distinguished direction, e.g. 1,0,0")
     p.add_argument("--a", dest="a", help="query point/direction, e.g. 2,1,0")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=_count(1), default=64)
     p.add_argument("--bound", type=int, default=10, help="sampling coordinate bound")
-    p.add_argument("--sos-budget", type=int, default=2, help="max denominator power N")
+    p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
     p.add_argument("--tolerance", type=float, default=1e-9, help="SDP feasibility tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--no-timings", action="store_true")
@@ -255,7 +270,10 @@ def _cmd_detrep_build(args):
 def _cmd_detrep_verify(args):
     f, names = _load_poly(args)
     (rep_text,) = _require(args, "rep")
-    rep = detrep.DeterminantalRep.from_json(_read_poly_text(rep_text))
+    try:
+        rep = detrep.DeterminantalRep.from_json(_read_poly_text(rep_text))
+    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+        raise _UsageError(f"malformed representation: {type(exc).__name__}: {exc}") from exc
     res = detrep.verify_detrep(rep, f)
     payload = {"ok": bool(res), "reason": res.reason}
     return payload, 0 if res else 1

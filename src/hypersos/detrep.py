@@ -363,9 +363,15 @@ def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:
 
 
 def verify_detrep(rep: DeterminantalRep, f: Polynomial) -> CheckResult:
-    """Exact verification: det(pencil) = gamma * f, gamma != 0, M(e) > 0."""
-    if rep.nvars != f.nvars:
+    """Exact verification: symmetric pencil, det(pencil) = gamma * f, gamma != 0, M(e) > 0."""
+    if rep.nvars != f.nvars or len(rep.e) != f.nvars:
         return CheckResult(False, "variable count mismatch")
+    d = rep.size
+    for i, Mi in enumerate(rep.matrices):
+        if len(Mi) != d or any(len(row) != d for row in Mi):
+            return CheckResult(False, f"coefficient matrix {i} is not {d} x {d}")
+        if any(Mi[r][c] != Mi[c][r] for r in range(d) for c in range(r)):
+            return CheckResult(False, f"coefficient matrix {i} is not symmetric")
     if rep.gamma == 0:
         return CheckResult(False, "gamma is zero")
     detM = poly_determinant(rep.pencil())

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 Mat = list  # list[list[Fraction]]
-
-
-def frac_matrix(rows: Sequence[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def mat_identity(n: int) -> Mat:

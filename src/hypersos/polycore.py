@@ -4,6 +4,9 @@ A multivariate polynomial is a map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial stores no terms.  All operations are exact
 (no floating point anywhere in this module), which is what makes the
 divisibility and perfect-square decisions downstream trustworthy.
+Evaluation and line restriction run fraction-free: they scale the point and
+the coefficients to integers by the lcm of their denominators, work in
+Python int, and build Fractions only for the results.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 Mono = tuple[int, ...]
@@ -193,14 +197,19 @@ class Polynomial:
         pt = [Fraction(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError(f"point length {len(pt)} != nvars {self.nvars}")
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        q, xs = _common_denominator(pt)
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        d = self.total_degree()
+        qpow = _powers(q, d)
+        # powers[i][k] = xs[i]**k up to the largest exponent of variable i
+        powers = list(map(_powers, xs, map(max, zip(*self.terms))))
+        total = 0
         for m, c in self.terms.items():
-            v = c
-            for e, x in zip(m, pt):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+            num, den = c.as_integer_ratio()
+            total += num * (cden // den) * qpow[d - sum(m)] * math.prod(map(getitem, powers, m))
+        return Fraction(total, cden * qpow[d])
 
     def partial(self, i: int) -> "Polynomial":
         """Exact partial derivative with respect to variable i."""
@@ -449,25 +458,71 @@ def restrict_to_line(f: Polynomial, e: Sequence, a: Sequence) -> UniPoly:
     avec = [Fraction(x) for x in a]
     if len(evec) != f.nvars or len(avec) != f.nvars:
         raise ValueError("direction/offset length must equal nvars")
-    d = max((sum(m) for m in f.terms), default=0)
-    acc = [Fraction(0)] * (d + 1)
+    if not f.terms:
+        return UniPoly.zero()
+    q, ints = _common_denominator(evec + avec)
+    E, A = ints[: f.nvars], ints[f.nvars :]
+    cden = math.lcm(*(c.denominator for c in f.terms.values()))
+    d = f.total_degree()
+    qpow = _powers(q, d)
+    # (i, k) -> (s, row): (E_i t + A_i)^k = t^s * sum_j row[j] t^j, zeros trimmed
+    rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
+    acc = [0] * (d + 1)
     for m, c in f.terms.items():
-        term = [c]
+        shift, term = 0, [c.numerator * (cden // c.denominator)]
+        deg = 0
         for i, k in enumerate(m):
-            if k == 0:
+            if not k:
                 continue
-            # binomial expansion of (e_i t + a_i)^k
-            ei, ai = evec[i], avec[i]
-            pw = [math.comb(k, j) * ei**j * ai ** (k - j) for j in range(k + 1)]
-            new = [Fraction(0)] * (len(term) + k)
-            for s, ts in enumerate(term):
-                if ts:
-                    for j, pj in enumerate(pw):
-                        new[s + j] += ts * pj
-            term = new
-        for s, ts in enumerate(term):
-            acc[s] += ts
-    return UniPoly(acc)
+            deg += k
+            entry = rows.get((i, k))
+            if entry is None:
+                entry = rows[(i, k)] = _binomial_row(E[i], A[i], k)
+            s, row = entry
+            if not row:
+                break  # a factor (0 t + 0)^k: the term vanishes on the line
+            shift += s
+            term = _convolve(term, row)
+        else:
+            scale = qpow[d - deg]
+            for j, v in enumerate(term, shift):
+                acc[j] += v * scale
+    den = cden * qpow[d]
+    return UniPoly([Fraction(v, den) for v in acc])
+
+
+def _common_denominator(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(q, [x*q for x in xs]) with q the lcm of the denominators of xs."""
+    q = math.lcm(*(x.denominator for x in xs))
+    return q, [x.numerator * (q // x.denominator) for x in xs]
+
+
+def _powers(q: int, d: int) -> list[int]:
+    """[1, q, q^2, ..., q^d]."""
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * q)
+    return out
+
+
+def _binomial_row(E: int, A: int, k: int) -> tuple[int, list[int]]:
+    """(E t + A)^k as (s, row) with the t^s factor and trailing zeros split off."""
+    if E == 0:
+        return 0, ([A**k] if A else [])
+    if A == 0:
+        return k, [E**k]
+    return 0, [math.comb(k, j) * E**j * A ** (k - j) for j in range(k + 1)]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    if len(b) == 1:
+        return [x * b[0] for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[s + j] += x * y
+    return out
 
 
 # -- polynomial matrices (plain nested lists, row major) --------------------------
@@ -557,19 +612,6 @@ def poly_adjugate(M: Sequence[Sequence[Polynomial]]) -> list:
             d = poly_determinant(minor)
             adj[i][j] = d if (i + j) % 2 == 0 else -d
     return adj
-
-
-def mat_mul(A: Sequence[Sequence[Polynomial]], B: Sequence[Sequence[Polynomial]]) -> list:
-    n, m, k = len(A), len(B[0]), len(B)
-    nvars = A[0][0].nvars
-    out = [[Polynomial.zero(nvars) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = Polynomial.zero(nvars)
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
 
 
 # -- divisibility and square roots ---------------------------------------------

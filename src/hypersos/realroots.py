@@ -97,9 +97,6 @@ class IsolatingInterval:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains_point(self, x: Fraction) -> bool:
         if self.is_exact:
             return x == self.lo

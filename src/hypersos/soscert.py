@@ -32,14 +32,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactla import LdlResult, ldl_psd, solve_affine_family, solve_linear
+from .exactla import LdlResult, ldl_psd, ldl_reassemble, solve_affine_family, solve_linear
 from .polycore import (
     Mono,
     Polynomial,
+    UniPoly,
     default_names,
     format_poly,
     grlex_key,
     parse_poly,
+    restrict_to_line,
 )
 from .verdicts import Verdict, certified_no, certified_yes, unknown
 
@@ -218,13 +220,6 @@ class GramSystem:
     def particular_matrix(self) -> list[list[Fraction]]:
         return self.matrix_from_vector(self._particular)
 
-    def nullspace_matrices(self) -> list[list[list[Fraction]]]:
-        """Materialize the nullspace basis as symmetric matrices (Gram part)."""
-        out = []
-        for v in self.nullspace_vectors():
-            out.append(self.matrix_from_vector(v))
-        return out
-
     def nullspace_vectors(self) -> list[list[Fraction]]:
         if self._null is not None:
             return [list(v) for v in self._null]
@@ -362,27 +357,47 @@ def scan_small_points(F: Polynomial, coord: int = 1):
     return zeros, None
 
 
-def _hessian_at(F: Polynomial, p) -> list[list[Fraction]]:
-    n = F.nvars
-    H = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        fi = F.partial(i)
-        for j in range(i, n):
-            v = fi.partial(j).evaluate(p)
-            H[i][j] = v
-            H[j][i] = v
-    return H
+class _ZeroGeometry:
+    """The local structure of F at its exact zeros, shared within one decision.
+
+    The gradient and upper-triangle Hessian polynomials are differentiated
+    once.  The flat directions at a zero (the Hessian's kernel) and F's
+    restriction along each flat line are computed on first use and kept for
+    the later stages.
+    """
+
+    def __init__(self, F: Polynomial):
+        n = F.nvars
+        self.F = F
+        self.gradient = [F.partial(i) for i in range(n)]
+        self.hessian = [[self.gradient[i].partial(j) for j in range(i, n)] for i in range(n)]
+        self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly]]] = {}
+
+    def gradient_at(self, p) -> list[Fraction]:
+        return [g.evaluate(p) for g in self.gradient]
+
+    def hessian_at(self, p) -> list[list[Fraction]]:
+        n = self.F.nvars
+        H = [[Fraction(0)] * n for _ in range(n)]
+        for i, row in enumerate(self.hessian):
+            for j, h in enumerate(row, i):
+                H[i][j] = H[j][i] = h.evaluate(p)
+        return H
+
+    def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly]]:
+        """(u, t -> F(p + t u)) for each kernel basis vector u of the Hessian H at p."""
+        key = tuple(p)
+        if key not in self._lines:
+            n = self.F.nvars
+            if H is None:
+                H = self.hessian_at(p)
+            sol = solve_affine_family(H, [Fraction(0)] * n, n)
+            assert sol is not None
+            self._lines[key] = [(u, restrict_to_line(self.F, u, p)) for u in sol[1]]
+        return self._lines[key]
 
 
-def _kernel_directions(F: Polynomial, p) -> list[list[Fraction]]:
-    """Exact kernel basis of the Hessian of F at p (the flat directions)."""
-    H = _hessian_at(F, p)
-    sol = solve_affine_family(H, [Fraction(0)] * F.nvars, F.nvars)
-    assert sol is not None
-    return sol[1]
-
-
-def second_order_obstruction(F: Polynomial, zeros):
+def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroGeometry] = None):
     """Exact non-SOS witness from the local structure at a zero, or None.
 
     If F is a sum of squares then at every real zero p the gradient vanishes,
@@ -391,19 +406,18 @@ def second_order_obstruction(F: Polynomial, zeros):
     order with a positive leading coefficient.  Each failure is an exact
     refutation, and it survives multiplication by powers of the square sum.
     """
-    from .polycore import restrict_to_line
-
-    n = F.nvars
+    if not zeros:
+        return None
+    geometry = _geometry or _ZeroGeometry(F)
     for p in zeros:
-        grad = [F.partial(i).evaluate(p) for i in range(n)]
+        grad = geometry.gradient_at(p)
         if any(grad):
             return {"point": p, "gradient": grad, "kind": "nonzero gradient at a zero"}
-        H = _hessian_at(F, p)
+        H = geometry.hessian_at(p)
         res = ldl_psd(H)
         if not res.is_psd:
             return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({res.reason})"}
-        for u in _kernel_directions(F, p):
-            line = restrict_to_line(F, u, p)
+        for u, line in geometry.flat_lines(p, H):
             if line.is_zero():
                 continue
             order = next(i for i, c in enumerate(line.coeffs) if c)
@@ -419,7 +433,11 @@ def second_order_obstruction(F: Polynomial, zeros):
 
 
 def constrain_basis_to_zeros(
-    basis: list[Polynomial], zeros, F: Optional[Polynomial] = None
+    basis: list[Polynomial],
+    zeros,
+    F: Optional[Polynomial] = None,
+    *,
+    _geometry: Optional[_ZeroGeometry] = None,
 ) -> list[Polynomial]:
     """Restrict a square basis to the subspace forced by the target's zeros.
 
@@ -432,8 +450,6 @@ def constrain_basis_to_zeros(
     apply unchanged to F times any power of the square sum (a positive
     factor at p).  Returns the original basis when nothing binds.
     """
-    from .polycore import restrict_to_line
-
     if not zeros:
         return basis
     # constrained bases leave the cheap structural assembly for exact
@@ -445,12 +461,10 @@ def constrain_basis_to_zeros(
     rows = [[b.evaluate(p) for b in basis] for p in zeros]
     # the line stage costs a Hessian kernel and one restriction per basis
     # element per flat direction; skip it for huge zero sets
-    if F is not None and len(zeros) > 48:
-        F = None
-    if F is not None:
+    if F is not None and len(zeros) <= 48:
+        geometry = _geometry or _ZeroGeometry(F)
         for p in zeros:
-            for u in _kernel_directions(F, p):
-                line = restrict_to_line(F, u, p)
+            for u, line in geometry.flat_lines(p):
                 if line.is_zero():
                     half = max(b.total_degree() for b in basis) + 1
                 else:
@@ -599,12 +613,31 @@ class SosCertificate:
         return self.target * s2**self.denominator_power
 
     def verify(self) -> bool:
-        """Re-check the certificate from scratch, exactly."""
-        n = self.target.nvars
-        acc = Polynomial.zero(n)
+        """Re-check the certificate from scratch, exactly.
+
+        False, never an exception, when a field has the wrong shape: the Gram
+        matrix must be m x m and symmetric for m basis elements, perm a
+        permutation of range(m), L unit lower triangular m x m, and D of
+        length m.
+        """
+        m = len(self.basis)
+        gram, perm, L, D = self.gram, self.ldl.perm, self.ldl.L, self.ldl.D
+        if len(gram) != m or any(len(row) != m for row in gram):
+            return False
+        if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i)):
+            return False
+        if len(perm) != m or {p for p in perm if isinstance(p, int)} != set(range(m)):
+            return False
+        if len(L) != m or any(len(row) != m for row in L):
+            return False
+        if any(L[r][r] != 1 or any(L[r][r + 1 :]) for r in range(m)):
+            return False
+        if len(D) != m or not self.ldl.is_psd or any(d < 0 for d in D):
+            return False
+        acc = Polynomial.zero(self.target.nvars)
         for i, bi in enumerate(self.basis):
             for j, bj in enumerate(self.basis):
-                c = self.gram[i][j]
+                c = gram[i][j]
                 if c:
                     acc = acc + bi * bj * c
         expected = self.certified_form()
@@ -612,16 +645,8 @@ class SosCertificate:
             expected = expected - self.multiplier * self.modulus
         if acc != expected:
             return False
-        if not self.ldl.is_psd or any(d < 0 for d in self.ldl.D):
-            return False
-        m = len(self.gram)
-        perm, L, D = self.ldl.perm, self.ldl.L, self.ldl.D
-        for r in range(m):
-            for c in range(m):
-                v = sum(L[r][k] * D[k] * L[c][k] for k in range(min(r, c) + 1))
-                if v != self.gram[perm[r]][perm[c]]:
-                    return False
-        return True
+        B = ldl_reassemble(self.ldl)
+        return all(B[r][c] == gram[perm[r]][perm[c]] for r in range(m) for c in range(m))
 
     def to_jsonable(self, names: Optional[list[str]] = None) -> dict:
         names = names or default_names(self.target.nvars)
@@ -761,7 +786,8 @@ def certify_sos(
             witness={"point": neg, "value": F.evaluate(neg)},
             detail="target is negative at an integer point, hence not a sum of squares",
         )
-    obstruction = second_order_obstruction(F, zeros)
+    geometry = _ZeroGeometry(F) if zeros else None
+    obstruction = second_order_obstruction(F, zeros, _geometry=geometry)
     if obstruction is not None:
         return certified_no(
             witness=obstruction,
@@ -776,7 +802,7 @@ def certify_sos(
     for N in range(max_denominator_power + 1):
         FN = F * s2**N if N else F
         use_basis = basis if basis is not None else _auto_basis(FN)
-        use_basis = constrain_basis_to_zeros(list(use_basis), zeros, F)
+        use_basis = constrain_basis_to_zeros(list(use_basis), zeros, F, _geometry=geometry)
         if not use_basis:
             refuted.append(N)
             refute_witness = {"N": N, "zeros": zeros}

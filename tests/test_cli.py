@@ -174,3 +174,34 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "CERTIFIED_YES" in out
+
+
+def assert_input_error(code, out, err):
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
+def test_malformed_rep_exit_3(tmp_path, capsys):
+    poly = ["--poly", "x1*x2", "--vars", "x1,x2", "--no-timings"]
+    missing_key = json.dumps({"matrices": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]})
+    for rep in (missing_key, "[1, 2]", json.dumps({"matrices": 5, "e": ["1", "1"], "gamma": "1"})):
+        assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", rep))
+    path = tmp_path / "rep.json"
+    path.write_text(missing_key)
+    assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", f"@{path}"))
+
+
+def test_sampling_and_budget_bounds_exit_3(capsys):
+    lorentz = ["--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--e", "1,0,0", "--no-timings"]
+    assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--trials", "0"))
+    assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--trials", "-3"))
+    assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--trials", "many"))
+    assert_input_error(*run(capsys, "sos-certify", *lorentz, "--sos-budget", "-1"))
+    assert_input_error(*run(capsys, "interlaces", *lorentz, "--g", "x", "--sos-budget", "-2"))
+    code, _, _ = run(capsys, "sos-certify", "--poly", "x^2 + y^2", "--vars", "x,y",
+                     "--sos-budget", "0", "--no-timings")
+    assert code == 0
+    code, _, _ = run(capsys, "check-hyperbolic", *lorentz, "--trials", "1")
+    assert code == 0

@@ -15,7 +15,13 @@ from hypersos.detrep import (
     interlacer_from_detrep,
     verify_detrep,
 )
-from hypersos.hypercone import HyperbolicityInstance, SampleConfig, delta_ij, interlaces
+from hypersos.hypercone import (
+    HyperbolicityInstance,
+    SampleConfig,
+    check_hyperbolic,
+    delta_ij,
+    interlaces,
+)
 from hypersos.polycore import (
     Polynomial,
     directional_derivative,
@@ -142,6 +148,37 @@ def test_verify_detrep_examples():
     res = verify_detrep(diag, other)
     assert not res
     assert "det" in res.reason
+
+
+def test_verify_detrep_rejects_non_symmetric_pencil():
+    # det [[x, -y], [y, x]] = x^2 + y^2 and M(e) = I, but x^2 + y^2 is not hyperbolic
+    f = parse_poly("x^2 + y^2", ["x", "y"])
+    rep = DeterminantalRep(
+        matrices=[
+            [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
+            [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]],
+        ],
+        e=[Fraction(1), Fraction(0)],
+        gamma=Fraction(1),
+    )
+    assert poly_determinant(rep.pencil()) == f
+    assert check_hyperbolic(HyperbolicityInstance(f, rep.e), CFG).is_no
+    res = verify_detrep(rep, f)
+    assert not res
+    assert "symmetric" in res.reason
+    assert not verify_detrep(DeterminantalRep.from_json(rep.to_json()), f)
+
+
+def test_verify_detrep_rejects_misshapen_matrices():
+    f = gen_product(2)
+    ragged = DeterminantalRep(
+        matrices=[[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]], [[Fraction(0)]]],
+        e=ones(2),
+        gamma=Fraction(1),
+    )
+    assert not verify_detrep(ragged, f)
+    short_e = DeterminantalRep(matrices=ragged.matrices[:1] * 2, e=ones(1), gamma=Fraction(1))
+    assert not verify_detrep(short_e, f)
 
 
 def test_detrep_json_round_trip():

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: examples and randomized ring properties."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,93 @@ def test_restrict_compatible_with_evaluation():
         line = restrict_to_line(f, e, a)
         point = [t0 * ei + ai for ei, ai in zip(e, a)]
         assert line(t0) == f.evaluate(point)
+
+
+# -- the fraction-free kernel against a naive Fraction reference --------------------
+
+
+def naive_evaluate(f, point):
+    total = Fraction(0)
+    for m, c in f.terms.items():
+        v = c
+        for k, x in zip(m, point):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+def naive_restrict(f, e, a):
+    """Expand every term of f(t*e + a) with Fraction binomials, one at a time."""
+    d = max((sum(m) for m in f.terms), default=0)
+    acc = [Fraction(0)] * (d + 1)
+    for m, c in f.terms.items():
+        term = [c]
+        for ei, ai, k in zip(e, a, m):
+            pw = [math.comb(k, j) * Fraction(ei) ** j * Fraction(ai) ** (k - j) for j in range(k + 1)]
+            new = [Fraction(0)] * (len(term) + k)
+            for s, ts in enumerate(term):
+                for j, pj in enumerate(pw):
+                    new[s + j] += ts * pj
+            term = new
+        for s, ts in enumerate(term):
+            acc[s] += ts
+    return UniPoly(acc)
+
+
+def rand_rational(rng, bound=4):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 5))
+
+
+def kernel_cases():
+    """Seeded (f, e, a, point): rational and negative data, mixed degrees, edge cases."""
+    rng = random.Random(2012)
+
+    def vec(nvars):
+        return [rand_rational(rng) if rng.random() < 0.6 else Fraction(rng.randint(-2, 2))
+                for _ in range(nvars)]
+
+    cases = []
+    for trial in range(150):
+        nvars = rng.randint(1, 4)
+        f = rand_poly(rng, nvars, max_deg=rng.randint(1, 4), terms=rng.randint(1, 7))
+        e, a, point = vec(nvars), vec(nvars), vec(nvars)
+        if trial % 10 == 0:
+            e = [Fraction(0)] * nvars
+        cases.append((f, e, a, point))
+    cases.append((Polynomial.zero(3), [1, 2, 3], [Fraction(1, 2), 0, -1], [1, Fraction(-2, 3), 5]))
+    cases.append((Polynomial.const(0, Fraction(-7, 3)), [], [], []))
+    cases.append((Polynomial.zero(0), [], [], []))
+    inhom = P("3/2*x^3 - y*z + 5/7*z - 2")
+    cases.append((inhom, [Fraction(1, 3), -2, Fraction(5, 4)], [Fraction(-1, 2), Fraction(2, 9), 1],
+                  [Fraction(7, 5), Fraction(-3, 8), 0]))
+    cases.append((inhom, [0, 0, 0], [Fraction(1, 6), -1, Fraction(3, 10)], [0, 0, 0]))
+    return cases
+
+
+def test_kernel_cases_cover_rational_inhomogeneous_and_edge_inputs():
+    cases = kernel_cases()
+    coeffs = [c for f, _, _, _ in cases for c in f.terms.values()]
+    assert any(c.denominator > 1 and c < 0 for c in coeffs)
+    assert any(not f.is_homogeneous() for f, _, _, _ in cases)
+    assert any(f.is_zero() for f, _, _, _ in cases)
+    assert any(f.nvars == 0 for f, _, _, _ in cases)
+    assert any(f.nvars and not any(e) for f, e, _, _ in cases)
+    for slot in (1, 2, 3):
+        assert any(Fraction(x).denominator > 1 for case in cases for x in case[slot])
+
+
+def test_evaluate_matches_naive_reference():
+    for f, _, _, point in kernel_cases():
+        got = f.evaluate(point)
+        assert type(got) is Fraction
+        assert got == naive_evaluate(f, point)
+
+
+def test_restrict_to_line_matches_naive_reference():
+    for f, e, a, _ in kernel_cases():
+        got = restrict_to_line(f, e, a)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got == naive_restrict(f, e, a)
 
 
 # -- determinants and adjugates ----------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hypersos.corpus import gen_lorentz, gen_product
-from hypersos.exactla import ldl_psd, ldl_reassemble, mat_det
+from hypersos.exactla import LdlResult, ldl_psd, ldl_reassemble, mat_det
 from hypersos.hypercone import HyperbolicityInstance, wronskian_delta
 from hypersos.polycore import Polynomial, parse_poly, poly_adjugate, poly_determinant
 from hypersos.soscert import (
@@ -386,3 +386,90 @@ def test_ldl_psd_decision_and_reassembly():
     res2 = ldl_psd(rank_def)
     assert res2.is_psd and not res2.is_pd and res2.rank == 1
     assert mat_det(A) == 4
+
+
+# -- hardened certificate checking ---------------------------------------------------
+
+
+def forged_indefinite_certificate():
+    """x^2 - y^2 with Gram diag(1, -1) and an LDL^T whose perm repeats row 0."""
+    target = P("x^2 - y^2", ["x", "y"])
+    return SosCertificate(
+        basis=[P("x", ["x", "y"]), P("y", ["x", "y"])],
+        gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
+        denominator_power=0,
+        target=target,
+        ldl=LdlResult(
+            is_psd=True,
+            perm=[0, 0],
+            L=[[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]],
+            D=[Fraction(1), Fraction(0)],
+        ),
+    )
+
+
+def test_verify_rejects_forged_permutation():
+    forged = forged_indefinite_certificate()
+    assert not forged.verify()
+    assert not SosCertificate.from_json(forged.to_json()).verify()
+
+
+def genuine_certificate():
+    v = certify_sos(P("(x + 2*y)^2 * (x - z)^2 + x^2*y^2"), 0)
+    assert v.is_yes and v.witness.verify()
+    assert len(v.witness.basis) >= 2
+    return v.witness
+
+
+def mutated(cert, **ldl_fields):
+    ldl = LdlResult(True, list(cert.ldl.perm), [list(r) for r in cert.ldl.L], list(cert.ldl.D))
+    for name, value in ldl_fields.items():
+        setattr(ldl, name, value)
+    return SosCertificate(
+        basis=list(cert.basis), gram=[list(r) for r in cert.gram],
+        denominator_power=cert.denominator_power, target=cert.target, ldl=ldl,
+    )
+
+
+def test_verify_rejects_malformed_fields_without_raising():
+    cert = genuine_certificate()
+    m = len(cert.basis)
+    bad = [
+        mutated(cert, L=cert.ldl.L[:-1]),
+        mutated(cert, L=[row[:-1] for row in cert.ldl.L]),
+        mutated(cert, D=cert.ldl.D[:-1]),
+        mutated(cert, perm=cert.ldl.perm[:-1]),
+        mutated(cert, perm=list(reversed(cert.ldl.perm))[:1] * m),
+        mutated(cert, perm=[*cert.ldl.perm[:-1], m]),
+    ]
+    upper = mutated(cert)
+    upper.ldl.L[0][m - 1] = Fraction(1)
+    bad.append(upper)
+    short_gram = mutated(cert)
+    short_gram.gram = [row[:-1] for row in cert.gram]
+    bad.append(short_gram)
+    skew = mutated(cert)
+    skew.gram[0][1] += 1
+    bad.append(skew)
+    for forged in bad:
+        assert forged.verify() is False
+    assert mutated(cert).verify()
+
+
+def test_certify_sos_differentiates_once_however_many_zeros(monkeypatch):
+    names = ["a", "b", "c", "d", "e"]
+    F = parse_poly("(a - b)^2*(c - d)^2 + (a - e)^2*(b - c)^2", names)
+    n = F.nvars
+    zeros, _ = scan_small_points(F)
+    assert len(zeros) > n * (n + 3) // 2
+    calls = []
+    original = Polynomial.partial
+
+    def counting(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(Polynomial, "partial", counting)
+    assert certify_sos(F, 0).is_yes
+    # the gradient (n) and the upper-triangle Hessian (n(n+1)/2), once each
+    assert len(calls) == n + n * (n + 1) // 2
