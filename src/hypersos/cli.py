@@ -114,7 +114,7 @@ def _add_common(p: argparse.ArgumentParser, poly: bool = True) -> None:
     p.add_argument("--a", dest="a", help="query point/direction, e.g. 2,1,0")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=_count(1), default=64)
-    p.add_argument("--bound", type=int, default=10, help="sampling coordinate bound")
+    p.add_argument("--bound", type=_count(1), default=10, help="sampling coordinate bound")
     p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
     p.add_argument("--tolerance", type=float, default=1e-9, help="SDP feasibility tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")

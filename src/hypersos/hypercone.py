@@ -33,7 +33,17 @@ class SampleConfig:
     seed: int = 42
     coordinate_bound: int = 10
 
+    def __post_init__(self):
+        # no trials would certify without looking; a zero bound only draws
+        # the zero vector, which vectors() rejects forever
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.coordinate_bound < 1:
+            raise ValueError(f"coordinate_bound must be at least 1, got {self.coordinate_bound}")
+
     def vectors(self, nvars: int, count: Optional[int] = None) -> list[list[Fraction]]:
+        if nvars < 1:
+            raise ValueError(f"sampling needs at least one coordinate, got nvars={nvars}")
         rng = random.Random(self.seed)
         out: list[list[Fraction]] = []
         want = self.trials if count is None else count

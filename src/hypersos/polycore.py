@@ -4,9 +4,12 @@ A multivariate polynomial is a map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial stores no terms.  All operations are exact
 (no floating point anywhere in this module), which is what makes the
 divisibility and perfect-square decisions downstream trustworthy.
-Evaluation and line restriction run fraction-free: they scale the point and
-the coefficients to integers by the lcm of their denominators, work in
-Python int, and build Fractions only for the results.
+Evaluation, line restriction and polynomial multiplication run
+fraction-free: they scale the point and the coefficients to integers by the
+lcm of their denominators, work in Python int, and build Fractions only for
+the results.  The public constructor validates its input; the module's own
+arithmetic builds results that are clean by construction and wraps them with
+Polynomial._trusted instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import getitem
+from operator import add, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 Mono = tuple[int, ...]
@@ -30,7 +33,7 @@ def grlex_key(mono: Mono) -> tuple[int, Mono]:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -58,6 +61,19 @@ class Polynomial:
                 clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap a term dict that is already clean, taking ownership of it.
+
+        The caller guarantees what __init__ would check: tuple keys of length
+        nvars with nonnegative entries and nonzero Fraction values.  The dict
+        must not be mutated afterwards.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -146,20 +162,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.const(self.nvars, other)
         self._check_same_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.const(self.nvars, other)
-        return self + (-other)
+        self._check_same_ring(other)
+        negated = ((m, -c) for m, c in other.terms.items())
+        return Polynomial._trusted(self.nvars, _accumulate(dict(self.terms), negated))
 
     def __rsub__(self, other) -> "Polynomial":
         return Polynomial.const(self.nvars, other) - self
@@ -167,14 +182,11 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             c = Fraction(other)
-            return Polynomial(self.nvars, {m: cc * c for m, cc in self.terms.items()})
+            if not c:
+                return Polynomial._trusted(self.nvars, {})
+            return Polynomial._trusted(self.nvars, {m: cc * c for m, cc in self.terms.items()})
         self._check_same_ring(other)
-        out: dict[Mono, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -223,11 +235,11 @@ class Polynomial:
             mm = list(m)
             mm[i] = e - 1
             out[tuple(mm)] = c * e
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def substitute_zero(self, i: int) -> "Polynomial":
         """Set variable i to zero (drops every term containing it)."""
-        return Polynomial(self.nvars, {m: c for m, c in self.terms.items() if m[i] == 0})
+        return Polynomial._trusted(self.nvars, {m: c for m, c in self.terms.items() if m[i] == 0})
 
     def __repr__(self) -> str:
         return f"Polynomial(nvars={self.nvars}, {len(self.terms)} terms)"
@@ -277,7 +289,48 @@ def drop_trailing_variables(f: Polynomial, new_nvars: int) -> Polynomial:
     for i in range(new_nvars, f.nvars):
         if f.degree_in(i) > 0:
             raise ValueError(f"variable {i} occurs in f")
-    return Polynomial(new_nvars, {m[:new_nvars]: c for m, c in f.terms.items()})
+    return Polynomial._trusted(new_nvars, {m[:new_nvars]: c for m, c in f.terms.items()})
+
+
+# -- term-dict kernels (callers wrap the results with Polynomial._trusted) -------
+
+
+def _accumulate(out: dict, items: Iterable[tuple[Mono, Fraction]]) -> dict:
+    """Add each (monomial, coefficient) pair into the term dict out, in place.
+
+    Monomials whose coefficients cancel are deleted, so a clean out stays clean.
+    """
+    for m, c in items:
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Term dict of the product of two term dicts, computed fraction-free.
+
+    Each operand is scaled to integer coefficients by the lcm of its
+    denominators; products accumulate in Python int and each result term
+    becomes one Fraction over the product of the two lcms.
+    """
+    da, ia = _common_denominator(a.values())
+    db, ib = _common_denominator(b.values())
+    bterms = list(zip(b, ib))
+    acc: dict[Mono, int] = {}
+    get = acc.get
+    for ma, ca in zip(a, ia):
+        for mb, cb in bterms:
+            m = tuple(map(add, ma, mb))
+            acc[m] = get(m, 0) + ca * cb
+    den = da * db
+    return {m: Fraction(v, den) for m, v in acc.items() if v}
 
 
 # -- univariate polynomials ----------------------------------------------------
@@ -491,10 +544,11 @@ def restrict_to_line(f: Polynomial, e: Sequence, a: Sequence) -> UniPoly:
     return UniPoly([Fraction(v, den) for v in acc])
 
 
-def _common_denominator(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _common_denominator(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
     """(q, [x*q for x in xs]) with q the lcm of the denominators of xs."""
-    q = math.lcm(*(x.denominator for x in xs))
-    return q, [x.numerator * (q // x.denominator) for x in xs]
+    ratios = [x.as_integer_ratio() for x in xs]
+    q = math.lcm(*(d for _, d in ratios))
+    return q, [n * (q // d) for n, d in ratios]
 
 
 def _powers(q: int, d: int) -> list[int]:
@@ -630,17 +684,20 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Optional[Polynomial]:
     p._check_same_ring(f)
     nvars = p.nvars
     ltf_m, ltf_c = f.leading_term()
+    fterms = f.terms.items()
     q: dict[Mono, Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        m, c = rem.leading_term()
+    rem = dict(p.terms)
+    while rem:
+        m = max(rem, key=grlex_key)
         if not mono_divides(ltf_m, m):
             return None
         qm = tuple(x - y for x, y in zip(m, ltf_m))
-        qc = c / ltf_c
+        qc = rem[m] / ltf_c
         q[qm] = qc
-        rem = rem - f * Polynomial.monomial(nvars, qm, qc)
-    return Polynomial(nvars, q)
+        # rem -= qc * x^qm * f
+        minus_qc = -qc
+        _accumulate(rem, ((mono_mul(fm, qm), minus_qc * fc) for fm, fc in fterms))
+    return Polynomial._trusted(nvars, q)
 
 
 def _sqrt_fraction(c: Fraction) -> Optional[Fraction]:
@@ -671,11 +728,12 @@ def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:
     if c0 is None or c0 == 0:
         return None
     lead_m = tuple(e // 2 for e in lt_m)
-    r = Polynomial.monomial(nvars, lead_m, c0)
-    rem = p - r * r
+    r = {lead_m: c0}
+    rem = dict(p.terms)
+    del rem[lt_m]  # p - r^2
     last_key = grlex_key(lead_m)
-    while not rem.is_zero():
-        m, c = rem.leading_term()
+    while rem:
+        m = max(rem, key=grlex_key)
         if not mono_divides(lead_m, m):
             return None
         tm = tuple(x - y for x, y in zip(m, lead_m))
@@ -683,11 +741,13 @@ def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:
         if key >= last_key:
             return None
         last_key = key
-        t = Polynomial.monomial(nvars, tm, c / (2 * c0))
-        # rem for r+t is rem - 2*t*r - t^2
-        rem = rem - (2 * t) * r - t * t
-        r = r + t
-    return r
+        tc = rem[m] / (2 * c0)
+        # rem for r + tc*x^tm is rem - 2*tc*x^tm*r - tc^2*x^(2tm); tm is new to r
+        minus_2tc = -2 * tc
+        _accumulate(rem, [(mono_mul(rm, tm), minus_2tc * rc) for rm, rc in r.items()])
+        _accumulate(rem, [(mono_mul(tm, tm), -tc * tc)])
+        r[tm] = tc
+    return Polynomial._trusted(nvars, r)
 
 
 # -- parsing and formatting ----------------------------------------------------

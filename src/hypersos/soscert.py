@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .exactla import LdlResult, ldl_psd, ldl_reassemble, solve_affine_family, solve_linear
 from .polycore import (
     Mono,
@@ -503,6 +501,8 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
     that strictly feasible problems return well-conditioned interior points.
     Returns a float unknown-vector or None (numerically infeasible).
     """
+    import numpy as np  # only this float stage needs numpy; exact paths never load it
+
     n = sys.size
     x0 = np.array([float(v) for v in sys.particular_vector()])
     npairs = len(sys.pairs)
@@ -770,6 +770,8 @@ def certify_sos(
     which is conclusive exactly when the basis provably contains every
     possible square (e.g. forced by vanishing points).
     """
+    if max_denominator_power < 0:
+        raise ValueError(f"max_denominator_power must be nonnegative, got {max_denominator_power}")
     settings = settings or SdpSettings()
     if F.is_zero():
         empty = LdlResult(True, [], [], [])

@@ -1,6 +1,9 @@
 """CLI contract: exit codes, JSON output, determinism, file inputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 from hypersos.cli import main
 
@@ -205,3 +208,19 @@ def test_sampling_and_budget_bounds_exit_3(capsys):
     assert code == 0
     code, _, _ = run(capsys, "check-hyperbolic", *lorentz, "--trials", "1")
     assert code == 0
+    assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--bound", "-1"))
+    code, _, _ = run(capsys, "check-hyperbolic", *lorentz, "--bound", "1")
+    assert code == 0
+
+
+def test_zero_sampling_bound_exits_3_without_hanging():
+    # a zero bound can only draw the zero vector, which the sampler rejects, so
+    # accepting it loops forever: run in a child process with a timeout
+    import hypersos
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypersos.__file__)))
+    argv = ["check-hyperbolic", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--e", "1,0,0",
+            "--bound", "0", "--no-timings"]
+    proc = subprocess.run([sys.executable, "-m", "hypersos.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert_input_error(proc.returncode, proc.stdout, proc.stderr)

@@ -316,3 +316,15 @@ def test_int_cone_membership_examples():
     # the cubic at its own hyperbolicity direction
     instc = HyperbolicityInstance(P("(x - y)*(x + y)*(x + 2*y) - x*z^2"), [1, 0, 0])
     assert int_cone_membership_by_derivative(instc, [1, 0, 0], CFG, 1).is_yes
+
+
+def test_sample_config_rejects_plans_that_cannot_sample():
+    for kwargs in ({"trials": 0}, {"trials": -2}, {"coordinate_bound": 0}, {"coordinate_bound": -1}):
+        with pytest.raises(ValueError):
+            SampleConfig(**kwargs)
+    with pytest.raises(ValueError):
+        SampleConfig().vectors(0)
+    # the smallest plan still draws nonzero vectors inside its box
+    vecs = SampleConfig(trials=5, coordinate_bound=1).vectors(2)
+    assert len(vecs) == 5
+    assert all(any(v) and all(abs(x) <= 1 for x in v) for v in vecs)

@@ -261,6 +261,148 @@ def test_restrict_to_line_matches_naive_reference():
         assert got == naive_restrict(f, e, a)
 
 
+# -- ring arithmetic against a naive dict-of-Fraction reference ---------------------
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_scale(a, k):
+    return {m: c * k for m, c in a.items() if c * k}
+
+
+def ref_partial(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            out[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c * m[i]
+    return out
+
+
+def assert_clean(p):
+    """What the public constructor would enforce: tuple keys, nonzero Fractions."""
+    assert isinstance(p, Polynomial)
+    for m, c in p.terms.items():
+        assert type(m) is tuple and len(m) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in m)
+        assert type(c) is Fraction and c != 0
+
+
+def arith_cases():
+    """Seeded (a, b) pairs in one ring: rational, negative, cancelling, zero, nvars=0."""
+    rng = random.Random(2013)
+    cases = []
+    for trial in range(120):
+        nvars = rng.randint(1, 3)
+        a = rand_poly(rng, nvars, max_deg=rng.randint(1, 3), terms=rng.randint(1, 6))
+        b = rand_poly(rng, nvars, max_deg=rng.randint(1, 3), terms=rng.randint(1, 6))
+        if trial % 3 == 0:  # b cancels every other term of a exactly
+            b = Polynomial(nvars, {**b.terms, **{m: -c for m, c in list(a.terms.items())[::2]}})
+        cases.append((a, b))
+    for nvars in (0, 2):
+        z, c = Polynomial.zero(nvars), rand_poly(rng, nvars, terms=3)
+        cases += [(z, z), (z, c), (c, z)]
+    cases.append((Polynomial.const(0, Fraction(-3, 4)), Polynomial.const(0, Fraction(5, 6))))
+    cases.append((P("x + 1/2*y"), P("x - 1/2*y")))  # the product cancels x*y
+    return cases
+
+
+def test_arith_cases_cover_cancellation_and_edge_inputs():
+    cases = arith_cases()
+    assert any(a.nvars == 0 for a, _ in cases)
+    assert any(a.is_zero() for a, _ in cases) and any(b.is_zero() for _, b in cases)
+    assert any(c.denominator > 1 and c < 0 for a, _ in cases for c in a.terms.values())
+    assert any(len(ref_add(a.terms, b.terms)) < len(a.terms.keys() | b.terms.keys()) for a, b in cases)
+    products = [{tuple(x + y for x, y in zip(ma, mb)) for ma in a.terms for mb in b.terms}
+                for a, b in cases]
+    assert any(len(ref_mul(a.terms, b.terms)) < len(p) for (a, b), p in zip(cases, products))
+
+
+def test_ring_operations_match_naive_reference():
+    k = Fraction(-7, 3)
+    rng = random.Random(5)
+    for a, b in arith_cases():
+        checks = [
+            (a + b, ref_add(a.terms, b.terms)),
+            (a - b, ref_add(a.terms, b.terms, -1)),
+            (a * b, ref_mul(a.terms, b.terms)),
+            (a * k, ref_scale(a.terms, k)),
+            (2 * a, ref_scale(a.terms, 2)),
+            (a * 0, {}),
+            (-a, ref_scale(a.terms, -1)),
+            (a - a, {}),
+        ]
+        checks += [(a.partial(i), ref_partial(a.terms, i)) for i in range(a.nvars)]
+        for got, want in checks:
+            assert_clean(got)
+            assert got.nvars == a.nvars and got.terms == want
+        point = [rand_rational(rng) for _ in range(a.nvars)]
+        assert a.evaluate(point) == naive_evaluate(a, point)
+        assert (a * b).evaluate(point) == naive_evaluate(a, point) * naive_evaluate(b, point)
+
+
+def test_division_and_square_root_match_naive_reference():
+    rng = random.Random(6)
+    for a, b in arith_cases():
+        n = a.nvars
+        if not b.is_zero():
+            q = exact_divide(Polynomial(n, ref_mul(a.terms, b.terms)), b)
+            assert_clean(q)
+            assert q.terms == a.terms
+            if b.total_degree() > 0:  # q*b + 1 would make b divide the constant 1
+                assert exact_divide(Polynomial(n, ref_add(ref_mul(a.terms, b.terms), {(0,) * n: 1})), b) is None
+        square = Polynomial(n, ref_mul(a.terms, a.terms))
+        root = perfect_square_root(square)
+        assert_clean(root)
+        sign = 1 if a.is_zero() or a.leading_term()[1] > 0 else -1
+        assert root.terms == ref_scale(a.terms, sign)
+        if a.num_terms() >= 3:
+            # a^2 + c*m = s^2 would factor c*m as (s - a)(s + a); the factors of
+            # a monomial are monomials, which would leave a with at most two terms
+            m = tuple(rng.randint(0, 3) for _ in range(n))
+            bumped = ref_add(square.terms, {m: rand_rational(rng) or Fraction(1)})
+            assert perfect_square_root(Polynomial(n, bumped)) is None
+
+
+def test_ring_operations_skip_the_validating_constructor(monkeypatch):
+    x, y = P("x"), P("y")
+    a, b = P("1/2*x^2 - 3*x*y + y"), P("x - 2/3*y")
+    square = a * a
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("arithmetic re-validated its own result")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    results = [a + b, a - b, a * b, a * Fraction(3, 5), -a, a.partial(0),
+               exact_divide(a * b, b), perfect_square_root(square), x * y]
+    assert all(isinstance(r, Polynomial) for r in results)
+
+
+def test_public_constructor_still_validates_and_drops_zeros():
+    for nvars, terms in ((2, {(1,): 1}), (2, {(1, 0, 0): 1}), (2, {(1, -1): 2}), (0, {(1,): 1})):
+        with pytest.raises(ValueError):
+            Polynomial(nvars, terms)
+    with pytest.raises(ValueError):
+        Polynomial(-1)
+    p = Polynomial(2, {(1, 0): 0, (0, 1): 3, (2, 0): Fraction(0, 5)})
+    assert p.terms == {(0, 1): Fraction(3)}
+    assert type(p.terms[(0, 1)]) is Fraction
+    assert Polynomial(1, {(2,): Fraction(1, 2), (1,): 0}).terms == {(2,): Fraction(1, 2)}
+
+
 # -- determinants and adjugates ----------------------------------------------------
 
 

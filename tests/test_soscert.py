@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +107,23 @@ def test_certify_sos_yes_cases():
     assert v.witness.verify()
     v2 = certify_sos(P("(x^2 + y^2)^2", ["x", "y"]), 0)
     assert v2.is_yes and v2.witness.verify()
+
+
+def test_certify_sos_rejects_negative_budget():
+    for target in (P("x^2 + y^2"), Polynomial.zero(3)):
+        with pytest.raises(ValueError):
+            certify_sos(target, max_denominator_power=-1)
+
+
+def test_import_does_not_load_numpy():
+    import hypersos
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypersos.__file__)))
+    code = "import sys, hypersos; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_certify_sos_refutes_indefinite_and_infeasible():
