@@ -8,6 +8,7 @@ seed produce byte-identical JSON when --no-timings is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -49,6 +50,14 @@ def _count(minimum: int):
         return value
 
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: an SDP feasibility tolerance, finite and positive."""
+    try:
+        return soscert.SdpSettings(feasibility_tolerance=float(text)).feasibility_tolerance
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_poly_text(source: str) -> str:
@@ -116,7 +125,7 @@ def _add_common(p: argparse.ArgumentParser, poly: bool = True) -> None:
     p.add_argument("--trials", type=_count(1), default=64)
     p.add_argument("--bound", type=_count(1), default=10, help="sampling coordinate bound")
     p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="SDP feasibility tolerance")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="SDP feasibility tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--no-timings", action="store_true")
     p.add_argument("--cert-out", help="write the certificate/report JSON to this file")
@@ -170,6 +179,12 @@ def build_parser() -> _Parser:
     _add_common(p, poly=False)
 
     return ap
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser for this process, built on first use; parsing never mutates it."""
+    return build_parser()
 
 
 def _require(args, *names) -> list:
@@ -348,7 +363,7 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     started = time.time()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         payload, code = _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

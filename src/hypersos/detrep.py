@@ -20,6 +20,7 @@ from .exactla import ldl_psd, mat_det
 from .hypercone import SampleConfig, delta_ij
 from .polycore import (
     Polynomial,
+    _IntForm,
     exact_divide,
     perfect_square_root,
     poly_adjugate,
@@ -150,8 +151,9 @@ def check_multiaffine_stable(
             d = delta_ij(f, i, j)
             if d.is_zero():
                 continue
+            form = _IntForm(n, [d])
             for p in points:
-                val = d.evaluate(p)
+                val = form.values_at(p)[0]
                 if val < 0:
                     return certified_no(
                         witness={"pair": (i, j), "point": p, "value": val},

@@ -7,7 +7,11 @@ divisibility and perfect-square decisions downstream trustworthy.
 Evaluation, line restriction and polynomial multiplication run
 fraction-free: they scale the point and the coefficients to integers by the
 lcm of their denominators, work in Python int, and build Fractions only for
-the results.  The public constructor validates its input; the module's own
+the results.  Evaluation and line restriction share one compiled integer
+form, _IntForm, whose two kernels give a whole list of polynomials at one
+point or along one line; callers that reuse polynomials compile them once,
+and Polynomial.evaluate and restrict_to_line compile a one-element list per
+call.  The public constructor validates its input; the module's own
 arithmetic builds results that are clean by construction and wraps them with
 Polynomial._trusted instead of checking them again.
 
@@ -206,22 +210,7 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
-        pt = [Fraction(x) for x in point]
-        if len(pt) != self.nvars:
-            raise ValueError(f"point length {len(pt)} != nvars {self.nvars}")
-        if not self.terms:
-            return Fraction(0)
-        q, xs = _common_denominator(pt)
-        cden = math.lcm(*(c.denominator for c in self.terms.values()))
-        d = self.total_degree()
-        qpow = _powers(q, d)
-        # powers[i][k] = xs[i]**k up to the largest exponent of variable i
-        powers = list(map(_powers, xs, map(max, zip(*self.terms))))
-        total = 0
-        for m, c in self.terms.items():
-            num, den = c.as_integer_ratio()
-            total += num * (cden // den) * qpow[d - sum(m)] * math.prod(map(getitem, powers, m))
-        return Fraction(total, cden * qpow[d])
+        return _IntForm(self.nvars, [self]).values_at(_rationals(point))[0]
 
     def partial(self, i: int) -> "Polynomial":
         """Exact partial derivative with respect to variable i."""
@@ -342,7 +331,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -507,41 +496,93 @@ def squarefree_part(p: UniPoly) -> UniPoly:
 
 def restrict_to_line(f: Polynomial, e: Sequence, a: Sequence) -> UniPoly:
     """The univariate polynomial t -> f(t*e + a), computed exactly."""
-    evec = [Fraction(x) for x in e]
-    avec = [Fraction(x) for x in a]
-    if len(evec) != f.nvars or len(avec) != f.nvars:
-        raise ValueError("direction/offset length must equal nvars")
-    if not f.terms:
-        return UniPoly.zero()
-    q, ints = _common_denominator(evec + avec)
-    E, A = ints[: f.nvars], ints[f.nvars :]
-    cden = math.lcm(*(c.denominator for c in f.terms.values()))
-    d = f.total_degree()
-    qpow = _powers(q, d)
-    # (i, k) -> (s, row): (E_i t + A_i)^k = t^s * sum_j row[j] t^j, zeros trimmed
-    rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
-    acc = [0] * (d + 1)
-    for m, c in f.terms.items():
-        shift, term = 0, [c.numerator * (cden // c.denominator)]
-        deg = 0
-        for i, k in enumerate(m):
-            if not k:
-                continue
-            deg += k
-            entry = rows.get((i, k))
-            if entry is None:
-                entry = rows[(i, k)] = _binomial_row(E[i], A[i], k)
-            s, row = entry
-            if not row:
-                break  # a factor (0 t + 0)^k: the term vanishes on the line
-            shift += s
-            term = _convolve(term, row)
-        else:
-            scale = qpow[d - deg]
-            for j, v in enumerate(term, shift):
-                acc[j] += v * scale
-    den = cden * qpow[d]
-    return UniPoly([Fraction(v, den) for v in acc])
+    return _IntForm(f.nvars, [f]).restrictions(_rationals(e), _rationals(a))[0]
+
+
+# -- the compiled integer form: batch evaluation and line restriction -------------
+
+
+class _IntForm:
+    """A list of polynomials compiled once to integer form, for batch kernels.
+
+    Each polynomial keeps its monomials, its coefficients times the lcm cden
+    of their denominators, its degree d (0 for zero) and d - |m| per term;
+    degree and maxexp are the largest degree and exponents in the list.  A
+    kernel scales its point or line (ints or Fractions) to integers by their
+    lcm q, builds power tables once for the whole list, and multiplies a term
+    by q^(d - |m|), so inhomogeneous polynomials stay exact.
+    """
+
+    __slots__ = ("nvars", "polys", "degree", "maxexp")
+
+    def __init__(self, nvars: int, polys: Iterable[Polynomial]):
+        self.nvars = nvars
+        self.polys: list = []
+        self.degree = 0
+        self.maxexp = [0] * nvars
+        for f in polys:
+            if f.nvars != nvars:
+                raise ValueError(f"variable count mismatch: {f.nvars} vs {nvars}")
+            cden, coeffs = _common_denominator(f.terms.values())
+            degs = [sum(m) for m in f.terms]
+            d = max(degs, default=0)
+            self.polys.append((cden, d, f.terms, coeffs, [d - k for k in degs]))
+            self.degree = max(self.degree, d)
+            self.maxexp = [max(col) for col in zip(self.maxexp, *f.terms)]
+
+    def values_at(self, point: Sequence) -> list[Fraction]:
+        """The value of every polynomial at one point, in list order."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
+        q, xs = _common_denominator(point)
+        qpow = _powers(q, self.degree)
+        # powers[i][k] = xs[i]**k up to the largest exponent of variable i
+        powers = list(map(_powers, xs, self.maxexp))
+        out = []
+        for cden, d, monos, coeffs, shifts in self.polys:
+            total = 0
+            for m, c, k in zip(monos, coeffs, shifts):
+                total += c * qpow[k] * math.prod(map(getitem, powers, m))
+            out.append(Fraction(total, cden * qpow[d]))
+        return out
+
+    def restrictions(self, e: Sequence, a: Sequence) -> list[UniPoly]:
+        """t -> f(t*e + a) for every polynomial f, in list order."""
+        n = self.nvars
+        if len(e) != n or len(a) != n:
+            raise ValueError("direction/offset length must equal nvars")
+        q, ints = _common_denominator([*e, *a])
+        E, A = ints[:n], ints[n:]
+        qpow = _powers(q, self.degree)
+        # (i, k) -> (s, row): (E_i t + A_i)^k = t^s * sum_j row[j] t^j, zeros trimmed
+        rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        out = []
+        for cden, d, monos, coeffs, shifts in self.polys:
+            acc = [0] * (d + 1)
+            for m, c, k in zip(monos, coeffs, shifts):
+                shift, term = 0, [c]
+                for i, x in enumerate(m):
+                    if not x:
+                        continue
+                    row = rows.get((i, x))
+                    if row is None:
+                        row = rows[(i, x)] = _binomial_row(E[i], A[i], x)
+                    if not row[1]:
+                        break  # a factor (0 t + 0)^x: the term vanishes on the line
+                    shift += row[0]
+                    term = _convolve(term, row[1])
+                else:
+                    scale = qpow[k]
+                    for j, v in enumerate(term, shift):
+                        acc[j] += v * scale
+            den = cden * qpow[d]
+            out.append(UniPoly([Fraction(v, den) for v in acc]))
+        return out
+
+
+def _rationals(xs: Iterable) -> list:
+    """xs with every entry that is not an int or a Fraction converted to a Fraction."""
+    return [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in xs]
 
 
 def _common_denominator(xs: Iterable[Fraction]) -> tuple[int, list[int]]:

@@ -26,6 +26,7 @@ unknowns of the same affine family.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,11 +36,11 @@ from .polycore import (
     Mono,
     Polynomial,
     UniPoly,
+    _IntForm,
     default_names,
     format_poly,
     grlex_key,
     parse_poly,
-    restrict_to_line,
 )
 from .verdicts import Verdict, certified_no, certified_yes, unknown
 
@@ -50,6 +51,14 @@ class SdpSettings:
     feasibility_tolerance: float = 1e-9
     rounding_denominator_bound: int = 100
     random_seed: int = 0
+
+    def __post_init__(self):
+        tol = self.feasibility_tolerance
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"feasibility_tolerance must be finite and positive, got {tol}")
+        for name in ("max_iterations", "rounding_denominator_bound"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class GramInfeasibleError(ValueError):
@@ -338,20 +347,21 @@ def scan_small_points(F: Polynomial, coord: int = 1):
     occurring = [i for i in range(F.nvars) if F.degree_in(i) > 0]
     if len(occurring) > 8:
         return [], None
+    form = _IntForm(F.nvars, [F])
     zeros = []
+    point = [0] * F.nvars
     rng = range(-coord, coord + 1)
     for tup in itertools.product(rng, repeat=len(occurring)):
         first = next((x for x in tup if x), None)
         if first is None or first < 0:
             continue
-        point = [Fraction(0)] * F.nvars
         for i, x in zip(occurring, tup):
-            point[i] = Fraction(x)
-        val = F.evaluate(point)
+            point[i] = x
+        val = form.values_at(point)[0]
         if val == 0:
-            zeros.append(point)
+            zeros.append([Fraction(x) for x in point])
         elif val < 0:
-            return [], point
+            return [], [Fraction(x) for x in point]
     return zeros, None
 
 
@@ -359,39 +369,42 @@ class _ZeroGeometry:
     """The local structure of F at its exact zeros, shared within one decision.
 
     The gradient and upper-triangle Hessian polynomials are differentiated
-    once.  The flat directions at a zero (the Hessian's kernel) and F's
-    restriction along each flat line are computed on first use and kept for
-    the later stages.
+    and compiled to integer form once, and evaluated together at each zero.
+    The flat directions at a zero (the Hessian's kernel) and F's restriction
+    along each flat line are computed on first use and kept for the later
+    stages.
     """
 
     def __init__(self, F: Polynomial):
         n = F.nvars
-        self.F = F
-        self.gradient = [F.partial(i) for i in range(n)]
-        self.hessian = [[self.gradient[i].partial(j) for j in range(i, n)] for i in range(n)]
+        gradient = [F.partial(i) for i in range(n)]
+        hessian = [gradient[i].partial(j) for i in range(n) for j in range(i, n)]
+        self.nvars = n
+        self._derivatives = _IntForm(n, gradient + hessian)
+        self._F = _IntForm(n, [F])
         self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly]]] = {}
 
-    def gradient_at(self, p) -> list[Fraction]:
-        return [g.evaluate(p) for g in self.gradient]
-
-    def hessian_at(self, p) -> list[list[Fraction]]:
-        n = self.F.nvars
+    def derivatives_at(self, p) -> tuple[list[Fraction], list[list[Fraction]]]:
+        """The gradient and the symmetric Hessian of F at p."""
+        n = self.nvars
+        values = self._derivatives.values_at(p)
+        upper = iter(values[n:])
         H = [[Fraction(0)] * n for _ in range(n)]
-        for i, row in enumerate(self.hessian):
-            for j, h in enumerate(row, i):
-                H[i][j] = H[j][i] = h.evaluate(p)
-        return H
+        for i in range(n):
+            for j in range(i, n):
+                H[i][j] = H[j][i] = next(upper)
+        return values[:n], H
 
     def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly]]:
         """(u, t -> F(p + t u)) for each kernel basis vector u of the Hessian H at p."""
         key = tuple(p)
         if key not in self._lines:
-            n = self.F.nvars
+            n = self.nvars
             if H is None:
-                H = self.hessian_at(p)
+                H = self.derivatives_at(p)[1]
             sol = solve_affine_family(H, [Fraction(0)] * n, n)
             assert sol is not None
-            self._lines[key] = [(u, restrict_to_line(self.F, u, p)) for u in sol[1]]
+            self._lines[key] = [(u, self._F.restrictions(u, p)[0]) for u in sol[1]]
         return self._lines[key]
 
 
@@ -408,10 +421,9 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
         return None
     geometry = _geometry or _ZeroGeometry(F)
     for p in zeros:
-        grad = geometry.gradient_at(p)
+        grad, H = geometry.derivatives_at(p)
         if any(grad):
             return {"point": p, "gradient": grad, "kind": "nonzero gradient at a zero"}
-        H = geometry.hessian_at(p)
         res = ldl_psd(H)
         if not res.is_psd:
             return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({res.reason})"}
@@ -456,21 +468,22 @@ def constrain_basis_to_zeros(
     if len(basis) > 28:
         return basis
     nvars = basis[0].nvars
-    rows = [[b.evaluate(p) for b in basis] for p in zeros]
-    # the line stage costs a Hessian kernel and one restriction per basis
-    # element per flat direction; skip it for huge zero sets
+    form = _IntForm(nvars, basis)
+    rows = [form.values_at(p) for p in zeros]
+    # the line stage costs a Hessian kernel and a restriction of the whole
+    # basis per flat direction; skip it for huge zero sets
     if F is not None and len(zeros) <= 48:
         geometry = _geometry or _ZeroGeometry(F)
         for p in zeros:
             for u, line in geometry.flat_lines(p):
                 if line.is_zero():
-                    half = max(b.total_degree() for b in basis) + 1
+                    half = form.degree + 1
                 else:
                     order = next(i for i, c in enumerate(line.coeffs) if c)
                     half = (order + 1) // 2
                 if half <= 0:
                     continue
-                blines = [restrict_to_line(b, u, p) for b in basis]
+                blines = form.restrictions(u, p)
                 for s in range(half):
                     rows.append(
                         [bl.coeffs[s] if s < len(bl.coeffs) else Fraction(0) for bl in blines]

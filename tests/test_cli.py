@@ -224,3 +224,40 @@ def test_zero_sampling_bound_exits_3_without_hanging():
     proc = subprocess.run([sys.executable, "-m", "hypersos.cli", *argv], capture_output=True,
                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert_input_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_tolerance_must_be_finite_and_positive(capsys):
+    square = ["--poly", "x^2 + y^2", "--vars", "x,y", "--sos-budget", "0", "--no-timings"]
+    for bad in ("nan", "inf", "-inf", "-1", "0", "tiny"):
+        assert_input_error(*run(capsys, "sos-certify", *square, "--tolerance", bad))
+        assert_input_error(*run(capsys, "check-hyperbolic", *square, "--e", "1,0", "--tolerance", bad))
+    code, out, _ = run(capsys, "sos-certify", *square, "--tolerance", "1e-6")
+    assert code == 0 and json.loads(out)["verdict"]["status"] == "CERTIFIED_YES"
+
+
+def test_parser_built_once_and_reused_without_leaking_state(capsys, monkeypatch):
+    import hypersos.cli as cli
+
+    calls = [
+        ["gen", "lorentz", "--n", "3", "--no-timings"],
+        ["sos-certify", "--poly", "x^2 + y^2", "--vars", "x,y", "--sos-budget", "0",
+         "--no-timings", "--format", "text"],
+        ["cone-member", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--e", "1,0,0",
+         "--a", "1,2,0", "--closure", "--no-timings"],
+        ["delta", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--e", "1,0,0", "--a", "2,1,0",
+         "--no-timings"],
+        ["sos-certify", "--poly", "x^2 + y^2", "--vars", "x,y", "--tolerance", "nan"],
+        ["gen", "elementary-symmetric", "--n", "4", "--d", "2", "--no-timings"],
+    ]
+    fresh = []
+    for argv in calls:  # each call on a newly built parser
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    for argv, expected in [*zip(calls, fresh), *reversed(list(zip(calls, fresh)))]:
+        assert run(capsys, *argv) == expected
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 3, 0]

@@ -62,6 +62,36 @@ def test_unstable_multiaffine_refuted():
     assert "pair" in v.witness
 
 
+def test_unstable_witness_is_first_negative_pair_then_point():
+    # the witness is the first negative (pair, point) in pair-major order,
+    # exactly as a per-pair, per-point loop finds it
+    import itertools
+    import random
+
+    rng = random.Random(2017)
+    checked = 0
+    for n, d in ((4, 2), (5, 2), (5, 3)):
+        for _ in range(4):
+            terms = {}
+            for s in itertools.combinations(range(n), d):
+                c = rng.choice((-2, -1, 1, 1, 2, 3))
+                terms[tuple(int(i in s) for i in range(n))] = c
+            f = Polynomial(n, terms)
+            expected = None
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                delta = delta_ij(f, i, j)
+                neg = [(p, v) for p in CFG.vectors(n) if (v := delta.evaluate(p)) < 0]
+                if neg:
+                    expected = {"pair": (i, j), "point": neg[0][0], "value": neg[0][1]}
+                    break
+            if expected is None:
+                continue
+            v = check_multiaffine_stable(f, CFG, sos_budget=0)
+            assert v.is_no and v.witness == expected
+            checked += 1
+    assert checked >= 6
+
+
 # -- the builder -----------------------------------------------------------------
 
 

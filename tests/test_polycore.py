@@ -11,6 +11,7 @@ from hypersos.polycore import (
     Polynomial,
     PolyParseError,
     UniPoly,
+    _IntForm,
     directional_derivative,
     exact_divide,
     evaluate,
@@ -259,6 +260,52 @@ def test_restrict_to_line_matches_naive_reference():
         got = restrict_to_line(f, e, a)
         assert all(type(c) is Fraction for c in got.coeffs)
         assert got == naive_restrict(f, e, a)
+
+
+def test_batch_kernels_match_naive_reference_per_polynomial():
+    # one compiled form per variable count holds every kernel case of that
+    # count (mixed degrees, inhomogeneous, zero): each value and restriction
+    # must equal the naive one for its own polynomial
+    by_nvars = {}
+    for f, e, a, point in kernel_cases():
+        by_nvars.setdefault(f.nvars, []).append((f, e, a, point))
+    for nvars, cases in sorted(by_nvars.items()):
+        polys = [f for f, _, _, _ in cases]
+        form = _IntForm(nvars, polys)
+        lines = [(e, a) for _, e, a, _ in cases[:6]]
+        points = [point for _, _, _, point in cases[:6]]
+        points.append([x.numerator for x in points[0]])  # an all-int point
+        for point in points:
+            got = form.values_at(point)
+            assert all(type(v) is Fraction for v in got)
+            assert got == [naive_evaluate(f, point) for f in polys]
+        for e, a in lines:
+            got = form.restrictions(e, a)
+            assert all(type(c) is Fraction for line in got for c in line.coeffs)
+            assert got == [naive_restrict(f, e, a) for f in polys]
+    assert all(len({f.total_degree() for f, _, _, _ in by_nvars[n]}) > 2 for n in (1, 2, 3, 4))
+
+
+def test_batch_kernel_edge_inputs():
+    empty = _IntForm(3, [])
+    assert empty.values_at([1, Fraction(1, 2), 0]) == []
+    assert empty.restrictions([1, 0, 0], [0, 1, 0]) == []
+    zero = _IntForm(2, [Polynomial.zero(2), P("x*y - 1/2", ["x", "y"])])
+    assert zero.values_at([Fraction(1, 3), 3]) == [0, Fraction(1, 2)]
+    assert zero.restrictions([1, 0], [0, 2]) == [UniPoly.zero(), UniPoly([Fraction(-1, 2), 2])]
+    const = _IntForm(0, [Polynomial.const(0, Fraction(-7, 3)), Polynomial.zero(0)])
+    assert const.values_at([]) == [Fraction(-7, 3), 0]
+    assert const.restrictions([], []) == [UniPoly([Fraction(-7, 3)]), UniPoly.zero()]
+    form = _IntForm(3, [P("x^2 - y*z"), P("z")])
+    for bad in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            form.values_at(bad)
+        with pytest.raises(ValueError):
+            form.restrictions(bad, [0, 0, 0])
+        with pytest.raises(ValueError):
+            form.restrictions([0, 0, 1], bad)
+    with pytest.raises(ValueError):
+        _IntForm(2, [P("x")])
 
 
 # -- ring arithmetic against a naive dict-of-Fraction reference ---------------------

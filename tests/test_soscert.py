@@ -493,3 +493,85 @@ def test_certify_sos_differentiates_once_however_many_zeros(monkeypatch):
     assert certify_sos(F, 0).is_yes
     # the gradient (n) and the upper-triangle Hessian (n(n+1)/2), once each
     assert len(calls) == n + n * (n + 1) // 2
+
+
+def test_certify_sos_makes_no_per_point_calls(monkeypatch):
+    # the zero geometry, the scan and the basis constraints evaluate and
+    # restrict compiled batches, never one polynomial at one point or line
+    import hypersos.polycore as polycore
+    import hypersos.soscert as soscert
+
+    names = ["a", "b", "c", "d", "e"]
+    F = parse_poly("(a - b)^2*(c - d)^2 + (a - e)^2*(b - c)^2", names)
+    calls = []
+    evaluate, restrict = Polynomial.evaluate, polycore.restrict_to_line
+
+    def counting_evaluate(self, point):
+        calls.append("evaluate")
+        return evaluate(self, point)
+
+    def counting_restrict(f, e, a):
+        calls.append("restrict_to_line")
+        return restrict(f, e, a)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counting_evaluate)
+    monkeypatch.setattr(polycore, "restrict_to_line", counting_restrict)
+    monkeypatch.setattr(soscert, "restrict_to_line", counting_restrict, raising=False)
+    assert certify_sos(F, 0).is_yes
+    assert calls == []
+
+
+def naive_scan(F, coord=1):
+    """scan_small_points as a plain loop over Fraction points and naive values."""
+    import itertools
+
+    occurring = [i for i in range(F.nvars) if F.degree_in(i) > 0]
+    zeros = []
+    for tup in itertools.product(range(-coord, coord + 1), repeat=len(occurring)):
+        if next((x for x in tup if x), 0) <= 0:
+            continue
+        point = [Fraction(0)] * F.nvars
+        for i, x in zip(occurring, tup):
+            point[i] = Fraction(x)
+        value = sum(c * math.prod(x**k for x, k in zip(point, m)) for m, c in F.terms.items())
+        if value == 0:
+            zeros.append(point)
+        elif value < 0:
+            return [], point
+    return zeros, None
+
+
+def test_scan_small_points_matches_naive_loop():
+    rng = random.Random(2016)
+    forms = []
+    for nvars in (2, 3, 4, 5):
+        x = [Polynomial.variable(nvars, i) for i in range(nvars)]
+        for _ in range(3):
+            # a sum of squares of sparse integer linear forms: grid zeros, no negative value
+            acc = Polynomial.zero(nvars)
+            for _ in range(rng.randint(1, 3)):
+                lin = sum((x[i] * rng.randint(-1, 1) for i in range(nvars - 1)), Polynomial.zero(nvars))
+                acc = acc + lin * lin * Fraction(rng.randint(1, 3), rng.randint(1, 4))
+            forms.append(acc)
+            # the same form minus a small multiple of a square: negative somewhere
+            forms.append(acc - x[rng.randrange(nvars - 1)] ** 2 * Fraction(1, rng.randint(1, 3)))
+    forms.append(P("x^4*y^2 + x^2*y^4 - 3*x^2*y^2*z^2 + z^6"))
+    assert any(naive_scan(F)[1] is not None for F in forms)
+    assert any(len(naive_scan(F)[0]) > 1 for F in forms)
+    for F in forms:
+        for coord in (1, 2):
+            zeros, neg = scan_small_points(F, coord)
+            assert (zeros, neg) == naive_scan(F, coord)
+            assert all(type(c) is Fraction for p in zeros + [neg or []] for c in p)
+
+
+def test_sdp_settings_reject_unusable_values():
+    for tol in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(ValueError):
+            SdpSettings(feasibility_tolerance=tol)
+    with pytest.raises(ValueError):
+        SdpSettings(max_iterations=0)
+    with pytest.raises(ValueError):
+        SdpSettings(rounding_denominator_bound=0)
+    ok = SdpSettings(max_iterations=1, feasibility_tolerance=1e-3, rounding_denominator_bound=1)
+    assert ok.max_iterations == 1
