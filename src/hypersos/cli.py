@@ -287,7 +287,7 @@ def _cmd_detrep_verify(args):
     (rep_text,) = _require(args, "rep")
     try:
         rep = detrep.DeterminantalRep.from_json(_read_poly_text(rep_text))
-    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise _UsageError(f"malformed representation: {type(exc).__name__}: {exc}") from exc
     res = detrep.verify_detrep(rep, f)
     payload = {"ok": bool(res), "reason": res.reason}

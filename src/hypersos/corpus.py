@@ -26,7 +26,7 @@ from .polycore import (
     poly_determinant,
 )
 from .soscert import GramSystem, monomials_of_degree
-from .verdicts import Verdict, certified_no
+from .verdicts import Verdict, certified_no, frac_json
 
 
 def gen_product(n: int) -> Polynomial:
@@ -155,15 +155,12 @@ class VamosReport:
     def to_jsonable(self) -> dict:
         names = ["x", "y", "z"]
 
-        def frac(v: Fraction) -> str:
-            return f"{v.numerator}/{v.denominator}"
-
         return {
             "W": format_poly(self.W, names),
-            "vanishing_points": [[frac(c) for c in p] for p in self.vanishing_points],
+            "vanishing_points": [[frac_json(c) for c in p] for p in self.vanishing_points],
             "cubic_basis": [format_poly(b, names) for b in self.cubic_basis],
-            "gram": [[frac(x) for x in row] for row in self.gram],
-            "gram_det": frac(self.gram_det),
+            "gram": [[frac_json(x) for x in row] for row in self.gram],
+            "gram_det": frac_json(self.gram_det),
             "conclusion": {
                 "status": self.conclusion.status.value,
                 "detail": self.conclusion.detail,

@@ -26,7 +26,7 @@ from .polycore import (
     poly_adjugate,
     poly_determinant,
 )
-from .verdicts import Verdict, certified_no, certified_yes, unknown
+from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
 
 
 class DetRepError(ValueError):
@@ -90,15 +90,12 @@ class DeterminantalRep:
         return out
 
     def to_jsonable(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "d": self.size,
             "n": self.nvars,
-            "e": [frac(x) for x in self.e],
-            "gamma": frac(self.gamma),
-            "matrices": [[[frac(x) for x in row] for row in M] for M in self.matrices],
+            "e": [frac_json(x) for x in self.e],
+            "gamma": frac_json(self.gamma),
+            "matrices": [[[frac_json(x) for x in row] for row in M] for M in self.matrices],
         }
 
     def to_json(self) -> str:

@@ -1,22 +1,33 @@
 """Exact rational linear algebra: affine solution families, LDL^T, determinants.
 
-Everything here runs over Fraction.  The LDL^T factorization with symmetric
-pivoting is the positive-semidefiniteness oracle used by the certificate
-checkers: a completed factorization with nonnegative pivots proves PSD, and
-a negative pivot or a zero diagonal with a nonzero residual row disproves it.
+There is one elimination kernel, solve_affine_family, and it runs
+fraction-free: each row of [A | b] is scaled to Python ints by the lcm of
+its denominators, rows are combined by cross-multiplication and kept
+primitive (divided by the gcd of their entries), and Fractions are built
+only for the solution.  solve_linear is a square, nonsingular call of it, and
+mat_det is polycore.poly_determinant on the constant matrix.  The LDL^T
+factorization with symmetric pivoting runs over Fraction, because its L and
+D are the certificate; it is the positive-semidefiniteness oracle used by
+the certificate checkers: a completed factorization with nonnegative pivots
+proves PSD, and a negative pivot or a zero diagonal with a nonzero residual
+row disproves it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .polycore import Polynomial, _common_denominator, _rationals, poly_determinant
+
 Mat = list  # list[list[Fraction]]
 
 
-def mat_identity(n: int) -> Mat:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def solve_affine_family(
@@ -26,28 +37,25 @@ def solve_affine_family(
 
     None means the system is inconsistent.  The particular solution sets all
     free variables to zero; the nullspace basis has one vector per free
-    variable (reduced row echelon form).
+    variable (reduced row echelon form).  Gauss-Jordan elimination runs on
+    integer rows; the reduced row echelon form is unique, so the result is
+    the same as over Fraction.
     """
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = [_primitive(_common_denominator(_rationals([*row, b]))[1]) for row, b in zip(rows, rhs)]
     m = len(aug)
     pivot_cols: list[int] = []
     r = 0
     for c in range(nunknowns):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, m) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        if pv != 1:
-            aug[r] = [x / pv for x in aug[r]]
+        prow = aug[r]
+        pv = prow[c]
         for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+            factor = aug[i][c]
+            if i != r and factor:
+                aug[i] = _primitive([pv * x - factor * y for x, y in zip(aug[i], prow)])
         pivot_cols.append(c)
         r += 1
         if r == m:
@@ -57,7 +65,7 @@ def solve_affine_family(
             return None
     particular = [Fraction(0)] * nunknowns
     for row, c in enumerate(pivot_cols):
-        particular[c] = aug[row][nunknowns]
+        particular[c] = Fraction(aug[row][nunknowns], aug[row][c])
     pivot_set = set(pivot_cols)
     null_basis: list[list[Fraction]] = []
     for fc in range(nunknowns):
@@ -66,61 +74,26 @@ def solve_affine_family(
         v = [Fraction(0)] * nunknowns
         v[fc] = Fraction(1)
         for row, c in enumerate(pivot_cols):
-            v[c] = -aug[row][fc]
+            v[c] = Fraction(-aug[row][fc], aug[row][c])
         null_basis.append(v)
     return particular, null_basis
 
 
 def solve_linear(A: Mat, b: list[Fraction]) -> list[Fraction]:
-    """Exact solve of a square nonsingular system by Gaussian elimination."""
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(A, b)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ArithmeticError("singular system")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        for i in range(c + 1, n):
-            if aug[i][c] != 0:
-                factor = aug[i][c] / pv
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = acc / aug[i][i]
-    return x
+    """Exact solve of a square nonsingular system."""
+    sol = solve_affine_family(A, b, len(A))
+    if sol is None or sol[1]:
+        raise ArithmeticError("singular system")
+    return sol[0]
 
 
 def mat_det(A: Mat) -> Fraction:
-    """Exact determinant of a rational matrix (Gaussian elimination)."""
-    n = len(A)
-    if any(len(row) != n for row in A):
+    """Exact determinant of a rational matrix (poly_determinant of the constants)."""
+    if any(len(row) != len(A) for row in A):
         raise ValueError("matrix must be square")
-    work = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        pv = work[c][c]
-        det *= pv
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                factor = work[i][c] / pv
-                work[i] = [x - factor * y for x, y in zip(work[i], work[c])]
-    return det
+    if not A:
+        return Fraction(1)
+    return poly_determinant([[Polynomial.const(0, x) for x in row] for row in A]).coefficient(())
 
 
 @dataclass
@@ -164,7 +137,7 @@ def ldl_psd(A: Mat) -> LdlResult:
                 raise ValueError("matrix must be symmetric")
     work = [[Fraction(x) for x in row] for row in A]
     perm = list(range(n))
-    L = mat_identity(n)
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     D = [Fraction(0)] * n
     for k in range(n):
         idx = max(range(k, n), key=lambda i: work[i][i])

@@ -42,7 +42,7 @@ from .polycore import (
     grlex_key,
     parse_poly,
 )
-from .verdicts import Verdict, certified_no, certified_yes, unknown
+from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
 
 
 @dataclass
@@ -664,21 +664,18 @@ class SosCertificate:
     def to_jsonable(self, names: Optional[list[str]] = None) -> dict:
         names = names or default_names(self.target.nvars)
 
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "vars": list(names),
             "basis": [format_poly(b, names) for b in self.basis],
-            "gram": [[frac(x) for x in row] for row in self.gram],
+            "gram": [[frac_json(x) for x in row] for row in self.gram],
             "N": self.denominator_power,
             "target": format_poly(self.target, names),
             "multiplier": None if self.multiplier is None else format_poly(self.multiplier, names),
             "modulus": None if self.modulus is None else format_poly(self.modulus, names),
             "ldl": {
                 "perm": list(self.ldl.perm),
-                "L": [[frac(x) for x in row] for row in self.ldl.L],
-                "D": [frac(x) for x in self.ldl.D],
+                "L": [[frac_json(x) for x in row] for row in self.ldl.L],
+                "D": [frac_json(x) for x in self.ldl.D],
             },
         }
 

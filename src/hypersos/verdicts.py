@@ -55,6 +55,11 @@ def unknown(witness: Any = None, detail: str = "") -> Verdict:
     return Verdict(Status.UNKNOWN, witness, detail)
 
 
+def frac_json(x: Fraction) -> str:
+    """A certificate rational as JSON text: always "n/d", "n/1" for integers."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def to_jsonable(obj: Any) -> Any:
     """Convert verdicts/fractions/tuples to plain JSON-ready structures."""
     if isinstance(obj, Verdict):

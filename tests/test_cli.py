@@ -191,6 +191,10 @@ def test_malformed_rep_exit_3(tmp_path, capsys):
     missing_key = json.dumps({"matrices": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]})
     for rep in (missing_key, "[1, 2]", json.dumps({"matrices": 5, "e": ["1", "1"], "gamma": "1"})):
         assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", rep))
+    # non-finite JSON numbers have no exact rational value
+    for gamma in ("1e400", "Infinity", "-Infinity", "NaN"):
+        rep = '{"matrices": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "e": [1, 1], "gamma": %s}' % gamma
+        assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", rep))
     path = tmp_path / "rep.json"
     path.write_text(missing_key)
     assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", f"@{path}"))
