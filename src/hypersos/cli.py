@@ -70,7 +70,7 @@ def _read_poly_text(source: str) -> str:
 def _parse_vector(text: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad vector {text!r}: {exc}") from exc
 
 

@@ -1,16 +1,18 @@
 """Exact rational linear algebra: affine solution families, LDL^T, determinants.
 
-There is one elimination kernel, solve_affine_family, and it runs
-fraction-free: each row of [A | b] is scaled to Python ints by the lcm of
-its denominators, rows are combined by cross-multiplication and kept
-primitive (divided by the gcd of their entries), and Fractions are built
-only for the solution.  solve_linear is a square, nonsingular call of it, and
-mat_det is polycore.poly_determinant on the constant matrix.  The LDL^T
-factorization with symmetric pivoting runs over Fraction, because its L and
-D are the certificate; it is the positive-semidefiniteness oracle used by
-the certificate checkers: a completed factorization with nonnegative pivots
-proves PSD, and a negative pivot or a zero diagonal with a nonzero residual
-row disproves it.
+There is one elimination kernel for linear systems, solve_affine_family,
+and it runs fraction-free: each row of [A | b] is scaled to Python ints by
+the lcm of its denominators, rows are combined by cross-multiplication and
+kept primitive (divided by the gcd of their entries), and Fractions are
+built only for the solution.  solve_linear is a square, nonsingular call of
+it, and mat_det is polycore.poly_determinant on the constant matrix.  The
+LDL^T factorization with symmetric pivoting is fraction-free too (symmetric
+Bareiss elimination on the lcm-scaled matrix), and only its L and D, the
+certificate, are built as Fractions.  It is the positive-semidefiniteness
+oracle used by the certificate checkers: a completed factorization with
+nonnegative pivots proves PSD, and a negative pivot or a zero diagonal with
+a nonzero residual row disproves it.  ldl_reassemble, the checkers' replay,
+stays plain Fraction arithmetic, so it checks the kernel independently.
 """
 
 from __future__ import annotations
@@ -126,7 +128,11 @@ def ldl_psd(A: Mat) -> LdlResult:
     Pivots on the largest remaining diagonal entry.  A negative diagonal
     disproves PSD outright; a zero maximal diagonal forces the whole
     remaining block to vanish (a zero diagonal with a nonzero off-diagonal
-    entry witnesses a negative 2x2 minor).
+    entry witnesses a negative 2x2 minor).  Symmetric Bareiss elimination
+    runs on A scaled to integers by the lcm q of its denominators: after
+    pivots p_0..p_{k-1} the remaining block is M / (p_{k-1} q) with M
+    integral, so comparing the ints of M picks the same pivot, L[i][k] is
+    M[i][k] / p_k and D[k] is p_k / (p_{k-1} q).
     """
     n = len(A)
     for i, row in enumerate(A):
@@ -135,46 +141,44 @@ def ldl_psd(A: Mat) -> LdlResult:
         for j in range(i):
             if A[i][j] != A[j][i]:
                 raise ValueError("matrix must be symmetric")
-    work = [[Fraction(x) for x in row] for row in A]
+    q, flat = _common_denominator(_rationals([x for row in A for x in row]))
+    M = [flat[i * n:(i + 1) * n] for i in range(n)]
     perm = list(range(n))
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
+    D: list[Fraction] = []
+
+    def result(is_psd: bool, reason: str = "") -> LdlResult:
+        # below pivot p_j = M[j][j], column j holds the numerators of L; row swaps moved them along
+        L = [[Fraction(M[i][j], M[j][j]) if j < min(i, len(D)) else Fraction(int(i == j))
+              for j in range(n)] for i in range(n)]
+        return LdlResult(is_psd, perm, L, D + [Fraction(0)] * (n - len(D)), reason)
+
+    prev = 1
     for k in range(n):
-        idx = max(range(k, n), key=lambda i: work[i][i])
-        if work[idx][idx] < 0:
-            return LdlResult(False, perm, L, D, reason=f"negative diagonal pivot {work[idx][idx]}")
-        if work[idx][idx] == 0:
+        idx = max(range(k, n), key=lambda i: M[i][i])
+        top = M[idx][idx]
+        if top < 0:
+            return result(False, f"negative diagonal pivot {Fraction(top, prev * q)}")
+        if top == 0:
             for i in range(k, n):
-                if work[i][i] < 0:
-                    return LdlResult(False, perm, L, D, reason=f"negative diagonal entry {work[i][i]}")
-                for j in range(k, n):
-                    if work[i][j] != 0:
-                        return LdlResult(
-                            False, perm, L, D,
-                            reason="zero diagonal with nonzero off-diagonal residual",
-                        )
-            return LdlResult(True, perm, L, D)
+                if M[i][i] < 0:
+                    return result(False, f"negative diagonal entry {Fraction(M[i][i], prev * q)}")
+                if any(M[i][k:]):
+                    return result(False, "zero diagonal with nonzero off-diagonal residual")
+            return result(True)
         if idx != k:
-            work[k], work[idx] = work[idx], work[k]
-            for row in work:
+            M[k], M[idx] = M[idx], M[k]
+            for row in M:
                 row[k], row[idx] = row[idx], row[k]
             perm[k], perm[idx] = perm[idx], perm[k]
-            for j in range(k):
-                L[k][j], L[idx][j] = L[idx][j], L[k][j]
-        d = work[k][k]
-        D[k] = d
+        D.append(Fraction(top, prev * q))
+        pivot_row = M[k]
         for i in range(k + 1, n):
-            L[i][k] = work[i][k] / d
-        for i in range(k + 1, n):
-            lik = L[i][k]
-            if lik == 0:
-                continue
-            for j in range(k + 1, n):
-                work[i][j] -= lik * work[k][j]
-        for i in range(k + 1, n):
-            work[i][k] = Fraction(0)
-            work[k][i] = Fraction(0)
-    return LdlResult(True, perm, L, D)
+            row, lik = M[i], M[i][k]
+            for j in range(k + 1, i + 1):
+                # Sylvester's identity: the division by the previous pivot is exact
+                row[j] = M[j][i] = (top * row[j] - lik * pivot_row[j]) // prev
+        prev = top
+    return result(True)
 
 
 def ldl_reassemble(res: LdlResult) -> Mat:

@@ -17,6 +17,8 @@ from typing import Optional, Sequence
 from . import soscert
 from .polycore import (
     Polynomial,
+    _IntForm,
+    _rationals,
     directional_derivative,
     restrict_to_line,
     uni_gcd,
@@ -88,8 +90,9 @@ def check_hyperbolic(inst: HyperbolicityInstance, cfg: SampleConfig) -> Verdict:
     the verdict is CERTIFIED_YES with `sampled=true` recorded in detail.
     """
     f, e = inst.f, inst.e
+    form = _IntForm(f.nvars, [f])
     for a in cfg.vectors(f.nvars):
-        line = restrict_to_line(f, e, a)
+        (line,) = form.restrictions(e, a)
         if not is_real_rooted(line):
             return certified_no(witness={"a": a}, detail="restriction to the witness line is not real-rooted")
     return certified_yes(detail=f"sampled=true trials={cfg.trials} seed={cfg.seed}")
@@ -161,8 +164,9 @@ def assert_square_free_sampled(f: Polynomial, e: Sequence, cfg: SampleConfig) ->
     single line with constant gcd proves f square-free; only when every
     sampled line fails is the instance rejected.
     """
+    form, e = _IntForm(f.nvars, [f]), _rationals(e)
     for a in cfg.vectors(f.nvars):
-        line = restrict_to_line(f, e, a)
+        (line,) = form.restrictions(e, a)
         if line.degree() < 1:
             continue
         g = uni_gcd(line, line.derivative())
@@ -204,9 +208,9 @@ def interlaces(
         return certified_no(witness={"g(e)": ge}, detail="interlacers must be positive at e")
 
     strict_failures = 0
+    fg = _IntForm(f.nvars, [f, g])
     for a in cfg.vectors(f.nvars):
-        fline = restrict_to_line(f, e, a)
-        gline = restrict_to_line(g, e, a)
+        fline, gline = fg.restrictions(e, a)
         v = roots_interlace(fline, gline, strict=False)
         if v.is_no:
             return certified_no(
@@ -217,8 +221,9 @@ def interlaces(
             strict_failures += 1
 
     wg = directional_derivative(f, e) * g - f * directional_derivative(g, e)
+    wform = _IntForm(f.nvars, [wg])
     for p in cfg.vectors(f.nvars):
-        val = wg.evaluate(p)
+        (val,) = wform.values_at(p)
         if val < 0:
             return certified_no(
                 witness={"point": p, "value": val},

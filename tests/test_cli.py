@@ -200,6 +200,13 @@ def test_malformed_rep_exit_3(tmp_path, capsys):
     assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", f"@{path}"))
 
 
+def test_zero_denominator_in_vector_exit_3(capsys):
+    lorentz = ["--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--no-timings"]
+    assert_input_error(*run(capsys, "cone-member", *lorentz, "--e", "1,0,0", "--a", "1/0,1,0"))
+    assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--e", "1/0,1,0"))
+    assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--e", "1,0,-3/0"))
+
+
 def test_sampling_and_budget_bounds_exit_3(capsys):
     lorentz = ["--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--e", "1,0,0", "--no-timings"]
     assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--trials", "0"))

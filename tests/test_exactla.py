@@ -3,16 +3,20 @@
 `solve_affine_family` eliminates fraction-free, on integer rows.  The
 reference below is the plain Fraction Gauss-Jordan elimination it replaced;
 the reduced row echelon form is unique, so (particular, nullspace basis) must
-agree exactly.  `mat_det` is checked against the permutation expansion.
+agree exactly.  `ldl_psd` runs symmetric Bareiss elimination on integers; its
+reference is the pivoted LDL^T over Fraction it replaced, and the whole
+result (verdict, permutation, L, D, reason) must agree.  `mat_det` is checked
+against the permutation expansion.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hypersos.exactla import mat_det, solve_affine_family, solve_linear
+from hypersos.exactla import LdlResult, ldl_psd, mat_det, solve_affine_family, solve_linear
 
 
 def naive_affine_family(rows, rhs, nunknowns):
@@ -48,6 +52,56 @@ def naive_affine_family(rows, rhs, nunknowns):
             v[c] = -aug[row][fc]
         null_basis.append(v)
     return particular, null_basis
+
+
+def naive_ldl_psd(A):
+    n = len(A)
+    for i, row in enumerate(A):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for j in range(i):
+            if A[i][j] != A[j][i]:
+                raise ValueError("matrix must be symmetric")
+    work = [[Fraction(x) for x in row] for row in A]
+    perm = list(range(n))
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    D = [Fraction(0)] * n
+    for k in range(n):
+        idx = max(range(k, n), key=lambda i: work[i][i])
+        if work[idx][idx] < 0:
+            return LdlResult(False, perm, L, D, reason=f"negative diagonal pivot {work[idx][idx]}")
+        if work[idx][idx] == 0:
+            for i in range(k, n):
+                if work[i][i] < 0:
+                    return LdlResult(False, perm, L, D, reason=f"negative diagonal entry {work[i][i]}")
+                for j in range(k, n):
+                    if work[i][j] != 0:
+                        return LdlResult(
+                            False, perm, L, D,
+                            reason="zero diagonal with nonzero off-diagonal residual",
+                        )
+            return LdlResult(True, perm, L, D)
+        if idx != k:
+            work[k], work[idx] = work[idx], work[k]
+            for row in work:
+                row[k], row[idx] = row[idx], row[k]
+            perm[k], perm[idx] = perm[idx], perm[k]
+            for j in range(k):
+                L[k][j], L[idx][j] = L[idx][j], L[k][j]
+        d = work[k][k]
+        D[k] = d
+        for i in range(k + 1, n):
+            L[i][k] = work[i][k] / d
+        for i in range(k + 1, n):
+            lik = L[i][k]
+            if lik == 0:
+                continue
+            for j in range(k + 1, n):
+                work[i][j] -= lik * work[k][j]
+        for i in range(k + 1, n):
+            work[i][k] = Fraction(0)
+            work[k][i] = Fraction(0)
+    return LdlResult(True, perm, L, D)
 
 
 def naive_det(A):
@@ -181,3 +235,102 @@ def test_solve_linear_solves_nonsingular_and_rejects_singular():
     ):
         with pytest.raises(ArithmeticError):
             solve_linear(A, b)
+
+
+def _ldl_entry(rng, kind, den):
+    """One entry; the large-denominator kinds share `den`, as a rounded Gram matrix does."""
+    if kind == "den12":
+        return Fraction(rng.randint(-10**6, 10**6), den if rng.random() < 0.9 else rng.randint(1, 10**12))
+    if kind == "den20":
+        return Fraction(rng.randint(-10**9, 10**9), den if rng.random() < 0.9 else rng.randint(1, 10**20))
+    if kind == "mixed":
+        return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                           rng.choice((0.5, -1.25, 3.0, 0.1))))
+    return _entry(rng, kind)
+
+
+def _gram(B):
+    """B B^T, exactly: PSD of rank rank(B)."""
+    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0)) for v in B] for u in B]
+
+
+def _ldl_matrix(rng, i):
+    """A seeded symmetric matrix; `i` cycles the size, entry kind, structure and rank."""
+    n = i % 11
+    kind = ("int", "small", "den12", "den20", "mixed")[i % 5]
+    shape = (i // 11) % 5
+    rank = (i // 55) % (n + 1)
+    den = rng.randint(1, 10**6) if kind == "den12" else rng.randint(10**9, 10**10)
+    entry = functools.partial(_ldl_entry, rng, kind, den)
+    if shape == 4 and n >= 2:
+        # a positive definite block beside a block whose diagonal is <= 0 with a zero maximum
+        r = min(rank, n - 1)
+        B = [[entry() for _ in range(r)] for _ in range(r)]
+        A = [row + [0] * (n - r) for row in _gram(B)] + [[0] * n for _ in range(n - r)]
+        for t in range(r):
+            A[t][t] += 1
+        for t in range(r, n):
+            A[t][t] = rng.choice((0, -rng.randint(1, 5), -abs(entry())))
+        z = rng.randrange(r, n)
+        A[z][z] = 0
+        if n - r >= 2 and rng.random() < 0.5:  # a nonzero residual beside the zero diagonal
+            s, t = rng.sample(range(r, n), 2)
+            A[s][t] = A[t][s] = entry() or 1
+    else:
+        B = [[entry() for _ in range(rank)] for _ in range(n)]
+        A = _gram(B)
+        if n and shape == 1:  # perturbed, mostly to indefinite
+            s, t = rng.randrange(n), rng.randrange(n)
+            A[s][t] += entry() or 1
+            A[t][s] = A[s][t]
+        if n >= 2 and shape == 2:  # a zero diagonal with a nonzero off-diagonal entry
+            s, t = rng.sample(range(n), 2)
+            A[s] = [0] * n
+            for row in A:
+                row[s] = 0
+            A[s][t] = A[t][s] = entry() or 1
+        if n and shape == 3:  # one diagonal entry replaced
+            s = rng.randrange(n)
+            A[s][s] = entry()
+    if kind == "mixed":  # exact ints and floats next to the Fractions
+        for a in range(n):
+            for b in range(a + 1):
+                v = Fraction(A[a][b])
+                if v.denominator == 1 and rng.random() < 0.5:
+                    A[a][b] = A[b][a] = int(v)
+                elif Fraction(float(v)) == v and rng.random() < 0.5:
+                    A[a][b] = A[b][a] = float(v)
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[A[a][b] for b in order] for a in order]
+
+
+def _ldl_cases():
+    rng = random.Random(20261018)
+    return [_ldl_matrix(rng, i) for i in range(1100)]
+
+
+def test_ldl_psd_matches_naive_reference():
+    cases = _ldl_cases()
+    reasons = set()
+    ranks = set()
+    for A in cases:
+        got, want = ldl_psd(A), naive_ldl_psd(A)
+        assert got == want, A
+        assert all(type(x) is Fraction for x in [*got.D, *(x for row in got.L for x in row)])
+        reasons.add(got.reason.rstrip("-0123456789/ "))
+        if got.is_psd:
+            ranks.add((len(A), got.rank))
+    assert {"", "negative diagonal pivot", "negative diagonal entry",
+            "zero diagonal with nonzero off-diagonal residual"} <= reasons
+    assert {(n, r) for n in range(11) for r in range(n + 1)} <= ranks  # PSD of every rank
+    entries = [x for A in cases for row in A for x in row]
+    assert any(type(x) is float for x in entries) and any(type(x) is int for x in entries)
+    assert any(isinstance(x, Fraction) and x.denominator > 10**19 for x in entries)
+    assert any(isinstance(x, Fraction) and 10**9 < x.denominator <= 10**12 for x in entries)
+    for bad, message in (([[1, 2]], "square"), ([[1], [2, 3]], "square"), ([[1, 2], [3]], "square"),
+                         ([[1, 2], [3, 4]], "symmetric"), ([[0, Fraction(1, 3)], [0.5, 0]], "symmetric")):
+        with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
+            naive_ldl_psd(bad)
+        with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
+            ldl_psd(bad)

@@ -24,7 +24,7 @@ from hypersos.polycore import (
     parse_poly,
     restrict_to_line,
 )
-from hypersos.realroots import isolate_real_roots, sign_at_root
+from hypersos.realroots import is_real_rooted, isolate_real_roots, roots_interlace, sign_at_root
 
 XYZ = ["x", "y", "z"]
 CFG = SampleConfig(trials=24, seed=9)
@@ -78,6 +78,25 @@ def test_check_hyperbolic_refutes_definite_quadratic():
     v = check_hyperbolic(inst, SampleConfig(trials=10, seed=1))
     assert v.is_no
     assert v.witness["a"] is not None
+
+
+def naive_first_bad_line(inst, cfg):
+    for a in cfg.vectors(inst.f.nvars):
+        if not is_real_rooted(restrict_to_line(inst.f, inst.e, a)):
+            return {"a": a}
+    return None
+
+
+def test_check_hyperbolic_witness_is_first_failing_line():
+    cfg = SampleConfig(trials=24, seed=9)
+    for text, first in (("x^3 - 4*x*y^2 + y*z^2", 5), ("x^2 + y^2 + z^2", 0), ("x^2 - y^2 - z^2", None)):
+        inst = HyperbolicityInstance(P(text), [1, 0, 0])
+        want = naive_first_bad_line(inst, cfg)
+        v = check_hyperbolic(inst, cfg)
+        assert v.witness == want
+        assert v.is_no == (want is not None)
+        if first is not None:  # the witness is not simply the first sampled vector
+            assert want["a"] == cfg.vectors(3)[first]
 
 
 def test_check_hyperbolic_vamos():
@@ -248,6 +267,40 @@ def test_interlaces_refuted_on_a_line():
     v = interlaces(inst, g, SampleConfig(trials=16, seed=2), sos_budget=0)
     assert v.is_no
     assert v.witness is not None
+
+
+def naive_interlacing_refutation(inst, g, cfg):
+    """Stages 1 and 2 of `interlaces`, with one restriction and evaluation per call."""
+    f, e = inst.f, inst.e
+    for a in cfg.vectors(f.nvars):
+        v = roots_interlace(restrict_to_line(f, e, a), restrict_to_line(g, e, a), strict=False)
+        if v.is_no:
+            return {"a": a, "line_verdict": v.detail}
+    wg = directional_derivative(f, e) * g - f * directional_derivative(g, e)
+    for p in cfg.vectors(f.nvars):
+        val = wg.evaluate(p)
+        if val < 0:
+            return {"point": p, "value": val}
+    return None
+
+
+def test_interlaces_witness_matches_naive_refutation():
+    cfg = SampleConfig(trials=24, seed=9)
+    cases = (
+        ("(x - y)*(x + y)*(x - z)", "x^2 - y*z", 3),
+        ("x^2 - y^2 - z^2", "x + 3*y", 0),
+        ("x^2 - y^2 - z^2", "x + y/2 + z/2", None),
+    )
+    for ftext, gtext, first in cases:
+        inst = HyperbolicityInstance(P(ftext), [1, 0, 0])
+        g = P(gtext)
+        want = naive_interlacing_refutation(inst, g, cfg)
+        v = interlaces(inst, g, cfg, sos_budget=0)
+        assert v.is_no == (want is not None)
+        if want is not None:
+            assert v.witness == want
+        if first is not None:
+            assert want["a"] == cfg.vectors(3)[first]
 
 
 def test_interlaces_degree_mismatch():
