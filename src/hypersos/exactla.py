@@ -17,19 +17,13 @@ stays plain Fraction arithmetic, so it checks the kernel independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polycore import Polynomial, _common_denominator, _rationals, poly_determinant
+from .polycore import Polynomial, _common_denominator, _primitive, _rationals, poly_determinant
 
 Mat = list  # list[list[Fraction]]
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def solve_affine_family(

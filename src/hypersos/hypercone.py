@@ -164,9 +164,13 @@ def assert_square_free_sampled(f: Polynomial, e: Sequence, cfg: SampleConfig) ->
     single line with constant gcd proves f square-free; only when every
     sampled line fails is the instance rejected.
     """
-    form, e = _IntForm(f.nvars, [f]), _rationals(e)
-    for a in cfg.vectors(f.nvars):
-        (line,) = form.restrictions(e, a)
+    _assert_first_square_free(_IntForm(f.nvars, [f]), _rationals(e), cfg)
+
+
+def _assert_first_square_free(form: _IntForm, e: list, cfg: SampleConfig) -> None:
+    """assert_square_free_sampled for the first polynomial of a compiled form."""
+    for a in cfg.vectors(form.nvars):
+        line = form.restrictions(e, a)[0]
         if line.degree() < 1:
             continue
         g = uni_gcd(line, line.derivative())
@@ -202,13 +206,13 @@ def interlaces(
         return certified_no(witness={"g(e)": Fraction(0)}, detail="g = 0 cannot interlace")
     if not g.is_homogeneous() or g.total_degree() != d - 1:
         raise ValueError(f"g must be homogeneous of degree {d - 1}")
-    assert_square_free_sampled(f, e, cfg)
-    ge = g.evaluate(e)
+    fg = _IntForm(f.nvars, [f, g])
+    _assert_first_square_free(fg, e, cfg)
+    ge = fg.values_at(e)[1]
     if ge <= 0:
         return certified_no(witness={"g(e)": ge}, detail="interlacers must be positive at e")
 
     strict_failures = 0
-    fg = _IntForm(f.nvars, [f, g])
     for a in cfg.vectors(f.nvars):
         fline, gline = fg.restrictions(e, a)
         v = roots_interlace(fline, gline, strict=False)

@@ -430,24 +430,35 @@ class UniPoly:
             rem.pop()
         return UniPoly(q), UniPoly(rem)
 
-    def rem(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
 
 
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q via the euclidean algorithm."""
-    while not b.is_zero():
-        r = a.rem(b)
-        if not r.is_zero():
-            # normalizing each remainder keeps coefficient growth in check
-            r = r.monic()
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q: a primitive remainder sequence over Z, made monic at the end."""
+    x, y = _primitive_coeffs(a), _primitive_coeffs(b)
+    while y:
+        x, y = y, _primitive(_pseudo_remainder(x, y))
+    return UniPoly(x).monic()
+
+
+def _primitive_coeffs(p: UniPoly) -> list[int]:
+    """The coefficients of p times a positive rational that makes them coprime integers."""
+    return _primitive(_common_denominator(p.coeffs)[1])
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * (a mod b) on integer coefficient lists; a when deg a < deg b."""
+    lc, n = b[-1], len(b) - 1
+    r = list(a)
+    for _ in range(len(a) - n):
+        c = r.pop()
+        r = [x * lc for x in r]
+        for i, y in enumerate(b[:n], len(r) - n):
+            r[i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -590,6 +601,11 @@ def _common_denominator(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
     ratios = [x.as_integer_ratio() for x in xs]
     q = math.lcm(*(d for _, d in ratios))
     return q, [n * (q // d) for n, d in ratios]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _powers(q: int, d: int) -> list[int]:

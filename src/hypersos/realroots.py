@@ -6,6 +6,11 @@ of the square-free part counts the distinct real roots in the half-open
 interval (a, b]; infinite endpoints are replaced by a Cauchy bound.  Root
 equality across two polynomials is decided only through a gcd witness,
 never by tolerance, so every verdict here is exact.
+
+The chains run fraction-free: only signs enter a Sturm count, so each chain
+element is a primitive integer positive multiple of the chain over Q (a
+primitive pseudo-remainder sequence), evaluated at n/d by integer Horner on
+d^k * q(n/d).  Bisection points and interval ends stay Fractions.
 """
 
 from __future__ import annotations
@@ -15,40 +20,62 @@ from fractions import Fraction
 from typing import Optional
 
 from .polycore import UniPoly, squarefree_decomposition, squarefree_part, uni_gcd
+from .polycore import _powers, _primitive, _primitive_coeffs, _pseudo_remainder
 from .verdicts import Verdict, certified_no, certified_yes
 
 
 class SturmSequence:
-    """Chain p, p', then negated euclidean remainders (zero tail dropped)."""
+    """Chain p, p', then negated remainders (zero tail dropped), over Z.
+
+    `chain` holds primitive integer coefficient lists (index = power of t),
+    each a positive multiple of the euclidean chain's element over Q (a
+    pseudo-remainder is negated back when lc^(delta+1) < 0), so signs and
+    variation counts are the same.
+    """
 
     def __init__(self, p: UniPoly):
         if p.is_zero():
             raise ValueError("zero polynomial")
-        chain = [p, p.derivative()]
-        while not chain[-1].is_zero():
-            r = chain[-2].rem(chain[-1])
-            chain.append(-r)
+        first = _primitive_coeffs(p)
+        chain = [first, _primitive([i * c for i, c in enumerate(first)][1:])]
+        while chain[-1]:
+            a, b = chain[-2], chain[-1]
+            # prem(a, b) = lc(b)^(deg a - deg b + 1) * rem(a, b)
+            flip = b[-1] > 0 or (len(a) - len(b)) % 2 == 1
+            chain.append(_primitive([-c if flip else c for c in _pseudo_remainder(a, b)]))
         chain.pop()
         self.chain = chain
 
     def variations_at(self, x: Fraction) -> int:
-        signs = []
-        for q in self.chain:
-            v = q(x)
-            if v:
-                signs.append(1 if v > 0 else -1)
-        return _count_changes(signs)
+        return _count_changes(self._values(Fraction(x)))
+
+    def _values(self, x: Fraction, count: Optional[int] = None) -> list[int]:
+        """d^deg(q) * q(n/d) for the first `count` chain elements q (default all).
+
+        With x = n/d and d > 0, each has the sign of q(x).
+        """
+        n, d = x.as_integer_ratio()
+        dpow = _powers(d, len(self.chain[0]) - 1)
+        out = []
+        for cs in self.chain[:count]:
+            acc = 0
+            for c, dk in zip(reversed(cs), dpow):
+                acc = acc * n + c * dk
+            out.append(acc)
+        return out
 
     def root_bound(self) -> Fraction:
-        """Cauchy bound of the chain's first element.
+        """Cauchy bound of the chain's first element, the same as for p.
 
         The variation count is constant on intervals free of roots of that
         element, so evaluating at +-bound is the same as at +-infinity.
         """
-        return cauchy_bound(self.chain[0])
+        cs = self.chain[0]
+        return 1 + Fraction(max(map(abs, cs[:-1]), default=0), abs(cs[-1]))
 
 
-def _count_changes(signs: list[int]) -> int:
+def _count_changes(values: list) -> int:
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -64,12 +91,15 @@ def sturm_root_count(p: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fra
     """Number of distinct real roots of p in (lo, hi]; None means +-infinity."""
     if p.is_zero():
         raise ValueError("zero polynomial")
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"empty interval: lo = {lo} > hi = {hi}")
     if p.degree() == 0:
         return 0
-    q = squarefree_part(p)
-    if q.degree() == 0:
-        return 0
-    return _sturm_count_sqfree(SturmSequence(q), lo, hi)
+    seq = SturmSequence(p)
+    if len(seq.chain[-1]) > 1:
+        # the chain ends in a multiple of gcd(p, p'): count on p / gcd instead
+        seq = SturmSequence(p.divmod(UniPoly(seq.chain[-1]))[0])
+    return _sturm_count_sqfree(seq, lo, hi)
 
 
 def _sturm_count_sqfree(seq: SturmSequence, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
@@ -77,7 +107,7 @@ def _sturm_count_sqfree(seq: SturmSequence, lo: Optional[Fraction], hi: Optional
         bound = seq.root_bound()
         lo = -bound if lo is None else lo
         hi = bound if hi is None else hi
-    return seq.variations_at(Fraction(lo)) - seq.variations_at(Fraction(hi))
+    return seq.variations_at(lo) - seq.variations_at(hi)
 
 
 @dataclass
@@ -117,49 +147,47 @@ def _refine_step(iv: IsolatingInterval, seq: SturmSequence) -> IsolatingInterval
     if iv.is_exact:
         return iv
     mid = (iv.lo + iv.hi) / 2
-    if iv.factor(mid) == 0:
+    values = seq._values(mid)
+    if values[0] == 0:
         return IsolatingInterval(mid, mid, iv.multiplicity, iv.factor)
-    if _sturm_count_sqfree(seq, mid, iv.hi) == 1:
+    if _count_changes(values) - seq.variations_at(iv.hi) == 1:
         return IsolatingInterval(mid, iv.hi, iv.multiplicity, iv.factor)
     return IsolatingInterval(iv.lo, mid, iv.multiplicity, iv.factor)
 
 
-def _isolate_sqfree(q: UniPoly, precision: Fraction, multiplicity: int) -> list[IsolatingInterval]:
-    """Disjoint isolating intervals for all real roots of square-free q."""
-    if q.degree() <= 0:
-        return []
-    seq = SturmSequence(q)
-    bound = cauchy_bound(q)
-    total = _sturm_count_sqfree(seq, -bound, bound)
+def _isolate_sqfree(q: UniPoly, seq: SturmSequence, precision: Fraction, multiplicity: int) -> list[IsolatingInterval]:
+    """Disjoint isolating intervals for all real roots of square-free q, whose chain is seq."""
+    bound = seq.root_bound()
     out: list[IsolatingInterval] = []
-    stack = [(-bound, bound, total)]
+    # (lo, hi, V(lo), V(hi)): V(lo) - V(hi) roots lie in (lo, hi]
+    stack = [(-bound, bound, seq.variations_at(-bound), seq.variations_at(bound))]
     while stack:
-        lo, hi, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            out.append(_refine_interval(q, seq, lo, hi, precision, multiplicity))
-            continue
-        mid = (lo + hi) / 2
-        left = _sturm_count_sqfree(seq, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, count - left))
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append(_refine_interval(q, seq, lo, hi, v_hi, precision, multiplicity))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = seq.variations_at(mid)
+            stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
-def _refine_interval(q, seq, lo, hi, precision, multiplicity) -> IsolatingInterval:
-    # invariant: exactly one root of q lies in (lo, hi]
-    if q(hi) == 0:
+def _refine_interval(q, seq, lo, hi, v_hi, precision, multiplicity) -> IsolatingInterval:
+    # invariant: exactly one root of q lies in (lo, hi], and v_hi = V(hi)
+    if seq._values(hi, 1)[0] == 0:
         return IsolatingInterval(hi, hi, multiplicity, q)
-    while hi - lo > precision or q(lo) == 0:
+    lo_is_root = seq._values(lo, 1)[0] == 0
+    while hi - lo > precision or lo_is_root:
         mid = (lo + hi) / 2
-        if q(mid) == 0:
+        values = seq._values(mid)
+        if values[0] == 0:
             return IsolatingInterval(mid, mid, multiplicity, q)
-        if _sturm_count_sqfree(seq, mid, hi) == 1:
-            lo = mid
+        v_mid = _count_changes(values)
+        if v_mid - v_hi == 1:
+            lo, lo_is_root = mid, False
         else:
-            hi = mid
+            hi, v_hi = mid, v_mid
     return IsolatingInterval(lo, hi, multiplicity, q)
 
 
@@ -184,22 +212,23 @@ def isolate_real_roots(p: UniPoly, precision: Fraction = Fraction(1, 1024)) -> R
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    groups: list[tuple[UniPoly, SturmSequence, list[IsolatingInterval]]] = []
+    groups: list[tuple[SturmSequence, list[IsolatingInterval]]] = []
     for factor, mult in squarefree_decomposition(p):
-        ivs = _isolate_sqfree(factor, precision, mult)
+        seq = SturmSequence(factor)
+        ivs = _isolate_sqfree(factor, seq, precision, mult)
         if ivs:
-            groups.append((factor, SturmSequence(factor), ivs))
+            groups.append((seq, ivs))
     # roots of distinct square-free factors differ, so bisection separates them
     for gi in range(len(groups)):
         for gj in range(gi + 1, len(groups)):
-            _, seq_i, ivs_i = groups[gi]
-            _, seq_j, ivs_j = groups[gj]
+            seq_i, ivs_i = groups[gi]
+            seq_j, ivs_j = groups[gj]
             for a in range(len(ivs_i)):
                 for b in range(len(ivs_j)):
                     while not _disjoint(ivs_i[a], ivs_j[b]):
                         ivs_i[a] = _refine_step(ivs_i[a], seq_i)
                         ivs_j[b] = _refine_step(ivs_j[b], seq_j)
-    intervals = [iv for _, _, ivs in groups for iv in ivs]
+    intervals = [iv for _, ivs in groups for iv in ivs]
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return RootList(intervals, p.degree())
 
@@ -210,10 +239,7 @@ def is_real_rooted(p: UniPoly) -> bool:
         raise ValueError("zero polynomial")
     if p.degree() == 0:
         return True
-    total = 0
-    for factor, mult in squarefree_decomposition(p):
-        total += mult * sturm_root_count(factor)
-    return total == p.degree()
+    return sum(mult * sturm_root_count(factor) for factor, mult in squarefree_decomposition(p)) == p.degree()
 
 
 def compare_roots(a: IsolatingInterval, b: IsolatingInterval) -> int:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypersos.polycore import UniPoly, squarefree_part
+from hypersos import realroots
+from hypersos.polycore import UniPoly, squarefree_decomposition, squarefree_part, uni_gcd
 from hypersos.realroots import (
     IsolatingInterval,
+    SturmSequence,
+    cauchy_bound,
     compare_roots,
     is_real_rooted,
     isolate_real_roots,
@@ -15,6 +18,7 @@ from hypersos.realroots import (
     sign_at_root,
     sturm_root_count,
 )
+from hypersos.verdicts import Status
 
 
 def from_roots(roots):
@@ -56,6 +60,14 @@ def test_sturm_count_against_grid_scan():
 def test_sturm_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         sturm_root_count(UniPoly([]))
+
+
+def test_sturm_count_rejects_reversed_interval():
+    p = UniPoly([-1, 0, 1])
+    with pytest.raises(ValueError):
+        sturm_root_count(p, Fraction(2), Fraction(-2))
+    assert sturm_root_count(p, Fraction(1), Fraction(1)) == 0
+    assert sturm_root_count(p, 2, 2) == 0
 
 
 def test_isolate_sqrt2():
@@ -168,3 +180,178 @@ def test_sign_at_root():
     assert sign_at_root(p, pos) == 0
     three_halves = IsolatingInterval(Fraction(3, 2), Fraction(3, 2), 1, UniPoly([Fraction(-3, 2), 1]))
     assert sign_at_root(q, three_halves) == 1
+
+
+# -- the Fraction kernel that the integer chains replaced, kept as the reference --
+
+
+class NaiveSturmSequence:
+    """Euclidean Sturm chain over Q: p, p', then negated remainders."""
+
+    def __init__(self, p):
+        if p.is_zero():
+            raise ValueError("zero polynomial")
+        chain = [p, p.derivative()]
+        while not chain[-1].is_zero():
+            chain.append(-chain[-2].divmod(chain[-1])[1])
+        chain.pop()
+        self.chain = chain
+
+    def variations_at(self, x):
+        signs = [v > 0 for v in self._values(Fraction(x)) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def root_bound(self):
+        return cauchy_bound(self.chain[0])
+
+    # the evaluation hook realroots' isolation loops call
+    def _values(self, x, count=None):
+        return [q(x) for q in self.chain[:count]]
+
+
+def naive_uni_gcd(a, b):
+    while not b.is_zero():
+        r = a.divmod(b)[1]
+        if not r.is_zero():
+            r = r.monic()
+        a, b = b, r
+    return a if a.is_zero() else a.monic()
+
+
+def naive_squarefree_decomposition(p):
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.degree() == 0:
+        return []
+    g = naive_uni_gcd(p, p.derivative())
+    if g.degree() == 0:
+        return [(p.monic(), 1)]
+    out = []
+    w, _ = p.divmod(g)
+    y, _ = p.derivative().divmod(g)
+    z = y - w.derivative()
+    i = 1
+    while w.degree() != 0:
+        h = naive_uni_gcd(w, z)
+        if h.degree() > 0:
+            out.append((h.monic(), i))
+        w, _ = w.divmod(h)
+        y, _ = z.divmod(h)
+        z = y - w.derivative()
+        i += 1
+    return out
+
+
+def naive_squarefree_part(p):
+    if p.degree() == 0:
+        return UniPoly([1])
+    return p.divmod(naive_uni_gcd(p, p.derivative()))[0].monic()
+
+
+def naive_count(seq, lo=None, hi=None):
+    bound = seq.root_bound()
+    return seq.variations_at(-bound if lo is None else lo) - seq.variations_at(bound if hi is None else hi)
+
+
+def naive_sturm_root_count(p, lo=None, hi=None):
+    return 0 if p.degree() == 0 else naive_count(NaiveSturmSequence(naive_squarefree_part(p)), lo, hi)
+
+
+DYADIC = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(-3, 4), Fraction(5, 8)]
+
+
+def kernel_case(rng, kind, deg):
+    """(p, rational roots of p) for one seeded case of degree about deg (0 to 12)."""
+    if kind == 0:  # rational coefficients with large denominators, either leading sign
+        big = 10**12
+        # mostly one shared denominator, as a line restriction has; a few others.
+        # Zero coefficients make remainder sequences skip degrees.
+        den = rng.randint(1, big)
+        cs = [Fraction(rng.choice([0, rng.randint(-big, big)]), rng.choice([den] * 4 + [rng.randint(1, big)])) for _ in range(deg + 1)]
+        cs[-1] = cs[-1] or Fraction(rng.choice([-1, 1]))
+        return UniPoly(cs), []
+    scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 99))
+    if kind in (1, 2, 3):  # linear factors at dyadic and integer points, repeats allowed
+        roots = [rng.choice(DYADIC + [Fraction(rng.randint(-3, 3))]) for _ in range(max(deg, 1))]
+        return from_roots(roots) * scale, roots
+    # irreducible quadratics, some squared, times linear factors
+    p, roots = UniPoly([scale]), []
+    while p.degree() < min(deg, 9):
+        if rng.random() < 0.5:
+            c, s = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])), Fraction(rng.randint(1, 9), rng.choice([1, 4]))
+            q = UniPoly([c * c + s, -2 * c, 1])  # (t - c)^2 + s
+            p = p * q * (q if rng.random() < 0.3 else 1)
+        else:
+            r = rng.choice(DYADIC + [Fraction(rng.randint(-5, 5), rng.randint(1, 5))])
+            p, roots = p * UniPoly([-r, 1]), roots + [r]
+    return p, roots
+
+
+def isolation_key(p):
+    return [(iv.lo, iv.hi, iv.multiplicity, iv.factor) for iv in isolate_real_roots(p).intervals]
+
+
+def interlace_key(f, g):
+    v = roots_interlace(f, g)
+    return (v.status, v.detail, v.witness)
+
+
+def interlacing_partner(rng, p, roots):
+    """A g of degree deg p - 1: p', or a product over most roots of a p that splits."""
+    if rng.random() < 0.5 or len(roots) != p.degree() or len(roots) < 2:
+        return p.derivative()
+    return from_roots(rng.sample(roots, len(roots) - 2) + [rng.choice(DYADIC)]) * rng.choice([-1, 2])
+
+
+def test_sturm_kernel_matches_naive_reference(monkeypatch):
+    rng = random.Random(2012)
+    # mostly low degrees, which keeps the Fraction reference affordable; every degree occurs
+    cases = [kernel_case(rng, k % 6, k % 13 if k % 11 == 0 else min(rng.randint(0, 12) for _ in "abc")) for k in range(1020)]
+    assert sum(1 for p, _ in cases if p.leading() < 0) > 400
+    assert sum(1 for p, _ in cases if squarefree_part(p).degree() < p.degree()) > 300
+    assert {p.degree() for p, _ in cases} == set(range(13))
+    isolations, interlacings = [], []
+    for i, (p, roots) in enumerate(cases):
+        sf = naive_squarefree_part(p)
+        assert squarefree_part(p) == sf
+        factors = naive_squarefree_decomposition(p)
+        assert squarefree_decomposition(p) == factors
+        q = cases[i - 1][0] if i % 6 else UniPoly([-1, 0, 1])
+        w = UniPoly([Fraction(rng.randint(-9, 9)), rng.randint(1, 3)])
+        a, b = (p * w, q * w * w) if i % 2 else (p, p.derivative())
+        assert uni_gcd(a, b) == naive_uni_gcd(a, b)
+        if p.degree() == 0:
+            assert is_real_rooted(p) and sturm_root_count(p) == 0
+            continue
+        # the chain of sf, and of p when p = lc * sf (the chain scales by lc)
+        seq = NaiveSturmSequence(sf)
+        chains = [SturmSequence(sf)] + ([SturmSequence(p)] if sf.degree() == p.degree() else [])
+        points = sorted(set(roots)) + rng.sample(DYADIC, 2) + [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))]
+        for fast in chains:
+            for x in points:
+                assert fast.variations_at(x) == seq.variations_at(x), (p, x)
+        assert chains[0].root_bound() == seq.root_bound()
+        lo, hi = sorted(rng.sample(points, 2))
+        for ends in ((lo, hi), (None, None)):
+            assert sturm_root_count(p, *ends) == naive_count(seq, *ends), (p, ends)
+        total = sum(m * naive_count(seq if f == sf else NaiveSturmSequence(f)) for f, m in factors)
+        assert is_real_rooted(p) == (total == p.degree())
+        if i % 5 == 1:
+            isolations.append((p, isolation_key(p)))
+        if i % 7 == 1:
+            g = interlacing_partner(rng, p, roots)
+            interlacings.append((p, g, interlace_key(p, g)))
+    # the same isolation and merge loops, run on the Fraction kernel
+    for name, naive in (
+        ("SturmSequence", NaiveSturmSequence),
+        ("sturm_root_count", naive_sturm_root_count),
+        ("uni_gcd", naive_uni_gcd),
+        ("squarefree_part", naive_squarefree_part),
+        ("squarefree_decomposition", naive_squarefree_decomposition),
+    ):
+        monkeypatch.setattr(realroots, name, naive)
+    for p, key in isolations:
+        assert isolation_key(p) == key, p
+    for f, g, key in interlacings:
+        assert interlace_key(f, g) == key, (f, g)
+    assert {key[0] for _, _, key in interlacings} == {Status.CERTIFIED_YES, Status.CERTIFIED_NO}
