@@ -492,19 +492,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree() == 0:
-        return UniPoly([1])
-    g = uni_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return p.monic()
-    q, _ = p.divmod(g)
-    return q.monic()
-
-
 def restrict_to_line(f: Polynomial, e: Sequence, a: Sequence) -> UniPoly:
     """The univariate polynomial t -> f(t*e + a), computed exactly."""
     return _IntForm(f.nvars, [f]).restrictions(_rationals(e), _rationals(a))[0]

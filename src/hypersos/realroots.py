@@ -3,9 +3,13 @@
 Sturm sequences drive everything.  With the convention that zero values are
 dropped before counting sign variations, V(a) - V(b) for the standard chain
 of the square-free part counts the distinct real roots in the half-open
-interval (a, b]; infinite endpoints are replaced by a Cauchy bound.  Root
-equality across two polynomials is decided only through a gcd witness,
-never by tolerance, so every verdict here is exact.
+interval (a, b]; infinite endpoints are replaced by a Cauchy bound.  The
+chain of p ends in a multiple of gcd(p, p'), so one chain gives both the
+square-free part and, after one division, its root count.
+
+Interlacing is decided without isolating a root: with r = gcd(f, f') and
+F = f / r, g interlaces f iff r | g and the Wronskian F'(g/r) - F(g/r)'
+never changes sign (see `roots_interlace`).  Every verdict here is exact.
 
 The chains run fraction-free: only signs enter a Sturm count, so each chain
 element is a primitive integer positive multiple of the chain over Q (a
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polycore import UniPoly, squarefree_decomposition, squarefree_part, uni_gcd
+from .polycore import UniPoly, squarefree_decomposition
 from .polycore import _powers, _primitive, _primitive_coeffs, _pseudo_remainder
 from .verdicts import Verdict, certified_no, certified_yes
 
@@ -73,6 +77,10 @@ class SturmSequence:
         cs = self.chain[0]
         return 1 + Fraction(max(map(abs, cs[:-1]), default=0), abs(cs[-1]))
 
+    def last(self) -> UniPoly:
+        """The chain's last element: a nonzero constant multiple of gcd(p, p')."""
+        return UniPoly(self.chain[-1])
+
 
 def _count_changes(values: list) -> int:
     signs = [v > 0 for v in values if v]
@@ -95,11 +103,17 @@ def sturm_root_count(p: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fra
         raise ValueError(f"empty interval: lo = {lo} > hi = {hi}")
     if p.degree() == 0:
         return 0
+    return _sturm_count_sqfree(_squarefree_chain(p)[1], lo, hi)
+
+
+def _squarefree_chain(p: UniPoly) -> tuple[UniPoly, SturmSequence]:
+    """p / gcd(p, p') (p itself when square-free) and its chain; deg p >= 1."""
     seq = SturmSequence(p)
-    if len(seq.chain[-1]) > 1:
-        # the chain ends in a multiple of gcd(p, p'): count on p / gcd instead
-        seq = SturmSequence(p.divmod(UniPoly(seq.chain[-1]))[0])
-    return _sturm_count_sqfree(seq, lo, hi)
+    r = seq.last()
+    if r.degree() == 0:
+        return p, seq
+    part = p.divmod(r)[0]
+    return part, SturmSequence(part)
 
 
 def _sturm_count_sqfree(seq: SturmSequence, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
@@ -234,79 +248,16 @@ def isolate_real_roots(p: UniPoly, precision: Fraction = Fraction(1, 1024)) -> R
 
 
 def is_real_rooted(p: UniPoly) -> bool:
-    """True iff the real roots of p, counted with multiplicity, number deg p."""
+    """True iff the real roots of p, counted with multiplicity, number deg p.
+
+    That is, iff the square-free part has as many real roots as its degree.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.degree() == 0:
         return True
-    return sum(mult * sturm_root_count(factor) for factor, mult in squarefree_decomposition(p)) == p.degree()
-
-
-def compare_roots(a: IsolatingInterval, b: IsolatingInterval) -> int:
-    """Exact order of two isolated algebraic roots: -1, 0, or +1.
-
-    Equality is decided by a gcd witness: the roots coincide iff
-    gcd(factor_a, factor_b) has a root inside the intersection of the two
-    isolating intervals.  Otherwise bisection separates the intervals.
-    """
-    if a.is_exact and b.is_exact:
-        return -1 if a.lo < b.lo else (0 if a.lo == b.lo else 1)
-    if a.is_exact:
-        return -compare_roots(b, a)
-    if b.is_exact:
-        x = b.lo
-        if not a.contains_point(x):
-            return -1 if a.hi <= x else 1
-        if a.factor(x) == 0:
-            return 0
-        seq = SturmSequence(a.factor)
-        while a.contains_point(x):
-            a = _refine_step(a, seq)
-        return -1 if a.hi <= x else 1
-    if a.factor == b.factor:
-        w = a.factor
-    else:
-        w = uni_gcd(a.factor, b.factor)
-    wseq = SturmSequence(w) if w.degree() >= 1 else None
-    seq_a = SturmSequence(a.factor)
-    seq_b = SturmSequence(b.factor)
-    while True:
-        if a.is_exact or b.is_exact:
-            return compare_roots(a, b)
-        if _disjoint(a, b):
-            return -1 if a.hi <= b.lo else 1
-        cap_lo = max(a.lo, b.lo)
-        cap_hi = min(a.hi, b.hi)
-        if wseq is not None and cap_lo < cap_hi and _sturm_count_sqfree(wseq, cap_lo, cap_hi) >= 1:
-            # the common root lies in both isolating intervals, so it is both roots
-            return 0
-        a = _refine_step(a, seq_a)
-        b = _refine_step(b, seq_b)
-
-
-def sign_at_root(q: UniPoly, root: IsolatingInterval) -> int:
-    """Exact sign of q at an isolated algebraic root (-1, 0, +1)."""
-    if q.is_zero():
-        return 0
-    if root.is_exact:
-        v = q(root.lo)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    w = uni_gcd(root.factor, q)
-    if w.degree() >= 1 and _sturm_count_sqfree(SturmSequence(w), root.lo, root.hi) >= 1:
-        return 0
-    seq = SturmSequence(root.factor)
-    qsf = squarefree_part(q)
-    qseq = SturmSequence(qsf) if qsf.degree() >= 1 else None
-    iv = root
-    while True:
-        no_q_root = qseq is None or _sturm_count_sqfree(qseq, iv.lo, iv.hi) == 0
-        if no_q_root and q(iv.lo) != 0:
-            v = q(iv.hi)
-            return 1 if v > 0 else -1
-        iv = _refine_step(iv, seq)
-        if iv.is_exact:
-            v = q(iv.lo)
-            return 0 if v == 0 else (1 if v > 0 else -1)
+    part, seq = _squarefree_chain(p)
+    return _sturm_count_sqfree(seq, None, None) == part.degree()
 
 
 def roots_interlace(f: UniPoly, g: UniPoly, strict: bool = False) -> Verdict:
@@ -314,66 +265,42 @@ def roots_interlace(f: UniPoly, g: UniPoly, strict: bool = False) -> Verdict:
 
     Both polynomials must be real-rooted (otherwise CERTIFIED_NO).  With
     roots a_1 <= ... <= a_d of f and b_1 <= ... <= b_{d-1} of g, counted
-    with multiplicity, the verdict checks a_i <= b_i <= a_{i+1} for every i
-    (strictly when strict=True).  All comparisons are exact.
+    with multiplicity, the verdict decides a_i <= b_i <= a_{i+1} for every i
+    (strictly when strict=True) without isolating a root.
+
+    A root of f of multiplicity m squeezes m - 1 roots of g onto itself, so
+    with r = gcd(f, f') and F = f / r, g interlaces f iff r | g and G = g / r
+    interlaces the square-free F, which holds iff the Wronskian
+    W = F'G - FG' never changes sign: no odd-multiplicity square-free factor
+    of W has a real root.  Strict interlacing holds iff r is constant and W
+    has no real root.  The test on f'g - fg' itself is false for repeated
+    roots: for f = -2(x+4)^5 (x-2) and g = (x+4)^2 (x+1)^3 it is
+    -2(x+1)^2 (x+4)^6 (x^2-4x+22), of one sign, yet b_3 = -1 > a_4 = -4.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("zero polynomial")
     d = f.degree()
     if g.degree() != d - 1:
         raise ValueError(f"degree mismatch: deg g = {g.degree()}, need deg f - 1 = {d - 1}")
-    if not is_real_rooted(f):
+    F, fseq = _squarefree_chain(f)
+    if _sturm_count_sqfree(fseq, None, None) != F.degree():
         return certified_no(witness="f", detail="f is not real-rooted")
     if not is_real_rooted(g):
         return certified_no(witness="g", detail="g is not real-rooted")
     if d <= 1:
         return certified_yes(detail="trivial: no interior roots required")
-
-    rf = isolate_real_roots(f)
-    rg = isolate_real_roots(g)
-
-    # merge the distinct roots into one exactly ordered list; each root of f
-    # or g gets an index into that list, equal roots sharing an index
-    merged: list[IsolatingInterval] = []
-    fpos: list[tuple[int, int]] = []  # (merged index, multiplicity)
-    gpos: list[tuple[int, int]] = []
-    for iv in rf.intervals:
-        merged.append(iv)
-        fpos.append((len(merged) - 1, iv.multiplicity))
-    for iv in rg.intervals:
-        placed = False
-        for k, mv in enumerate(merged):
-            c = compare_roots(iv, mv)
-            if c == 0:
-                gpos.append((k, iv.multiplicity))
-                placed = True
-                break
-            if c < 0:
-                merged.insert(k, iv)
-                fpos = [(idx + 1 if idx >= k else idx, m) for idx, m in fpos]
-                gpos = [(idx + 1 if idx >= k else idx, m) for idx, m in gpos]
-                gpos.append((k, iv.multiplicity))
-                placed = True
-                break
-        if not placed:
-            merged.append(iv)
-            gpos.append((len(merged) - 1, iv.multiplicity))
-
-    alpha: list[int] = []
-    for idx, mult in fpos:
-        alpha.extend([idx] * mult)
-    beta: list[int] = []
-    for idx, mult in sorted(gpos):
-        beta.extend([idx] * mult)
-    alpha.sort()
-
-    for i in range(d - 1):
-        lo_ok = alpha[i] < beta[i] if strict else alpha[i] <= beta[i]
-        hi_ok = beta[i] < alpha[i + 1] if strict else beta[i] <= alpha[i + 1]
-        if not (lo_ok and hi_ok):
-            side = "left" if not lo_ok else "right"
-            return certified_no(
-                witness={"index": i, "violation": side},
-                detail=f"interlacing fails at root index {i} ({side} inequality)",
-            )
-    return certified_yes(detail="strict interlacing" if strict else "interlacing")
+    G = g
+    if F.degree() < d:
+        if strict:
+            return certified_no(witness="r constant", detail="f has a repeated root: gcd(f, f') is not constant")
+        G, rem = g.divmod(f.divmod(F)[0])
+        if not rem.is_zero():
+            return certified_no(witness="r | g", detail="gcd(f, f') does not divide g")
+    W = F.derivative() * G - F * G.derivative()
+    if strict:
+        if sturm_root_count(W) > 0:
+            return certified_no(witness="W has no real root", detail="the Wronskian F'G - FG' has a real root")
+        return certified_yes(detail="strict interlacing")
+    if any(m % 2 and sturm_root_count(q) > 0 for q, m in squarefree_decomposition(W)):
+        return certified_no(witness="W keeps its sign", detail="the Wronskian F'G - FG' changes sign")
+    return certified_yes(detail="interlacing")

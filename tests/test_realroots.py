@@ -6,16 +6,13 @@ from fractions import Fraction
 import pytest
 
 from hypersos import realroots
-from hypersos.polycore import UniPoly, squarefree_decomposition, squarefree_part, uni_gcd
+from hypersos.polycore import UniPoly, squarefree_decomposition, uni_gcd
 from hypersos.realroots import (
-    IsolatingInterval,
     SturmSequence,
     cauchy_bound,
-    compare_roots,
     is_real_rooted,
     isolate_real_roots,
     roots_interlace,
-    sign_at_root,
     sturm_root_count,
 )
 from hypersos.verdicts import Status
@@ -103,7 +100,7 @@ def test_isolation_sign_invariant():
         p = from_roots(roots)
         rl = isolate_real_roots(p, Fraction(1, 64))
         assert len(rl.intervals) == k
-        sf = squarefree_part(p)
+        sf = naive_squarefree_part(p)
         for iv in rl.intervals:
             if iv.is_exact:
                 assert p(iv.lo) == 0
@@ -159,27 +156,78 @@ def test_rolle_property_randomized():
         assert v.is_yes, (roots, v.detail)
 
 
-def test_compare_roots_gcd_equality():
-    p1 = UniPoly([-2, 0, 1])  # roots +-sqrt(2)
-    p2 = UniPoly([2, -2, -1, 1])  # (t-1)(t^2-2)
-    r1 = isolate_real_roots(p1).intervals
-    r2 = isolate_real_roots(p2).intervals
-    # positive sqrt(2) appears in both
-    assert compare_roots(r1[1], r2[2]) == 0
-    assert compare_roots(r1[0], r2[0]) == 0
-    assert compare_roots(r1[0], r2[1]) == -1
-    assert compare_roots(r2[1], r1[1]) == -1
+def sorted_roots_interlace(froots, groots, strict):
+    """The definition: a_i <= b_i <= a_(i+1) on the sorted root lists (< when strict)."""
+    a, b = sorted(froots), sorted(groots)
+    le = (lambda x, y: x < y) if strict else (lambda x, y: x <= y)
+    return all(le(a[i], b[i]) and le(b[i], a[i + 1]) for i in range(len(b)))
 
 
-def test_sign_at_root():
-    p = UniPoly([-2, 0, 1])
-    neg, pos = isolate_real_roots(p).intervals
-    q = UniPoly([-1, 1])  # t - 1
-    assert sign_at_root(q, pos) == 1
-    assert sign_at_root(q, neg) == -1
-    assert sign_at_root(p, pos) == 0
-    three_halves = IsolatingInterval(Fraction(3, 2), Fraction(3, 2), 1, UniPoly([Fraction(-3, 2), 1]))
-    assert sign_at_root(q, three_halves) == 1
+def interlacing_case(rng):
+    """(f, g, [expected non-strict, expected strict]) from known rational roots.
+
+    f's roots repeat often; g's roots are mostly picked at or between
+    neighbouring roots of f, so they are often shared, and sometimes moved
+    away; either polynomial may trade two roots for an irreducible quadratic.
+    """
+    pool = [Fraction(k, 2) for k in range(-4, 5)]
+    froots = sorted(rng.choice(pool[: rng.randint(2, 9)]) for _ in range(rng.randint(1, 7)))
+    groots = [rng.choice([lo, hi, (lo + hi) / 2]) for lo, hi in zip(froots, froots[1:])]
+    if groots and rng.random() < 0.4:
+        groots[rng.randrange(len(groots))] += rng.choice([Fraction(-1, 2), Fraction(1, 4), 1])
+    f, g = (from_roots(rs) * rng.choice([-3, -1, Fraction(2, 3), 1]) for rs in (froots, groots))
+    want = [sorted_roots_interlace(froots, groots, strict) for strict in (False, True)]
+    for which, roots in enumerate((froots, groots)):
+        if len(roots) >= 2 and rng.random() < 0.08:
+            quad = UniPoly([rng.randint(2, 9), rng.randint(-2, 2), 1])  # discriminant < 0
+            pair = from_roots(roots[-2:])
+            f, g = (f.divmod(pair)[0] * quad, g) if which == 0 else (f, g.divmod(pair)[0] * quad)
+            want = [False, False]
+    return f, g, want
+
+
+def test_roots_interlace_matches_sorted_root_reference():
+    rng = random.Random(2012)
+    seen = set()
+    for _ in range(800):
+        f, g, want = interlacing_case(rng)
+        for strict, expected in zip((False, True), want):
+            v = roots_interlace(f, g, strict=strict)
+            assert v.is_yes == expected and v.is_no != expected, (f, g, strict, v.detail)
+            seen.add((strict, expected, v.witness))
+        seen.add(("repeated root in f", uni_gcd(f, f.derivative()).degree() > 0))
+        seen.add(("shared root", uni_gcd(f, g).degree() > 0))
+        seen.add(("signs", f.leading() > 0, g.leading() > 0))
+    assert {(strict, True, None) for strict in (False, True)} <= seen
+    for witness in ("f", "g", "r | g", "W keeps its sign"):
+        assert (False, False, witness) in seen, witness
+    for witness in ("f", "g", "r constant", "W has no real root"):
+        assert (True, False, witness) in seen, witness
+    assert {("repeated root in f", True), ("shared root", True)} <= seen
+    assert {("signs", a, b) for a in (True, False) for b in (True, False)} <= seen
+
+
+def test_roots_interlace_rolle_and_repeated_root_counterexamples():
+    rng = random.Random(5)
+    for _ in range(60):
+        roots = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(rng.randint(2, 7))]
+        f = from_roots(roots) * rng.choice([-2, 1])
+        # Rolle: f' always interlaces a real-rooted f, strictly iff f is square-free
+        assert roots_interlace(f, f.derivative()).is_yes
+        assert roots_interlace(f, f.derivative(), strict=True).is_yes == (len(set(roots)) == len(roots))
+    # f'g - fg' never changes sign for either pair, yet neither g interlaces f
+    f = UniPoly([-1, 3, -3, 1]) * -2  # -2 (x-1)^3
+    g = UniPoly([2, -2, 1])  # x^2 - 2x + 2, no real root
+    x4, x1 = from_roots([-4]), from_roots([-1])
+    f2 = x4 * x4 * x4 * x4 * x4 * from_roots([2]) * -2  # -2 (x+4)^5 (x-2)
+    g2 = x4 * x4 * x1 * x1 * x1  # (x+4)^2 (x+1)^3
+    for p, q in ((f, g), (f2, g2)):
+        w = p.derivative() * q - p * q.derivative()
+        assert all(m % 2 == 0 or sturm_root_count(r) == 0 for r, m in squarefree_decomposition(w))
+        for strict in (False, True):
+            assert roots_interlace(p, q, strict=strict).is_no
+    assert roots_interlace(f, g).witness == "g"
+    assert roots_interlace(f2, g2).witness == "r | g"
 
 
 # -- the Fraction kernel that the integer chains replaced, kept as the reference --
@@ -203,6 +251,9 @@ class NaiveSturmSequence:
 
     def root_bound(self):
         return cauchy_bound(self.chain[0])
+
+    def last(self):
+        return self.chain[-1]
 
     # the evaluation hook realroots' isolation loops call
     def _values(self, x, count=None):
@@ -308,12 +359,11 @@ def test_sturm_kernel_matches_naive_reference(monkeypatch):
     # mostly low degrees, which keeps the Fraction reference affordable; every degree occurs
     cases = [kernel_case(rng, k % 6, k % 13 if k % 11 == 0 else min(rng.randint(0, 12) for _ in "abc")) for k in range(1020)]
     assert sum(1 for p, _ in cases if p.leading() < 0) > 400
-    assert sum(1 for p, _ in cases if squarefree_part(p).degree() < p.degree()) > 300
+    assert sum(1 for p, _ in cases if naive_squarefree_part(p).degree() < p.degree()) > 300
     assert {p.degree() for p, _ in cases} == set(range(13))
     isolations, interlacings = [], []
     for i, (p, roots) in enumerate(cases):
         sf = naive_squarefree_part(p)
-        assert squarefree_part(p) == sf
         factors = naive_squarefree_decomposition(p)
         assert squarefree_decomposition(p) == factors
         q = cases[i - 1][0] if i % 6 else UniPoly([-1, 0, 1])
@@ -341,12 +391,10 @@ def test_sturm_kernel_matches_naive_reference(monkeypatch):
         if i % 7 == 1:
             g = interlacing_partner(rng, p, roots)
             interlacings.append((p, g, interlace_key(p, g)))
-    # the same isolation and merge loops, run on the Fraction kernel
+    # the same isolation and interlacing code, run on the Fraction kernel
     for name, naive in (
         ("SturmSequence", NaiveSturmSequence),
         ("sturm_root_count", naive_sturm_root_count),
-        ("uni_gcd", naive_uni_gcd),
-        ("squarefree_part", naive_squarefree_part),
         ("squarefree_decomposition", naive_squarefree_decomposition),
     ):
         monkeypatch.setattr(realroots, name, naive)
