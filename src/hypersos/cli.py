@@ -89,7 +89,7 @@ def _sample_config(args) -> SampleConfig:
 
 
 def _sdp_settings(args) -> soscert.SdpSettings:
-    return soscert.SdpSettings(feasibility_tolerance=args.tolerance, random_seed=args.seed)
+    return soscert.SdpSettings(feasibility_tolerance=args.tolerance)
 
 
 def _verdict_exit(v: Verdict) -> int:

@@ -215,13 +215,16 @@ def interlaces(
     strict_failures = 0
     for a in cfg.vectors(f.nvars):
         fline, gline = fg.restrictions(e, a)
+        # strict interlacing implies interlacing: one call settles a strict line
+        if strict and roots_interlace(fline, gline, strict=True).is_yes:
+            continue
         v = roots_interlace(fline, gline, strict=False)
         if v.is_no:
             return certified_no(
                 witness={"a": a, "line_verdict": v.detail},
                 detail="roots fail to interlace on the witness line",
             )
-        if strict and not roots_interlace(fline, gline, strict=True).is_yes:
+        if strict:
             strict_failures += 1
 
     wg = directional_derivative(f, e) * g - f * directional_derivative(g, e)

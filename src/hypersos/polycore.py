@@ -546,6 +546,10 @@ class _IntForm:
 
     def restrictions(self, e: Sequence, a: Sequence) -> list[UniPoly]:
         """t -> f(t*e + a) for every polynomial f, in list order."""
+        return [UniPoly([Fraction(v, den) for v in acc]) for den, acc in self.line_numerators(e, a)]
+
+    def line_numerators(self, e: Sequence, a: Sequence) -> list[tuple[int, list[int]]]:
+        """(den, [c_0, ..., c_d]) with f(t*e + a) = sum c_j t^j / den for every f."""
         n = self.nvars
         if len(e) != n or len(a) != n:
             raise ValueError("direction/offset length must equal nvars")
@@ -573,8 +577,7 @@ class _IntForm:
                     scale = qpow[k]
                     for j, v in enumerate(term, shift):
                         acc[j] += v * scale
-            den = cden * qpow[d]
-            out.append(UniPoly([Fraction(v, den) for v in acc]))
+            out.append((cden * qpow[d], acc))
         return out
 
 

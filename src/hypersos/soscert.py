@@ -45,20 +45,20 @@ from .polycore import (
 from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
 
 
+# alternating-projection iterations per SDP solve, split over its margins
+SDP_MAX_ITERATIONS = 3000
+# denominator bounds tried in turn when rounding the float Gram point
+ROUNDING_DENOMINATORS = (100, 1600, 25600, 409600)
+
+
 @dataclass
 class SdpSettings:
-    max_iterations: int = 3000
     feasibility_tolerance: float = 1e-9
-    rounding_denominator_bound: int = 100
-    random_seed: int = 0
 
     def __post_init__(self):
         tol = self.feasibility_tolerance
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"feasibility_tolerance must be finite and positive, got {tol}")
-        for name in ("max_iterations", "rounding_denominator_bound"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class GramInfeasibleError(ValueError):
@@ -326,12 +326,8 @@ def assemble_gram_system(F: Polynomial, basis: Optional[list[Polynomial]] = None
 
 
 def _auto_basis(F: Polynomial) -> list[Polynomial]:
-    """Full monomial basis, box-reduced when that kills at least a quarter."""
-    k = F.total_degree() // 2
-    full = monomials_of_degree(F.nvars, k)
-    reduced = box_reduced_support(F)
-    chosen = reduced if len(reduced) <= 0.75 * len(full) else full
-    return [Polynomial.monomial(F.nvars, m) for m in chosen]
+    """The box-reduced monomial basis of F."""
+    return [Polynomial.monomial(F.nvars, m) for m in box_reduced_support(F)]
 
 
 def scan_small_points(F: Polynomial, coord: int = 1):
@@ -470,9 +466,7 @@ def constrain_basis_to_zeros(
     nvars = basis[0].nvars
     form = _IntForm(nvars, basis)
     rows = [form.values_at(p) for p in zeros]
-    # the line stage costs a Hessian kernel and a restriction of the whole
-    # basis per flat direction; skip it for huge zero sets
-    if F is not None and len(zeros) <= 48:
+    if F is not None:
         geometry = _geometry or _ZeroGeometry(F)
         for p in zeros:
             for u, line in geometry.flat_lines(p):
@@ -481,13 +475,13 @@ def constrain_basis_to_zeros(
                 else:
                     order = next(i for i, c in enumerate(line.coeffs) if c)
                     half = (order + 1) // 2
-                if half <= 0:
+                # the t^0 coefficients are the basis values at p, already a row
+                if half <= 1:
                     continue
-                blines = form.restrictions(u, p)
-                for s in range(half):
-                    rows.append(
-                        [bl.coeffs[s] if s < len(bl.coeffs) else Fraction(0) for bl in blines]
-                    )
+                blines = form.line_numerators(u, p)
+                scale = math.lcm(*(den for den, _ in blines))
+                for s in range(1, half):
+                    rows.append([c[s] * (scale // den) if s < len(c) else 0 for den, c in blines])
     sol = solve_affine_family(rows, [Fraction(0)] * len(rows), len(basis))
     assert sol is not None  # homogeneous system is always consistent
     _, null = sol
@@ -571,7 +565,7 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
     scale = max(1.0, float(np.max(np.abs(x0[:npairs]))) if npairs else 1.0)
     tol = settings.feasibility_tolerance * scale
     margins = [1e-2 * scale, 1e-4 * scale, 0.0]
-    per_stage = max(50, settings.max_iterations // len(margins))
+    per_stage = SDP_MAX_ITERATIONS // len(margins)
 
     x = proj_affine(x0.copy())
     best_x, best_min = None, -np.inf
@@ -707,10 +701,6 @@ class SosCertificate:
         )
 
 
-def _denominator_ladder(start: int) -> list[int]:
-    return [start, start * 16, start * 256, start * 4096]
-
-
 def _certify_from_vector(
     sys: GramSystem,
     vec: list[Fraction],
@@ -744,11 +734,10 @@ def _certify_from_vector(
 def _round_and_certify(
     sys: GramSystem,
     xfloat,
-    settings: SdpSettings,
     target: Polynomial,
     N: int,
 ) -> Optional[SosCertificate]:
-    for bound in _denominator_ladder(settings.rounding_denominator_bound):
+    for bound in ROUNDING_DENOMINATORS:
         rounded = [Fraction(float(v)).limit_denominator(bound) for v in xfloat]
         vec = sys.project_exact(rounded)
         cert = _certify_from_vector(sys, vec, target, N)
@@ -839,7 +828,7 @@ def certify_sos(
         xfloat = solve_sdp(sys, settings)
         if xfloat is None:
             continue
-        cert = _round_and_certify(sys, xfloat, settings, F, N)
+        cert = _round_and_certify(sys, xfloat, F, N)
         if cert is not None:
             return certified_yes(witness=cert, detail=f"exact PSD Gram certificate (N={N})")
     # not SOS at power N implies not SOS at any smaller power (multiply by
@@ -902,7 +891,7 @@ def certify_sos_mod_f(
         )
     xfloat = solve_sdp(sys, settings)
     if xfloat is not None:
-        cert = _round_and_certify(sys, xfloat, settings, F, 0)
+        cert = _round_and_certify(sys, xfloat, F, 0)
         if cert is not None:
             return certified_yes(witness=cert, detail="exact PSD Gram certificate modulo f")
     return unknown(detail="no modulo-f SOS certificate found (family is not a single point)")

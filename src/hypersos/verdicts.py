@@ -69,7 +69,7 @@ def to_jsonable(obj: Any) -> Any:
             "detail": obj.detail,
         }
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
+        return frac_json(obj)
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):

@@ -26,6 +26,8 @@ def test_cone_member_exit_codes(capsys):
         "--e", "1,0,0", "--a", "1,2,0", "--no-timings",
     )
     assert code == 1
+    # every rational in the output is "n/d", integers included
+    assert json.loads(out)["verdict"]["witness"]["a"] == ["1/1", "2/1", "0/1"]
 
 
 def test_vamos_repro_cli(capsys):

@@ -25,6 +25,7 @@ from hypersos.polycore import (
     restrict_to_line,
 )
 from hypersos.realroots import is_real_rooted, roots_interlace
+from hypersos.verdicts import Status
 
 XYZ = ["x", "y", "z"]
 CFG = SampleConfig(trials=24, seed=9)
@@ -315,6 +316,32 @@ def test_interlaces_strict_mode_reports_sampling():
     v = interlaces(inst, directional_derivative(f, [1, 0, 0]), CFG, sos_budget=1, strict=True)
     assert v.is_yes
     assert "strictness sampled" in v.detail
+
+
+def test_interlaces_strict_builds_no_extra_sturm_chains(monkeypatch):
+    # a strict YES on a line implies the non-strict YES, so strict mode must
+    # not run the non-strict test on that line as well
+    from hypersos import realroots
+
+    built = [0]
+    init = realroots.SturmSequence.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(realroots.SturmSequence, "__init__", counting_init)
+    f = gen_lorentz(4)
+    inst = HyperbolicityInstance(f, [1, 0, 0, 0])
+    g = directional_derivative(f, [1, 0, 0, 0])
+    cfg = SampleConfig(trials=24, seed=9)
+    verdicts = {}
+    for strict in (False, True):
+        built[0] = 0
+        v = interlaces(inst, g, cfg, strict=strict)
+        verdicts[strict] = (v.status, built[0], v.detail)
+    assert verdicts[False][:2] == verdicts[True][:2] == (Status.CERTIFIED_YES, 72)
+    assert verdicts[True][2] == verdicts[False][2] + "; strictness sampled only (24/24 lines strict)"
 
 
 def test_sign_agreement_of_two_interlacers():

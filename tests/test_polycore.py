@@ -283,6 +283,7 @@ def test_batch_kernels_match_naive_reference_per_polynomial():
             got = form.restrictions(e, a)
             assert all(type(c) is Fraction for line in got for c in line.coeffs)
             assert got == [naive_restrict(f, e, a) for f in polys]
+            assert all(type(c) is int for _, cs in form.line_numerators(e, a) for c in cs)
     assert all(len({f.total_degree() for f, _, _, _ in by_nvars[n]}) > 2 for n in (1, 2, 3, 4))
 
 

@@ -40,10 +40,9 @@ def test_vamos_stability_pairs():
     h = gen_vamos()
     v = check_multiaffine_stable(h, SampleConfig(trials=24, seed=31), sos_budget=0)
     # stability itself is true; the (7,8) pair is not SOS-certifiable, so the
-    # aggregate verdict must not be CERTIFIED_NO and usually stays UNKNOWN
-    assert not v.is_no
-    if v.is_unknown:
-        assert (6, 7) in v.witness["uncertified_pairs"]
+    # aggregate verdict stays UNKNOWN with that pair among the uncertified
+    assert v.is_unknown
+    assert (6, 7) in v.witness["uncertified_pairs"]
 
 
 @slow

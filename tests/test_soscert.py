@@ -10,14 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from hypersos.corpus import gen_lorentz, gen_product
+from hypersos.corpus import gen_lorentz, gen_product, gen_vamos
 from hypersos.exactla import LdlResult, ldl_psd, ldl_reassemble, mat_det
-from hypersos.hypercone import HyperbolicityInstance, wronskian_delta
+from hypersos.hypercone import HyperbolicityInstance, delta_ij, wronskian_delta
 from hypersos.polycore import Polynomial, parse_poly, poly_adjugate, poly_determinant
 from hypersos.soscert import (
     GramSystem,
     SdpSettings,
     SosCertificate,
+    _auto_basis,
     assemble_gram_system,
     box_reduced_support,
     certify_sos,
@@ -569,9 +570,22 @@ def test_sdp_settings_reject_unusable_values():
     for tol in (float("nan"), float("inf"), -1.0, 0.0):
         with pytest.raises(ValueError):
             SdpSettings(feasibility_tolerance=tol)
-    with pytest.raises(ValueError):
-        SdpSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        SdpSettings(rounding_denominator_bound=0)
-    ok = SdpSettings(max_iterations=1, feasibility_tolerance=1e-3, rounding_denominator_bound=1)
-    assert ok.max_iterations == 1
+    assert SdpSettings(feasibility_tolerance=1e-3).feasibility_tolerance == 1e-3
+
+
+def test_auto_basis_is_always_box_reduced():
+    # the box drops only z^2 of the six quadrics, less than a quarter of them
+    F = P("x^4 + y^4 + x^2*z^2 + y^2*z^2")
+    basis = _auto_basis(F)
+    assert len(basis) == 5 and P("z^2") not in basis
+    v = certify_sos(F, 0)
+    assert v.is_yes
+    assert len(v.witness.basis) == 5
+    assert v.witness.verify()
+
+
+def test_vamos_delta78_not_sos_without_restriction():
+    # the paper's non-SOS Wronskian has 49 grid zeros; all of them and all
+    # their flat lines constrain the basis, and no Gram matrix is left
+    v = certify_sos(delta_ij(gen_vamos(), 6, 7), 0)
+    assert v.is_no
