@@ -121,14 +121,18 @@ def _add_common(p: argparse.ArgumentParser, poly: bool = True) -> None:
         p.add_argument("--vars", help="comma-separated variable names, e.g. x,y,z")
     p.add_argument("--e", dest="e", help="distinguished direction, e.g. 1,0,0")
     p.add_argument("--a", dest="a", help="query point/direction, e.g. 2,1,0")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=_count(1), default=64)
-    p.add_argument("--bound", type=_count(1), default=10, help="sampling coordinate bound")
     p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
     p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="SDP feasibility tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--no-timings", action="store_true")
     p.add_argument("--cert-out", help="write the certificate/report JSON to this file")
+
+
+def _add_sampling(p: argparse.ArgumentParser) -> None:
+    """The options of the subcommands that sample lines or points."""
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=_count(1), default=64)
+    p.add_argument("--bound", type=_count(1), default=10, help="sampling coordinate bound")
 
 
 def build_parser() -> _Parser:
@@ -137,6 +141,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check-hyperbolic", help="sampled hyperbolicity test")
     _add_common(p)
+    _add_sampling(p)
 
     p = sub.add_parser("cone-member", help="exact hyperbolicity-cone membership")
     _add_common(p)
@@ -144,6 +149,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("interlaces", help="does g interlace f with respect to e")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--g", dest="g", help="candidate interlacer polynomial")
     p.add_argument("--strict", action="store_true", help="also sample strict interlacing")
 
@@ -166,6 +172,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stable-check", help="multiaffine stability test")
     _add_common(p)
+    _add_sampling(p)
 
     p = sub.add_parser("vamos-repro", help="reproduce the Vamos non-SOS certificate")
     _add_common(p, poly=False)

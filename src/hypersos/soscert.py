@@ -37,6 +37,8 @@ from .polycore import (
     Polynomial,
     UniPoly,
     _IntForm,
+    _common_denominator,
+    _powers,
     default_names,
     format_poly,
     grlex_key,
@@ -335,61 +337,113 @@ def scan_small_points(F: Polynomial, coord: int = 1):
 
     Only coordinates that occur in F are varied (the rest stay zero), and
     points are deduplicated projectively (first varying coordinate positive);
-    F is homogeneous of even degree so this loses nothing.  Returns
-    (zeros, negative_witness_or_None).  Skipped beyond 8 occurring variables.
+    F is homogeneous of even degree so this loses nothing.  Points are
+    visited in itertools.product order by a depth-first walk that substitutes
+    one coordinate per level into F's integer terms, so points sharing a
+    prefix share that work; the walk stops at the first negative point.
+    Returns (zeros, negative_witness_or_None), both as Fraction points.
+    Skipped beyond 8 occurring variables.
     """
-    import itertools
-
     occurring = [i for i in range(F.nvars) if F.degree_in(i) > 0]
-    if len(occurring) > 8:
+    if not occurring or len(occurring) > 8:
         return [], None
-    form = _IntForm(F.nvars, [F])
+    # the positive common denominator does not change a value's sign
+    _, coeffs = _common_denominator(F.terms.values())
+    terms = {tuple(m[i] for i in occurring): c for m, c in zip(F.terms, coeffs)}
+    values = range(-coord, coord + 1)
+    powers = {v: _powers(v, F.total_degree()) for v in values}
+    last = occurring[-1]
     zeros = []
     point = [0] * F.nvars
-    rng = range(-coord, coord + 1)
-    for tup in itertools.product(rng, repeat=len(occurring)):
-        first = next((x for x in tup if x), None)
-        if first is None or first < 0:
-            continue
-        for i, x in zip(occurring, tup):
-            point[i] = x
-        val = form.values_at(point)[0]
-        if val == 0:
-            zeros.append([Fraction(x) for x in point])
-        elif val < 0:
-            return [], [Fraction(x) for x in point]
-    return zeros, None
+
+    def walk(level: int, terms: dict, started: bool):
+        """Visit the points below a prefix; terms are keyed by the remaining exponents."""
+        i = occurring[level]
+        for v in values:
+            if v < 0 and not started:
+                continue  # the first nonzero coordinate must be positive
+            pw = powers[v]
+            point[i] = v
+            if i != last:
+                sub: dict = {}
+                for m, c in terms.items():
+                    sub[m[1:]] = sub.get(m[1:], 0) + c * pw[m[0]]
+                neg = walk(level + 1, sub, started or v != 0)
+                if neg is not None:
+                    return neg
+            elif started or v:
+                value = sum(c * pw[m[0]] for m, c in terms.items())
+                if value == 0:
+                    zeros.append([Fraction(x) for x in point])
+                elif value < 0:
+                    return [Fraction(x) for x in point]
+        return None
+
+    neg = walk(0, terms, False)
+    return ([], neg) if neg is not None else (zeros, None)
 
 
 class _ZeroGeometry:
     """The local structure of F at its exact zeros, shared within one decision.
 
-    The gradient and upper-triangle Hessian polynomials are differentiated
-    and compiled to integer form once, and evaluated together at each zero.
+    F is compiled to integer form once, and the gradient and Hessian at a
+    zero are read from its terms in one pass, without differentiating F.
     The flat directions at a zero (the Hessian's kernel) and F's restriction
     along each flat line are computed on first use and kept for the later
     stages.
     """
 
     def __init__(self, F: Polynomial):
-        n = F.nvars
-        gradient = [F.partial(i) for i in range(n)]
-        hessian = [gradient[i].partial(j) for i in range(n) for j in range(i, n)]
-        self.nvars = n
-        self._derivatives = _IntForm(n, gradient + hessian)
-        self._F = _IntForm(n, [F])
+        self.nvars = F.nvars
+        self._F = _IntForm(F.nvars, [F])
+        self._supports = [[i for i, e in enumerate(m) if e] for m in F.terms]
         self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly]]] = {}
 
     def derivatives_at(self, p) -> tuple[list[Fraction], list[list[Fraction]]]:
-        """The gradient and the symmetric Hessian of F at p."""
+        """The gradient and the symmetric Hessian of F at p.
+
+        With p = P/q for integers P, a term c x^m scaled by q^(d - |m|)
+        contributes m_i P^(m - e_i) to the gradient's numerator over q^(d-1)
+        and m_i (m_j - [i = j]) P^(m - e_i - e_j) to the Hessian's over
+        q^(d-2), which keeps inhomogeneous F exact.  A term whose exponents
+        on the coordinates where P is 0 sum to 3 or more has no nonzero
+        derivative of order up to 2 at p, and is skipped.
+        """
         n = self.nvars
-        values = self._derivatives.values_at(p)
-        upper = iter(values[n:])
-        H = [[Fraction(0)] * n for _ in range(n)]
+        cden, d, monos, coeffs, shifts = self._F.polys[0]
+        q, P = _common_denominator(p)
+        qpow = _powers(q, d)
+        powers = list(map(_powers, P, self._F.maxexp))
+        grad = [0] * n
+        H = [[0] * n for _ in range(n)]  # upper triangle
+        for m, c, k, support in zip(monos, coeffs, shifts, self._supports):
+            # the coordinates of the support where P is 0, with multiplicity
+            dead = [i for i in support if not P[i] for _ in range(m[i])]
+            if len(dead) > 2:
+                continue
+            live = [i for i in support if P[i]]
+            w = c * qpow[k] * math.prod(powers[i][m[i]] for i in live)
+            if not dead:
+                for a, i in enumerate(live):
+                    g = w * m[i] // P[i]
+                    grad[i] += g
+                    for j in live[a:]:
+                        H[i][j] += g * (m[j] - (i == j)) // P[j]
+            elif len(dead) == 1:
+                (i,) = dead
+                grad[i] += w
+                for j in live:
+                    H[min(i, j)][max(i, j)] += w * m[j] // P[j]
+            else:
+                i, j = dead
+                H[i][j] += 2 * w if i == j else w
+        den = cden * qpow[d]
+        gradient = [Fraction(g * q, den) for g in grad]
+        hessian = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                H[i][j] = H[j][i] = next(upper)
-        return values[:n], H
+                hessian[i][j] = hessian[j][i] = Fraction(H[i][j] * q * q, den)
+        return gradient, hessian
 
     def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly]]:
         """(u, t -> F(p + t u)) for each kernel basis vector u of the Hessian H at p."""

@@ -62,7 +62,7 @@ def test_gen_families(capsys):
 def test_deterministic_output(capsys):
     argv = [
         "sos-cone-member", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z",
-        "--e", "1,0,0", "--a", "2,1,0", "--seed", "7", "--no-timings",
+        "--e", "1,0,0", "--a", "2,1,0", "--no-timings",
     ]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
@@ -224,6 +224,20 @@ def test_sampling_and_budget_bounds_exit_3(capsys):
     assert_input_error(*run(capsys, "check-hyperbolic", *lorentz, "--bound", "-1"))
     code, _, _ = run(capsys, "check-hyperbolic", *lorentz, "--bound", "1")
     assert code == 0
+
+
+def test_sampling_options_only_where_sampling_happens(capsys):
+    square = ["--poly", "x^2 + y^2", "--vars", "x,y", "--sos-budget", "0", "--no-timings"]
+    lorentz = ["--poly", "x^2-y^2-z^2", "--vars", "x,y,z", "--e", "1,0,0", "--no-timings"]
+    for option in ("--seed", "--trials", "--bound"):
+        assert_input_error(*run(capsys, "sos-certify", *square, option, "7"))
+        assert_input_error(*run(capsys, "sos-cone-member", *lorentz, "--a", "2,1,0", option, "7"))
+        assert_input_error(*run(capsys, "vamos-repro", option, "7"))
+    sampling = ["--seed", "7", "--trials", "4", "--bound", "3"]
+    for argv in (["check-hyperbolic", *lorentz], ["interlaces", *lorentz, "--g", "x"],
+                 ["stable-check", "--poly", "x*y + x*z + y*z", "--vars", "x,y,z", "--no-timings"]):
+        code, _, _ = run(capsys, *argv, *sampling)
+        assert code == 0
 
 
 def test_zero_sampling_bound_exits_3_without_hanging():

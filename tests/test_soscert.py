@@ -18,6 +18,7 @@ from hypersos.soscert import (
     GramSystem,
     SdpSettings,
     SosCertificate,
+    _ZeroGeometry,
     _auto_basis,
     assemble_gram_system,
     box_reduced_support,
@@ -477,7 +478,7 @@ def test_verify_rejects_malformed_fields_without_raising():
     assert mutated(cert).verify()
 
 
-def test_certify_sos_differentiates_once_however_many_zeros(monkeypatch):
+def test_certify_sos_never_differentiates_however_many_zeros(monkeypatch):
     names = ["a", "b", "c", "d", "e"]
     F = parse_poly("(a - b)^2*(c - d)^2 + (a - e)^2*(b - c)^2", names)
     n = F.nvars
@@ -491,9 +492,33 @@ def test_certify_sos_differentiates_once_however_many_zeros(monkeypatch):
         return original(self, i)
 
     monkeypatch.setattr(Polynomial, "partial", counting)
-    assert certify_sos(F, 0).is_yes
-    # the gradient (n) and the upper-triangle Hessian (n(n+1)/2), once each
-    assert len(calls) == n + n * (n + 1) // 2
+    v = certify_sos(F, 0)
+    assert v.is_yes and v.witness.verify()
+    # the gradient and the Hessian at each zero are read from F's own terms
+    assert calls == []
+
+
+def test_zero_geometry_derivatives_match_naive_partials():
+    rng = random.Random(1306)
+    for nvars in (3, 4, 5):
+        for _ in range(3):
+            # inhomogeneous, rational coefficients, exponents up to 3
+            terms = {}
+            for _ in range(rng.randint(6, 14)):
+                m = tuple(rng.randint(0, 3) for _ in range(nvars))
+                terms[m] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+            F = Polynomial(nvars, terms)
+            geometry = _ZeroGeometry(F)
+            partials = [F.partial(i) for i in range(nvars)]
+            for vanishing in range(nvars + 1):
+                # rational points with exactly `vanishing` zero coordinates
+                dead = set(rng.sample(range(nvars), vanishing))
+                p = [Fraction(0) if i in dead else Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 5))
+                     for i in range(nvars)]
+                grad, H = geometry.derivatives_at(p)
+                assert grad == [d.evaluate(p) for d in partials]
+                assert H == [[d.partial(j).evaluate(p) for j in range(nvars)] for d in partials]
+                assert all(type(x) is Fraction for x in grad + [h for row in H for h in row])
 
 
 def test_certify_sos_makes_no_per_point_calls(monkeypatch):
@@ -531,10 +556,11 @@ def naive_scan(F, coord=1):
     for tup in itertools.product(range(-coord, coord + 1), repeat=len(occurring)):
         if next((x for x in tup if x), 0) <= 0:
             continue
-        point = [Fraction(0)] * F.nvars
+        ints = [0] * F.nvars
         for i, x in zip(occurring, tup):
-            point[i] = Fraction(x)
-        value = sum(c * math.prod(x**k for x, k in zip(point, m)) for m, c in F.terms.items())
+            ints[i] = x
+        point = [Fraction(x) for x in ints]
+        value = sum(c * math.prod(x**k for x, k in zip(ints, m)) for m, c in F.terms.items())
         if value == 0:
             zeros.append(point)
         elif value < 0:
@@ -557,13 +583,20 @@ def test_scan_small_points_matches_naive_loop():
             # the same form minus a small multiple of a square: negative somewhere
             forms.append(acc - x[rng.randrange(nvars - 1)] ** 2 * Fraction(1, rng.randint(1, 3)))
     forms.append(P("x^4*y^2 + x^2*y^4 - 3*x^2*y^2*z^2 + z^6"))
+    # negative at three grid points, the first of them late in product order
+    late = parse_poly("10*(x^2+y^2+z^2+w^2)^2 - (x+y+z+w)^4 - (x-y+z+w)^4", list("xyzw"))
+    assert naive_scan(late)[1] == [1, -1, 1, 1]
+    forms.append(late)
     assert any(naive_scan(F)[1] is not None for F in forms)
     assert any(len(naive_scan(F)[0]) > 1 for F in forms)
-    for F in forms:
-        for coord in (1, 2):
-            zeros, neg = scan_small_points(F, coord)
-            assert (zeros, neg) == naive_scan(F, coord)
-            assert all(type(c) is Fraction for p in zeros + [neg or []] for c in p)
+    # Vamos Wronskians: 8 variables of which 6 occur, so coord 1 only
+    vamos = gen_vamos()
+    cases = [(F, coord) for F in forms for coord in (1, 2)]
+    cases += [(delta_ij(vamos, 0, 1), 1), (delta_ij(vamos, 6, 7), 1)]
+    for F, coord in cases:
+        zeros, neg = scan_small_points(F, coord)
+        assert (zeros, neg) == naive_scan(F, coord)
+        assert all(type(c) is Fraction for p in zeros + [neg or []] for c in p)
 
 
 def test_sdp_settings_reject_unusable_values():
