@@ -115,17 +115,29 @@ def _emit_text(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _add_common(p: argparse.ArgumentParser, poly: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    poly: bool = True,
+    e: bool = False,
+    a: bool = False,
+    sdp: bool = False,
+    cert_out: bool = False,
+) -> None:
+    """The output options, plus each input option the subcommand reads."""
     if poly:
         p.add_argument("--poly", help="polynomial text, or @file")
         p.add_argument("--vars", help="comma-separated variable names, e.g. x,y,z")
-    p.add_argument("--e", dest="e", help="distinguished direction, e.g. 1,0,0")
-    p.add_argument("--a", dest="a", help="query point/direction, e.g. 2,1,0")
-    p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
-    p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="SDP feasibility tolerance")
+    if e:
+        p.add_argument("--e", dest="e", help="distinguished direction, e.g. 1,0,0")
+    if a:
+        p.add_argument("--a", dest="a", help="query point/direction, e.g. 2,1,0")
+    if sdp:
+        p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="SDP feasibility tolerance")
+    if cert_out:
+        p.add_argument("--cert-out", help="write the certificate/report JSON to this file")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--no-timings", action="store_true")
-    p.add_argument("--cert-out", help="write the certificate/report JSON to this file")
 
 
 def _add_sampling(p: argparse.ArgumentParser) -> None:
@@ -140,30 +152,30 @@ def build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-hyperbolic", help="sampled hyperbolicity test")
-    _add_common(p)
+    _add_common(p, e=True)
     _add_sampling(p)
 
     p = sub.add_parser("cone-member", help="exact hyperbolicity-cone membership")
-    _add_common(p)
+    _add_common(p, e=True, a=True)
     p.add_argument("--closure", action="store_true", help="test the closed cone")
 
     p = sub.add_parser("interlaces", help="does g interlace f with respect to e")
-    _add_common(p)
+    _add_common(p, e=True, sdp=True, cert_out=True)
     _add_sampling(p)
     p.add_argument("--g", dest="g", help="candidate interlacer polynomial")
     p.add_argument("--strict", action="store_true", help="also sample strict interlacing")
 
     p = sub.add_parser("delta", help="mixed Wronskian of f at directions e, a")
-    _add_common(p)
+    _add_common(p, e=True, a=True)
 
     p = sub.add_parser("sos-certify", help="exact SOS certificate for a form")
-    _add_common(p)
+    _add_common(p, sdp=True, cert_out=True)
 
     p = sub.add_parser("sos-cone-member", help="SOS inner relaxation of cone membership")
-    _add_common(p)
+    _add_common(p, e=True, a=True, sdp=True, cert_out=True)
 
     p = sub.add_parser("detrep-build", help="definite determinantal representation builder")
-    _add_common(p)
+    _add_common(p, e=True, cert_out=True)
     p.add_argument("--dvars", help="comma-separated names of the affine variables")
 
     p = sub.add_parser("detrep-verify", help="verify a representation against f")
@@ -171,11 +183,11 @@ def build_parser() -> _Parser:
     p.add_argument("--rep", help="representation JSON, or @file")
 
     p = sub.add_parser("stable-check", help="multiaffine stability test")
-    _add_common(p)
+    _add_common(p, sdp=True)
     _add_sampling(p)
 
     p = sub.add_parser("vamos-repro", help="reproduce the Vamos non-SOS certificate")
-    _add_common(p, poly=False)
+    _add_common(p, poly=False, cert_out=True)
 
     p = sub.add_parser("gen", help="emit a named polynomial family")
     p.add_argument("family", choices=(
@@ -380,6 +392,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(json.dumps({"error": "out of memory: the input is too large"}), file=sys.stderr)
         return 3
     _emit(payload, args, started)
     return code

@@ -390,14 +390,21 @@ class _ZeroGeometry:
     zero are read from its terms in one pass, without differentiating F.
     The flat directions at a zero (the Hessian's kernel) and F's restriction
     along each flat line are computed on first use and kept for the later
-    stages.
+    stages.  For homogeneous F, vanishing along the whole line p + t u means
+    vanishing on the plane span{p, u}, so every other line in that plane
+    vanishes too.  F is therefore restricted once per zero plane, and a later
+    line in a known zero plane gets the zero restriction without a call.
     """
 
     def __init__(self, F: Polynomial):
         self.nvars = F.nvars
         self._F = _IntForm(F.nvars, [F])
         self._supports = [[i for i, e in enumerate(m) if e] for m in F.terms]
-        self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly]]] = {}
+        self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly, tuple]]] = {}
+        # Plücker keys of the planes on which F vanishes; only homogeneous F
+        # vanishes on a whole plane when it vanishes on one line of it
+        self._homogeneous = F.is_homogeneous()
+        self._zero_planes: set[tuple] = set()
 
     def derivatives_at(self, p) -> tuple[list[Fraction], list[list[Fraction]]]:
         """The gradient and the symmetric Hessian of F at p.
@@ -445,8 +452,8 @@ class _ZeroGeometry:
                 hessian[i][j] = hessian[j][i] = Fraction(H[i][j] * q * q, den)
         return gradient, hessian
 
-    def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly]]:
-        """(u, t -> F(p + t u)) for each kernel basis vector u of the Hessian H at p."""
+    def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly, tuple]]:
+        """(u, t -> F(p + t u), plane key) for each kernel basis vector u of the Hessian H at p."""
         key = tuple(p)
         if key not in self._lines:
             n = self.nvars
@@ -454,8 +461,36 @@ class _ZeroGeometry:
                 H = self.derivatives_at(p)[1]
             sol = solve_affine_family(H, [Fraction(0)] * n, n)
             assert sol is not None
-            self._lines[key] = [(u, self._F.restrictions(u, p)[0]) for u in sol[1]]
+            P = _common_denominator(p)[1]
+            lines = []
+            for u in sol[1]:
+                plane = _plane_key(P, _common_denominator(u)[1])
+                if plane in self._zero_planes:
+                    line = UniPoly.zero()
+                else:
+                    line = self._F.restrictions(u, p)[0]
+                    if line.is_zero() and self._homogeneous:
+                        self._zero_planes.add(plane)
+                lines.append((u, line, plane))
+            self._lines[key] = lines
         return self._lines[key]
+
+
+def _plane_key(P: list[int], U: list[int]) -> tuple[int, ...]:
+    """span{P, U} as primitive Plücker coordinates, first nonzero one positive.
+
+    Another basis of the same plane multiplies the coordinates by the
+    determinant of the change of basis, so two lines p + t u span the same
+    plane exactly when their keys agree.  U parallel to P gives the zero key.
+    """
+    n = len(P)
+    coords = [P[i] * U[j] - P[j] * U[i] for i in range(n) for j in range(i + 1, n)]
+    g = math.gcd(*coords)
+    if not g:
+        return tuple(coords)
+    if next(c for c in coords if c) < 0:
+        g = -g
+    return tuple(c // g for c in coords)
 
 
 def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroGeometry] = None):
@@ -477,7 +512,7 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
         res = ldl_psd(H)
         if not res.is_psd:
             return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({res.reason})"}
-        for u, line in geometry.flat_lines(p, H):
+        for u, line, _ in geometry.flat_lines(p, H):
             if line.is_zero():
                 continue
             order = next(i for i, c in enumerate(line.coeffs) if c)
@@ -508,7 +543,12 @@ def constrain_basis_to_zeros(
     to order s on that line (identically, when F does).  All of these are
     linear rows in the h coefficients, computed exactly from F once; they
     apply unchanged to F times any power of the square sum (a positive
-    factor at p).  Returns the original basis when nothing binds.
+    factor at p).  For a basis of forms of one degree k, the rows of the
+    t^0..t^k coefficients of h(p + t u) say that h vanishes on the plane
+    span{p, u}, whichever line of the plane gives them.  So an identically
+    zero line adds rows only when it is the first line of its plane; other
+    lines keep their rows, since their vanishing order is local at p.
+    Returns the original basis when nothing binds.
     """
     if not zeros:
         return basis
@@ -522,9 +562,16 @@ def constrain_basis_to_zeros(
     rows = [form.values_at(p) for p in zeros]
     if F is not None:
         geometry = _geometry or _ZeroGeometry(F)
+        # with the value row at p, a line's rows stand for its whole plane
+        # only when the basis consists of forms of one degree
+        forms = len({b.total_degree() for b in basis}) == 1 and all(b.is_homogeneous() for b in basis)
+        planes: set[tuple] = set()
         for p in zeros:
-            for u, line in geometry.flat_lines(p):
+            for u, line, plane in geometry.flat_lines(p):
                 if line.is_zero():
+                    if forms and plane in planes:
+                        continue
+                    planes.add(plane)
                     half = form.degree + 1
                 else:
                     order = next(i for i, c in enumerate(line.coeffs) if c)

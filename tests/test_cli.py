@@ -288,3 +288,45 @@ def test_parser_built_once_and_reused_without_leaking_state(capsys, monkeypatch)
         assert run(capsys, *argv) == expected
     assert len(built) == 1
     assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 3, 0]
+
+
+# the commands that read each input option; every other command rejects it
+OPTION_COMMANDS = {
+    "--e": {"check-hyperbolic", "cone-member", "interlaces", "delta", "sos-cone-member", "detrep-build"},
+    "--a": {"cone-member", "delta", "sos-cone-member"},
+    "--sos-budget": {"interlaces", "sos-certify", "sos-cone-member", "stable-check"},
+    "--tolerance": {"interlaces", "sos-certify", "sos-cone-member", "stable-check"},
+    "--cert-out": {"interlaces", "sos-certify", "sos-cone-member", "detrep-build", "vamos-repro"},
+}
+
+
+def test_input_options_only_where_they_are_read(tmp_path, capsys):
+    import hypersos.cli as cli
+
+    values = {"--e": "1,0,0", "--a": "2,1,0", "--sos-budget": "1", "--tolerance": "1e-6",
+              "--cert-out": str(tmp_path / "out.json")}
+    commands = [["gen", "lorentz", "--n", "3"], ["vamos-repro"]]
+    commands += [[name, "--poly", "x^2-y^2-z^2", "--vars", "x,y,z"] for name in (
+        "check-hyperbolic", "cone-member", "interlaces", "delta", "sos-certify", "sos-cone-member",
+        "detrep-build", "detrep-verify", "stable-check",
+    )]
+    for argv in commands:
+        for option, readers in OPTION_COMMANDS.items():
+            if argv[0] in readers:
+                cli._parser().parse_args([*argv, option, values[option]])
+            else:
+                assert_input_error(*run(capsys, *argv, option, values[option], "--no-timings"))
+    assert_input_error(*run(capsys, "gen", "lorentz", "--n", "3", "--sos-budget", "5"))
+    assert_input_error(*run(capsys, "cone-member", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z",
+                            "--e", "1,0,0", "--a", "2,1,0", "--cert-out", values["--cert-out"]))
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
+    import hypersos.corpus as corpus
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(corpus, "gen_product", exhausted)
+    assert_input_error(*run(capsys, "gen", "product", "--n", "100000000000", "--no-timings"))

@@ -11,9 +11,16 @@ from fractions import Fraction
 import pytest
 
 from hypersos.corpus import gen_lorentz, gen_product, gen_vamos
-from hypersos.exactla import LdlResult, ldl_psd, ldl_reassemble, mat_det
+from hypersos.exactla import LdlResult, ldl_psd, ldl_reassemble, mat_det, solve_affine_family
 from hypersos.hypercone import HyperbolicityInstance, delta_ij, wronskian_delta
-from hypersos.polycore import Polynomial, parse_poly, poly_adjugate, poly_determinant
+from hypersos.polycore import (
+    Polynomial,
+    _IntForm,
+    parse_poly,
+    poly_adjugate,
+    poly_determinant,
+    restrict_to_line,
+)
 from hypersos.soscert import (
     GramSystem,
     SdpSettings,
@@ -622,3 +629,132 @@ def test_vamos_delta78_not_sos_without_restriction():
     # their flat lines constrain the basis, and no Gram matrix is left
     v = certify_sos(delta_ij(gen_vamos(), 6, 7), 0)
     assert v.is_no
+
+
+# -- flat lines, one plane at a time ----------------------------------------------
+
+
+def naive_flat_lines(F, p):
+    """_ZeroGeometry.flat_lines without planes: restrict F along every kernel vector."""
+    n = F.nvars
+    H = _ZeroGeometry(F).derivatives_at(p)[1]
+    _, kernel = solve_affine_family(H, [Fraction(0)] * n, n)
+    return [(u, restrict_to_line(F, u, p)) for u in kernel]
+
+
+def naive_constrain(basis, flat, plane_of=None):
+    """constrain_basis_to_zeros with the rows of every flat line, one polynomial at a time.
+
+    flat lists (p, naive_flat_lines(F, p)) for each zero p.  With plane_of,
+    an identically zero line adds rows only for the first line of its plane,
+    whatever the basis.
+    """
+    rows = [[b.evaluate(p) for b in basis] for p, _ in flat]
+    top = max(b.total_degree() for b in basis)
+    seen = set()
+    for p, lines in flat:
+        for u, line in lines:
+            if line.is_zero():
+                if plane_of is not None:
+                    if plane_of(p, u) in seen:
+                        continue
+                    seen.add(plane_of(p, u))
+                half = top + 1
+            else:
+                half = (next(i for i, c in enumerate(line.coeffs) if c) + 1) // 2
+            restricted = [restrict_to_line(b, u, p).coeffs for b in basis]
+            for s in range(1, half):
+                rows.append([c[s] if s < len(c) else 0 for c in restricted])
+    _, null = solve_affine_family(rows, [Fraction(0)] * len(rows), len(basis))
+    if len(null) == len(basis):
+        return basis
+    return [sum((b * c for b, c in zip(basis, v) if c), Polynomial.zero(basis[0].nvars)) for v in null]
+
+
+def test_flat_lines_and_constraints_match_the_per_line_reference():
+    vamos = gen_vamos()
+    x = [Polynomial.variable(8, k) for k in range(8)]
+    # (pair, identically zero flat lines, distinct plane keys among them); the
+    # six lines u || p of each pair share the zero key
+    for (i, j), nzero, nplanes in [((0, 1), 233, 125), ((0, 2), 322, 172), ((6, 7), 244, 129)]:
+        F = delta_ij(vamos, i, j)
+        zeros, _ = scan_small_points(F)
+        flat = [(p, naive_flat_lines(F, p)) for p in zeros]
+        geometry = _ZeroGeometry(F)
+        lines = [(p, *line) for p in zeros for line in geometry.flat_lines(p)]
+        assert [(u, line) for _, u, line, _ in lines] == [line for _, ls in flat for line in ls]
+        zero_lines = [plane for _, _, line, plane in lines if line.is_zero()]
+        assert (len(zero_lines), len(set(zero_lines))) == (nzero, nplanes)
+        basis = _auto_basis(F)
+        expected = naive_constrain(basis, flat)
+        assert 0 < len(expected) < len(basis)
+        assert constrain_basis_to_zeros(basis, zeros, F) == expected
+        # an inhomogeneous basis keeps the rows of every line
+        shifted = [b + x[k % 8] for k, b in enumerate(basis)]
+        assert constrain_basis_to_zeros(shifted, zeros, F) == naive_constrain(shifted, flat)
+
+
+def test_basis_of_mixed_degrees_keeps_the_rows_of_every_line():
+    # F vanishes on the plane z = 0, which holds the flat lines (1, t, 0) and
+    # (t, 1, 0); h = x^2*y - x*y vanishes on the first line and at both zeros
+    # but not on the second line, so one line's rows do not stand for its plane
+    F = P("z^2*(x^2 + y^2 + z^2)")
+    zeros = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]
+    flat = [(p, naive_flat_lines(F, p)) for p in zeros]
+
+    def plane_of(p, u):
+        return tuple(k for k in range(3) if p[k] or u[k])
+
+    assert [plane_of(p, u) for p, ls in flat for u, line in ls if line.is_zero()] == [
+        (0,), (0, 1), (0, 1), (1,)
+    ]
+    for basis in ([P("x^2*y"), P("x*y")], [P("x^2*y - x*y"), P("x*y")]):
+        by_plane = naive_constrain(basis, flat, plane_of)
+        assert len(by_plane) == 1 and by_plane[0].evaluate([2, 5, 0]) != 0
+        assert constrain_basis_to_zeros(basis, zeros, F) == naive_constrain(basis, flat) == []
+
+
+def test_inhomogeneous_target_restricts_every_line():
+    # F vanishes along the line through its zero e_w in the direction e_w, but
+    # not along the one through e_y in the direction e_y, though both span
+    # planes with the zero key: without homogeneity one line says nothing of
+    # another in its plane
+    names = ["x", "y", "z", "w"]
+    F = parse_poly("x^2 + z^2 + y^2*(y - 1)^4 + y^2*w^2", names)
+    zeros = [[Fraction(int(k == i)) for k in range(4)] for i in (3, 1)]
+    geometry = _ZeroGeometry(F)
+    lines = [[(u, line) for u, line, _ in geometry.flat_lines(p)] for p in zeros]
+    assert lines == [naive_flat_lines(F, p) for p in zeros]
+    assert lines[0][0][1].is_zero() and lines[1][0][1] == restrict_to_line(F, zeros[1], zeros[1])
+    assert not lines[1][0][1].is_zero()
+
+
+def test_certify_sos_restricts_each_zero_plane_once(monkeypatch):
+    calls = []
+    original = _IntForm.line_numerators
+
+    def counting(self, e, a):
+        calls.append(1)
+        return original(self, e, a)
+
+    monkeypatch.setattr(_IntForm, "line_numerators", counting)
+    # 322 flat lines on 172 plane keys: 652 calls line by line, 352 by plane
+    v = certify_sos(delta_ij(gen_vamos(), 0, 2), 0)
+    assert not v.is_no
+    assert len(calls) < 400
+
+
+def test_vamos_sweep_at_budget_zero():
+    # all 28 coordinate Wronskians of the Vamos polynomial at denominator power 0
+    vamos = gen_vamos()
+    no = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    undecided = {(0, 2), (0, 3), (1, 2), (1, 3)}
+    for i in range(8):
+        for j in range(i + 1, 8):
+            v = certify_sos(delta_ij(vamos, i, j), 0)
+            if (i, j) in no:
+                assert v.is_no, (i, j)
+            elif (i, j) in undecided:
+                assert not v.is_no, (i, j)
+            else:
+                assert v.is_yes and v.witness.verify(), (i, j)
