@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import add, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -508,16 +509,18 @@ class _IntForm:
     degree and maxexp are the largest degree and exponents in the list.  A
     kernel scales its point or line (ints or Fractions) to integers by their
     lcm q, builds power tables once for the whole list, and multiplies a term
-    by q^(d - |m|), so inhomogeneous polynomials stay exact.
+    by q^(d - |m|), so inhomogeneous polynomials stay exact.  Each term's
+    support as a bitmask is built on the first line that needs it.
     """
 
-    __slots__ = ("nvars", "polys", "degree", "maxexp")
+    __slots__ = ("nvars", "polys", "degree", "maxexp", "_masks")
 
     def __init__(self, nvars: int, polys: Iterable[Polynomial]):
         self.nvars = nvars
         self.polys: list = []
         self.degree = 0
         self.maxexp = [0] * nvars
+        self._masks: Optional[list[list[int]]] = None
         for f in polys:
             if f.nvars != nvars:
                 raise ValueError(f"variable count mismatch: {f.nvars} vs {nvars}")
@@ -556,12 +559,19 @@ class _IntForm:
         q, ints = _common_denominator([*e, *a])
         E, A = ints[:n], ints[n:]
         qpow = _powers(q, self.degree)
+        # a term with a factor (0 t + 0)^x vanishes on the line, and is skipped
+        dead = sum(1 << i for i in range(n) if not E[i] and not A[i])
+        if dead and self._masks is None:
+            self._masks = [[sum(1 << i for i, x in enumerate(m) if x) for m in monos] for _, _, monos, _, _ in self.polys]
         # (i, k) -> (s, row): (E_i t + A_i)^k = t^s * sum_j row[j] t^j, zeros trimmed
         rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
         out = []
-        for cden, d, monos, coeffs, shifts in self.polys:
+        for idx, (cden, d, monos, coeffs, shifts) in enumerate(self.polys):
             acc = [0] * (d + 1)
-            for m, c, k in zip(monos, coeffs, shifts):
+            terms = zip(monos, coeffs, shifts)
+            if dead:
+                terms = compress(terms, [not mask & dead for mask in self._masks[idx]])
+            for m, c, k in terms:
                 shift, term = 0, [c]
                 for i, x in enumerate(m):
                     if not x:
@@ -569,14 +579,11 @@ class _IntForm:
                     row = rows.get((i, x))
                     if row is None:
                         row = rows[(i, x)] = _binomial_row(E[i], A[i], x)
-                    if not row[1]:
-                        break  # a factor (0 t + 0)^x: the term vanishes on the line
                     shift += row[0]
                     term = _convolve(term, row[1])
-                else:
-                    scale = qpow[k]
-                    for j, v in enumerate(term, shift):
-                        acc[j] += v * scale
+                scale = qpow[k]
+                for j, v in enumerate(term, shift):
+                    acc[j] += v * scale
             out.append((cden * qpow[d], acc))
         return out
 

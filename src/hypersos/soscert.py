@@ -4,8 +4,10 @@ The pipeline for a target form F of even degree:
 
   1. assemble the affine family of Gram matrices {G : v^T G v = F} exactly
      (particular solution + nullspace basis over Q);
-  2. find a numerically PSD member by alternating projections between the
-     PSD cone and the affine family (the only floating-point step);
+  2. find a numerically PSD member by a log-barrier interior-point method
+     that maximises the smallest eigenvalue over the family (alternating
+     projections for families too large for its Newton system); this is the
+     only floating-point step;
   3. round entrywise to bounded-denominator rationals, project exactly back
      onto the family, and decide PSD by exact pivoted LDL^T.
 
@@ -47,7 +49,18 @@ from .polycore import (
 from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
 
 
-# alternating-projection iterations per SDP solve, split over its margins
+# A barrier Newton step holds the (m+1) x (m+1) Hessian and the m+1 search
+# directions as dense n x n matrices, for m nullspace directions over a
+# basis of n: (m+1)^2 + (m+1) n^2 doubles.  A basis of at most 28 elements
+# has m <= 406 and needs under 2^19 doubles, so 2^22 doubles (32 MiB)
+# keeps every face-reduced family on the barrier method.  The
+# denominator-power-1 Vamos family (n = 211, m = 18,187) would need 0.8e9
+# doubles, and goes to alternating projections instead.
+BARRIER_MAX_DOUBLES = 2**22
+# Newton steps per barrier solve; a boundary family needs about 100
+BARRIER_MAX_STEPS = 400
+# alternating-projection iterations per SDP solve, split over its margins;
+# only families too large for the barrier method use them
 SDP_MAX_ITERATIONS = 3000
 # denominator bounds tried in turn when rounding the float Gram point
 ROUNDING_DENOMINATORS = (100, 1600, 25600, 409600)
@@ -604,19 +617,143 @@ def constrain_basis_to_zeros(
 def solve_sdp(sys: GramSystem, settings: SdpSettings):
     """Find a numerically PSD point in the affine Gram family.
 
-    Alternating projections between the PSD cone (eigenvalue clamping) and
-    the affine family, run over a decreasing ladder of interiority margins so
-    that strictly feasible problems return well-conditioned interior points.
-    Returns a float unknown-vector or None (numerically infeasible).
+    Families whose Newton system fits in BARRIER_MAX_DOUBLES go to a
+    log-barrier interior-point method (see _barrier_sdp); larger ones to
+    alternating projections.  Returns a finite float unknown-vector whose
+    Gram matrix has smallest eigenvalue at least -tolerance * scale, or None
+    (numerically infeasible, or the float method broke down).
     """
     import numpy as np  # only this float stage needs numpy; exact paths never load it
 
     n = sys.size
     x0 = np.array([float(v) for v in sys.particular_vector()])
     npairs = len(sys.pairs)
-
     rows = np.fromiter((i for i, _ in sys.pairs), dtype=np.int64, count=npairs)
     cols = np.fromiter((j for _, j in sys.pairs), dtype=np.int64, count=npairs)
+    scale = max(1.0, float(np.max(np.abs(x0[:npairs]))) if npairs else 1.0)
+    tol = settings.feasibility_tolerance * scale
+
+    m = sys.nullspace_dim + 1  # the Gram directions and t
+    if m * m + m * n * n <= BARRIER_MAX_DOUBLES:
+        x = _barrier_sdp(sys, x0, rows, cols, scale, tol)
+    else:
+        x = _alternating_projections(sys, x0, rows, cols, scale, tol)
+    if x is None or not np.all(np.isfinite(x)):
+        return None
+    G = np.zeros((n, n))
+    G[rows, cols] = G[cols, rows] = x[:npairs]
+    return x if np.linalg.eigvalsh(G)[0] >= -tol else None
+
+
+def _float_directions(sys: GramSystem):
+    """The nullspace as a dense float unknowns x m matrix.
+
+    A structural family's directions come straight from its equations: each
+    non-leading unknown k of an equation gives e_k - (c_k / c_lead) e_lead.
+    """
+    import numpy as np
+
+    if sys._eqs is None:
+        null = sys._null
+        D = np.zeros((sys.nunknowns, len(null)))
+        for d, vec in enumerate(null):
+            for k, v in enumerate(vec):
+                if v:
+                    D[k, d] = v
+        return D
+    ks, leads, ratios = [], [], []
+    for pair_idxs, coeffs, _ in sys._eqs:
+        for k, c in zip(pair_idxs[1:], coeffs[1:]):
+            ks.append(k)
+            leads.append(pair_idxs[0])
+            ratios.append(float(c / coeffs[0]))
+    D = np.zeros((sys.nunknowns, len(ks)))
+    ds = np.arange(len(ks))
+    D[ks, ds] = 1.0
+    D[leads, ds] = -np.array(ratios)
+    return D
+
+
+def _barrier_sdp(sys: GramSystem, x0, rows, cols, scale: float, tol: float):
+    """Maximise t subject to G(lam) - t I >= 0 by a log-barrier method.
+
+    G(lam) = G0 + sum lam_k B_k is the family.  Damped Newton steps in
+    z = (lam, t) minimise -t/mu - log det(G(lam) - t I); with the t
+    direction written as B = -I, the gradient is -tr(W B_a) - [a = t]/mu and
+    the Hessian tr(W B_a W B_b) for W = (G - t I)^-1.  Each step goes 0.99 of
+    the way to the boundary at most, and mu shrinks tenfold once the Newton
+    decrement is below 1/4.  On a boundary face the central path tends to
+    the face's relative interior, where rounding succeeds.  Stops at the
+    interior margin 4e-3 * scale (no step at all when the member nearest
+    scale * I has it), when the duality gap n mu drops below tol / 1000 or
+    proves the family infeasible, or when a Newton system is singular.
+    """
+    import numpy as np
+
+    n, npairs = sys.size, len(sys.pairs)
+    D = _float_directions(sys)
+    # keep the directions that move G: the Jacobi scaling divides by each one's curvature
+    D = D[:, np.any(D[:npairs] != 0, axis=0)]
+    m = D.shape[1]
+    B = np.zeros((m + 1, n, n))
+    B[:m, rows, cols] = B[:m, cols, rows] = D[:npairs].T
+    B[m] = -np.eye(n)
+    Bf = B.reshape(m + 1, -1)
+    G0 = np.zeros((n, n))
+    G0[rows, cols] = G0[cols, rows] = x0[:npairs]
+    target = 0.4e-2 * scale
+
+    # start at the family member nearest scale * I
+    lam = np.linalg.lstsq(Bf[:m].T, (scale * np.eye(n) - G0).ravel(), rcond=None)[0] if m else np.zeros(0)
+    G = G0 + (lam @ Bf[:m]).reshape(n, n)
+    lam_min = float(np.linalg.eigvalsh(G)[0])
+    if lam_min >= target or m == 0:
+        return x0 + D @ lam
+    z = np.append(lam, lam_min - scale)
+    mu = scale / n
+    for _ in range(BARRIER_MAX_STEPS):
+        S = G0 + (z @ Bf).reshape(n, n)
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(S))
+            W = Li.T @ Li
+            grad = -Bf @ W.ravel()
+            grad[m] -= 1.0 / mu
+            H = Bf @ (W @ B @ W).reshape(m + 1, -1).T
+            # Jacobi scaling: near a face, H spans many orders of magnitude
+            r = 1.0 / np.sqrt(np.diag(H))
+            step = -r * np.linalg.solve(H * r[:, None] * r, grad * r)
+            if not np.all(np.isfinite(step)):
+                break
+            # the largest alpha keeping S + alpha dS positive definite
+            dS = (step @ Bf).reshape(n, n)
+            e = float(np.linalg.eigvalsh(Li @ dS @ Li.T)[0])
+        except np.linalg.LinAlgError:
+            break
+        decrement = math.sqrt(max(0.0, -float(grad @ step)))
+        alpha = 1.0 if e >= 0 else min(1.0, -0.99 / e)
+        z = z + alpha * step
+        if z[m] >= target:
+            break
+        if decrement < 0.25:
+            if z[m] + 2 * n * mu < -tol:
+                return None  # the duality gap bounds every member's lambda_min below -tol
+            if n * mu < 1e-3 * tol:
+                break
+            mu *= 0.1
+    return x0 + D @ z[:m]
+
+
+def _alternating_projections(sys: GramSystem, x0, rows, cols, scale: float, tol: float):
+    """Alternate between the PSD cone (eigenvalue clamping) and the family.
+
+    Runs over a decreasing ladder of interiority margins, so that strictly
+    feasible problems return well-conditioned interior points.  Only for
+    families whose barrier Newton system would not fit in memory.
+    """
+    import numpy as np
+
+    n = sys.size
+    npairs = len(sys.pairs)
 
     def to_matrix(x):
         M = np.zeros((n, n))
@@ -648,12 +785,11 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
             return out
 
     else:
-        null = sys.nullspace_vectors()
-        if not null:
+        Nmat = _float_directions(sys)  # u x m
+        if not Nmat.shape[1]:
             def proj_affine(y):
                 return x0.copy()
         else:
-            Nmat = np.array([[float(v) for v in vec] for vec in null]).T  # u x m
             w = np.array([float(wt) for wt in sys.weights] + [1.0] * sys.extra)
             WN = Nmat * w[:, None]
             gram = Nmat.T @ WN
@@ -663,8 +799,6 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
                 lam = gram_inv @ (WN.T @ (y - x0))
                 return x0 + Nmat @ lam
 
-    scale = max(1.0, float(np.max(np.abs(x0[:npairs]))) if npairs else 1.0)
-    tol = settings.feasibility_tolerance * scale
     margins = [1e-2 * scale, 1e-4 * scale, 0.0]
     per_stage = SDP_MAX_ITERATIONS // len(margins)
 

@@ -287,6 +287,26 @@ def test_batch_kernels_match_naive_reference_per_polynomial():
     assert all(len({f.total_degree() for f, _, _, _ in by_nvars[n]}) > 2 for n in (1, 2, 3, 4))
 
 
+def test_line_restriction_with_coordinates_zero_on_the_whole_line():
+    # a term with a variable that is 0 in both the direction and the offset
+    # vanishes on the line; skipping it must leave every restriction as the
+    # naive one, and a line with no such coordinate needs no support masks
+    polys = [P("x^2*y + 3*z^3 - x*y*z + 1/2*y^2"), P("z^2 - 2*x*z"), P("y"), P("x^2 - 5")]
+    form = _IntForm(3, polys)
+    form.restrictions([1, 2, Fraction(1, 3)], [Fraction(-1, 2), 1, 4])
+    assert form._masks is None
+    lines = [
+        ([1, 0, 0], [0, 0, 1]),  # y dead
+        ([0, 0, 1], [0, 0, Fraction(2, 3)]),  # x and y dead
+        ([0, 0, 0], [0, 0, 0]),  # every variable dead
+        ([0, 1, 0], [Fraction(3, 2), 0, 0]),  # z dead
+        ([2, -1, 1], [1, 1, -1]),  # none dead
+    ]
+    for e, a in lines:
+        assert form.restrictions(e, a) == [naive_restrict(f, e, a) for f in polys], (e, a)
+    assert form._masks is not None
+
+
 def test_batch_kernel_edge_inputs():
     empty = _IntForm(3, [])
     assert empty.values_at([1, Fraction(1, 2), 0]) == []

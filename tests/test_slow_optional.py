@@ -13,7 +13,7 @@ import pytest
 from hypersos.corpus import gen_vamos
 from hypersos.detrep import check_multiaffine_stable
 from hypersos.hypercone import SampleConfig, delta_ij
-from hypersos.polycore import drop_trailing_variables, identify_variables
+from hypersos.polycore import drop_trailing_variables, exact_divide, identify_variables
 from hypersos.soscert import certify_sos, certify_sos_mod_f
 
 slow = pytest.mark.skipif(
@@ -24,15 +24,13 @@ slow = pytest.mark.skipif(
 
 @slow
 def test_vamos_delta13_certification_attempt():
-    # the (1,3) Wronskian of the Vamos polynomial is a sum of squares; the
-    # Gram system is large, so a failed rounding (UNKNOWN) is acceptable here,
-    # but a CERTIFIED_NO would be a soundness bug
+    # the (1,3) Wronskian of the Vamos polynomial is a sum of squares; its
+    # Gram family over the face-reduced basis has no interior point, and the
+    # certificate comes from the face the barrier method converges to
     h = gen_vamos()
     d13 = delta_ij(h, 0, 2)
     v = certify_sos(d13, 0)
-    assert not v.is_no
-    if v.is_yes:
-        assert v.witness.verify()
+    assert v.is_yes and v.witness.verify()
 
 
 @slow
@@ -46,14 +44,20 @@ def test_vamos_stability_pairs():
 
 
 @slow
-def test_vamos_restricted_wronskian_not_sos_mod_h():
+def test_vamos_restricted_wronskian_sos_mod_h():
     # on the subspace x1=x2, x3=x4, x5=x6, x7=x8 the Wronskian of the pair
-    # (7,8) is not a sum of squares modulo the restricted polynomial either;
-    # the affine family is not a single point, so UNKNOWN is the honest
-    # attainable verdict (a YES would disprove the known obstruction)
+    # (7,8) is not a sum of squares, but it is one modulo the restricted
+    # polynomial: there d_7 h and d_8 h agree, so the Wronskian
+    # d_7 h * d_8 h - h * d_7 d_8 h is (d_7 h)^2 plus a multiple of h
     h = gen_vamos()
-    d78 = delta_ij(h, 6, 7)
-    h_r = drop_trailing_variables(identify_variables(h, [2, 2, 1, 1, 0, 0, 3, 3], 4), 4)
-    F = drop_trailing_variables(identify_variables(d78, [2, 2, 1, 1, 0, 0, 3, 3], 4), 4)
+    ident = [2, 2, 1, 1, 0, 0, 3, 3]
+
+    def restrict(p):
+        return drop_trailing_variables(identify_variables(p, ident, 4), 4)
+
+    h_r, F = restrict(h), restrict(delta_ij(h, 6, 7))
+    assert certify_sos(F, 0).is_no
     v = certify_sos_mod_f(F, h_r)
-    assert not v.is_yes
+    assert v.is_yes and v.witness.verify()
+    square = restrict(h.partial(6)) ** 2
+    assert exact_divide(F - square, h_r) is not None

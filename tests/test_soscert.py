@@ -745,16 +745,109 @@ def test_certify_sos_restricts_each_zero_plane_once(monkeypatch):
 
 
 def test_vamos_sweep_at_budget_zero():
-    # all 28 coordinate Wronskians of the Vamos polynomial at denominator power 0
+    # all 28 coordinate Wronskians of the Vamos polynomial at denominator
+    # power 0: 4 refuted, and 24 certified, the boundary pairs Delta_13,
+    # Delta_14, Delta_23 and Delta_24 among them
     vamos = gen_vamos()
     no = {(0, 1), (2, 3), (4, 5), (6, 7)}
-    undecided = {(0, 2), (0, 3), (1, 2), (1, 3)}
     for i in range(8):
         for j in range(i + 1, 8):
             v = certify_sos(delta_ij(vamos, i, j), 0)
             if (i, j) in no:
                 assert v.is_no, (i, j)
-            elif (i, j) in undecided:
-                assert not v.is_no, (i, j)
             else:
                 assert v.is_yes and v.witness.verify(), (i, j)
+
+
+# -- the float SDP step -------------------------------------------------------------
+
+
+def test_barrier_reaches_a_boundary_face_without_face_reduction():
+    # every Gram matrix of F over the full basis is singular (F vanishes at
+    # (1, 1, 1) and (1, 1, -1)), so the family has no interior point; the
+    # barrier method runs into the relative interior of the face: two
+    # eigenvalues at zero, a gap to the other four, and a point that rounds
+    # to a certificate
+    import numpy as np
+
+    from hypersos.soscert import _round_and_certify
+
+    F = P("(x^2 - y^2)^2 + (x*y - z^2)^2")
+    sys = assemble_gram_system(F)
+    assert len(sys.basis) == 6 and sys.nullspace_dim == 6
+    x = solve_sdp(sys, SdpSettings())
+    assert x is not None
+    G = np.zeros((6, 6))
+    for k, (i, j) in enumerate(sys.pairs):
+        G[i, j] = G[j, i] = x[k]
+    eigenvalues = np.linalg.eigvalsh(G)
+    assert np.all(np.abs(eigenvalues[:2]) < 1e-12) and eigenvalues[2] > 0.1
+    cert = _round_and_certify(sys, x, F, 0)
+    assert cert is not None and cert.verify()
+
+
+def test_solve_sdp_returns_none_when_the_newton_system_is_singular(monkeypatch):
+    import numpy as np
+
+    F = P("(x^2 - y^2)^2 + (x*y - z^2)^2")
+    sys = assemble_gram_system(F)
+
+    def singular(H, g):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def not_finite(H, g):
+        return np.full(len(g), np.nan)
+
+    for solve in (singular, not_finite):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert solve_sdp(sys, SdpSettings()) is None
+
+
+def test_budget_one_vamos_family_goes_to_alternating_projections(monkeypatch):
+    # the dense Newton system of (sum x_i^2) * Delta_13 over its 211
+    # monomials would need gigabytes; only alternating projections run on it
+    from hypersos import soscert
+
+    d = delta_ij(gen_vamos(), 0, 2)
+    F = d * soscert._sum_of_var_squares(d.nvars)
+    sys = GramSystem(F, _auto_basis(F))
+    assert (sys.size, sys.nullspace_dim) == (211, 18187)
+    routed = []
+
+    def barrier(*args):
+        raise AssertionError("barrier method on a family too large for it")
+
+    monkeypatch.setattr(soscert, "_barrier_sdp", barrier)
+    monkeypatch.setattr(soscert, "_alternating_projections", lambda *args: routed.append(args[0]))
+    assert solve_sdp(sys, SdpSettings()) is None
+    assert routed == [sys]
+
+
+def test_small_families_never_use_alternating_projections(monkeypatch):
+    from hypersos import soscert
+
+    def projections(*args):
+        raise AssertionError("alternating projections on a small family")
+
+    monkeypatch.setattr(soscert, "_alternating_projections", projections)
+    v = certify_sos(delta_ij(gen_vamos(), 0, 2), 0)
+    assert v.is_yes and v.witness.verify()
+    assert len(v.witness.basis) == 13
+
+
+def test_certify_sos_mod_f_lorentz_points_inside_the_cone():
+    # F - p*f is a sum of squares for every a in the open Lorentz cone; for a
+    # in the opposite cone there is no certificate, and a YES would be unsound
+    from hypersos.polycore import directional_derivative
+
+    f = gen_lorentz(3)
+    e = [Fraction(1), Fraction(0), Fraction(0)]
+    inside = [[2, 1, 0], [3, 2, 2], [5, -3, 3], [4, 0, -3], [7, 4, -5]]
+    outside = [[-2, 1, 0], [-5, 3, 3]]
+    for a in inside + outside:
+        F = directional_derivative(f, e) * directional_derivative(f, [Fraction(c) for c in a])
+        v = certify_sos_mod_f(F, f)
+        if a in inside:
+            assert v.is_yes and v.witness.verify(), a
+        else:
+            assert not v.is_yes, a
