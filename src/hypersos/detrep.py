@@ -4,19 +4,24 @@ The builder follows the square-root route: the diagonal of the candidate
 rank-one-modulo-f matrix A holds the partial derivatives of f, the
 off-diagonal entries are exact square roots of the coordinate Wronskians
 (their existence is the obstruction and the failure witness), signs are
-fixed by divisibility of 2x2 minors, and the representation itself is the
-adjugate of A divided by f^(d-2).  Exact LDL^T decides definiteness at e.
+fixed by divisibility of 2x2 minors.  The representation is the linear
+pencil M = adj(A) / f^(d-2), but adj(A) is never expanded symbolically: M is
+read at e and at e + s*e_k (k = 1..n) from the exact values of A and f there,
+M(p) = det A(p) * A(p)^-1 / f(p)^(d-2), and its coefficient matrices are the
+difference quotients.  The exact identity det M = gamma * f and exact LDL^T
+at e make the result a representation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import soscert
-from .exactla import ldl_psd, mat_det
+from .exactla import ldl_psd, mat_det, solve_linear
 from .hypercone import SampleConfig, delta_ij
 from .polycore import (
     Polynomial,
@@ -130,10 +135,11 @@ def check_multiaffine_stable(
 ) -> Verdict:
     """Stability test for homogeneous multiaffine f via coordinate Wronskians.
 
-    f is stable iff every Delta_ij f is nonnegative on R^n.  Sampling a
-    negative value refutes exactly; certifying every pair as a sum of squares
-    (perfect squares short-circuit) proves stability; anything else is
-    UNKNOWN, with the uncertified pairs recorded in the detail.
+    f is stable iff every Delta_ij f is nonnegative on R^n.  Only the pairs
+    i < j are tested: for multiaffine f, Delta_ii f = (d_i f)^2 is a square.
+    Sampling a negative value refutes exactly; certifying every pair as a sum
+    of squares (perfect squares short-circuit) proves stability; anything
+    else is UNKNOWN, with the uncertified pairs recorded in the detail.
     """
     cfg = cfg or SampleConfig()
     if not f.is_multiaffine():
@@ -144,7 +150,7 @@ def check_multiaffine_stable(
     points = cfg.vectors(n)
     uncertified: list[tuple[int, int]] = []
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i + 1, n):
             d = delta_ij(f, i, j)
             if d.is_zero():
                 continue
@@ -182,12 +188,23 @@ class InterlacerMatrix:
 
     The diagonal holds the partial derivatives of f along the affine
     variables, off-diagonal entries are exact square roots of the coordinate
-    Wronskians with signs fixed so all 2x2 minors are divisible by f.
+    Wronskians with signs fixed so all 2x2 minors are divisible by f.  The
+    entries and f are compiled once, for values_at.
     """
 
     entries: list  # d x d symmetric, Polynomial
     f: Polynomial
     dvars: list
+    _form: _IntForm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._form = _IntForm(self.f.nvars, [*(e for row in self.entries for e in row), self.f])
+
+    def values_at(self, point: Sequence[Fraction]) -> tuple[list, Fraction]:
+        """(A(p), f(p)) at a rational point p, A(p) as a d x d list."""
+        vals = self._form.values_at(point)
+        d = len(self.entries)
+        return [vals[r * d:(r + 1) * d] for r in range(d)], vals[-1]
 
 
 def interlacer_matrix_multiaffine(
@@ -242,38 +259,39 @@ def interlacer_matrix_multiaffine(
                 A[a][b] = flipped
                 A[b][a] = flipped
 
-    # rank-one modulo f: every 2x2 minor must be divisible by f
-    for r1 in range(d):
-        for r2 in range(r1 + 1, d):
-            for c1 in range(d):
-                for c2 in range(c1 + 1, d):
-                    minor = A[r1][c1] * A[r2][c2] - A[r1][c2] * A[r2][c1]
-                    if not minor.is_zero() and exact_divide(minor, f) is None:
-                        raise DetRepError(
-                            f"2x2 minor (rows {r1},{r2}, cols {c1},{c2}) is not divisible "
-                            "by f; f is likely reducible - factor it and build a "
-                            "representation per factor"
-                        )
+    # rank-one modulo f: every 2x2 minor must be divisible by f.  A is
+    # symmetric, so minor(R, C) = minor(C, R): only row pairs R <= column
+    # pairs C are tested, and the first failure in lexicographic order is the same
+    pairs = list(combinations(range(d), 2))
+    for idx, (r1, r2) in enumerate(pairs):
+        for c1, c2 in pairs[idx:]:
+            minor = A[r1][c1] * A[r2][c2] - A[r1][c2] * A[r2][c1]
+            if not minor.is_zero() and exact_divide(minor, f) is None:
+                raise DetRepError(
+                    f"2x2 minor (rows {r1},{r2}, cols {c1},{c2}) is not divisible "
+                    "by f; f is likely reducible - factor it and build a "
+                    "representation per factor"
+                )
 
     # full-rank spot checks: at p_k (all dvars except k set to 1) row k of A
     # vanishes except the diagonal, which equals the product coefficient
+    built = InterlacerMatrix(entries=A, f=f, dvars=dvars)
     for k in range(d):
         p = [Fraction(0)] * n
         for a, i in enumerate(dvars):
             if a != k:
                 p[i] = Fraction(1)
+        row = built.values_at(p)[0][k]
         for b in range(d):
-            val = A[k][b].evaluate(p)
             expected = coeff if b == k else Fraction(0)
-            if val != expected:
+            if row[b] != expected:
                 raise DetRepError(
                     f"triangular vanishing pattern fails at row {k}, column {b}"
                 )
     spot = [Fraction(2 * i + 1, 2) for i in range(n)]
-    detA_at = mat_det([[entry.evaluate(spot) for entry in row] for row in A])
-    if detA_at == 0:
+    if mat_det(built.values_at(spot)[0]) == 0:
         raise DetRepError("det A vanishes at the rational spot-check point")
-    return InterlacerMatrix(entries=A, f=f, dvars=dvars)
+    return built
 
 
 def build_detrep_multiaffine(
@@ -283,9 +301,13 @@ def build_detrep_multiaffine(
 
     Requires f homogeneous of degree d, affine in the d variables `dvars`,
     with a nonzero coefficient on their product and f(e) != 0.  Returns NoRep
-    with the offending pair when some Delta_ij f is not a perfect square;
-    raises DetRepError if an internal exactness check fails (which indicates
-    a reducible or non-stable input).
+    with the offending pair when some Delta_ij f is not a perfect square.
+    Otherwise the pencil M = adj(A) / f^(d-2) of the rank-one-modulo-f matrix
+    A is linear, so n + 1 exact values fix it: M(e) and M(e + s*e_k) for each
+    k, each from det A(p) and one solve per column of A(p).  Raises
+    DetRepError if f(e) = 0, if some A(p) is singular, or if an exact check
+    fails (det M = gamma * f with gamma a nonzero constant, M(e) definite),
+    which indicates a reducible or non-stable input.
     """
     dvars = list(dvars)
     evec = [Fraction(x) for x in e]
@@ -311,40 +333,35 @@ def build_detrep_multiaffine(
     built = interlacer_matrix_multiaffine(f, dvars)
     if isinstance(built, NoRep):
         return built
-    A = built.entries
 
-    adj = poly_adjugate(A)
-    power = Polynomial.const(n, 1)
-    for _ in range(d - 2):
-        power = power * f
-    M_pencil: list[list[Polynomial]] = [[None] * d for _ in range(d)]
-    for r in range(d):
-        for c in range(d):
-            q = exact_divide(adj[r][c], power) if d > 2 else adj[r][c]
-            if q is None:
-                raise DetRepError(
-                    f"f^(d-2) does not divide adjugate entry ({r},{c}); "
-                    "rank-one reduction failed"
-                )
-            if not q.is_zero() and (not q.is_homogeneous() or q.total_degree() != 1):
-                raise DetRepError(f"pencil entry ({r},{c}) is not linear")
-            M_pencil[r][c] = q
+    # M = adj(A) / f^(d-2) is linear, so its values at e and at e + s*e_k fix
+    # it; s is the first of 1..d+1 with f(e + s*e_k) != 0, which exists since
+    # f(e + s*e_k) is a nonzero polynomial of degree <= d in s
+    Ae, fe = built.values_at(evec)
+    if fe == 0:
+        raise DetRepError("f(e) = 0: no pencil is definite at e")
+    base = _pencil_value(Ae, fe, evec)
+    matrices = []
+    for k in range(n):
+        for s in range(1, d + 2):
+            p = list(evec)
+            p[k] += s
+            Ap, fp = built.values_at(p)
+            if fp:
+                break
+        Mp = _pencil_value(Ap, fp, p)
+        matrices.append([[(x - y) / s for x, y in zip(rp, rb)] for rp, rb in zip(Mp, base)])
 
-    detM = poly_determinant(M_pencil)
-    gamma_poly = exact_divide(detM, f)
-    if gamma_poly is None or gamma_poly.total_degree() > 0:
+    # gamma and definiteness are read from the pencil itself, and the
+    # determinant identity is checked exactly
+    rep = DeterminantalRep(matrices=matrices, e=evec, gamma=Fraction(0))
+    Me = rep.matrix_at(evec)
+    rep.gamma = mat_det(Me) / fe
+    if poly_determinant(rep.pencil()) != f * rep.gamma:
         raise DetRepError("det M is not a constant multiple of f")
-    gamma = gamma_poly.coefficient((0,) * n) if not gamma_poly.is_zero() else Fraction(0)
-    if gamma == 0:
+    if rep.gamma == 0:
         raise DetRepError("det M vanishes identically")
 
-    matrices = []
-    for i in range(n):
-        unit = tuple(1 if k == i else 0 for k in range(n))
-        matrices.append([[M_pencil[r][c].coefficient(unit) for c in range(d)] for r in range(d)])
-    rep = DeterminantalRep(matrices=matrices, e=evec, gamma=gamma)
-
-    Me = rep.matrix_at(evec)
     res = ldl_psd(Me)
     if res.is_pd:
         return rep
@@ -352,6 +369,18 @@ def build_detrep_multiaffine(
     if neg.is_pd:
         return _negate_rep(rep)
     raise DetRepError(f"M(e) is not definite: {res.reason or 'rank-deficient'}")
+
+
+def _pencil_value(A: list, fval: Fraction, point: list) -> list:
+    """adj(A) / f^(d-2) at one point: det A * A^-1 / f^(d-2), a solve per column."""
+    det = mat_det(A)
+    if det == 0:
+        shown = ", ".join(map(str, point))
+        raise DetRepError(f"A is singular at ({shown}), where f is not zero; no pencil fits")
+    d = len(A)
+    scale = det / fval ** (d - 2)
+    # A(p) is symmetric, so the columns of the result are also its rows
+    return [solve_linear(A, [scale if r == c else Fraction(0) for r in range(d)]) for c in range(d)]
 
 
 def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:

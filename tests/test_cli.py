@@ -188,6 +188,16 @@ def assert_input_error(code, out, err):
     assert "error" in json.loads(err)
 
 
+def test_detrep_build_with_e_on_the_hypersurface_exit_3(capsys):
+    # f(e) = 0: no pencil is definite at e
+    code, out, err = run(
+        capsys, "detrep-build", "--poly", "x1*x2 + x1*x3 + x2*x3", "--vars", "x1,x2,x3",
+        "--dvars", "x1,x2", "--e", "1,0,0", "--no-timings",
+    )
+    assert_input_error(code, out, err)
+    assert "f(e) = 0" in json.loads(err)["error"]
+
+
 def test_malformed_rep_exit_3(tmp_path, capsys):
     poly = ["--poly", "x1*x2", "--vars", "x1,x2", "--no-timings"]
     missing_key = json.dumps({"matrices": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]})

@@ -1,20 +1,26 @@
 """Stability tests, the representation builder, and determinant identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from hypersos import detrep
 from hypersos.corpus import gen_elementary_symmetric, gen_product
 from hypersos.detrep import (
     DeterminantalRep,
+    DetRepError,
+    InterlacerMatrix,
     NoRep,
     bordered_determinant_identity,
     build_detrep_multiaffine,
     check_multiaffine_stable,
     interlacer_from_detrep,
+    interlacer_matrix_multiaffine,
     verify_detrep,
 )
+from hypersos.exactla import mat_det
 from hypersos.hypercone import (
     HyperbolicityInstance,
     SampleConfig,
@@ -123,6 +129,67 @@ def test_build_products():
                     expected = Fraction(1) if r == c == i else Fraction(0)
                     assert rep.matrices[i][r][c] == expected
         assert verify_detrep(rep, f)
+
+
+def rank_one_determinant(rng, n, d):
+    """det(sum x_i v_i v_i^T) by Cauchy-Binet, for n integer vectors in Z^d in
+    general position (every d of them independent, so f is irreducible)."""
+    while True:
+        vs = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
+        dets = {s: mat_det([[Fraction(x) for x in vs[i]] for i in s])
+                for s in itertools.combinations(range(n), d)}
+        if all(dets.values()):
+            return Polynomial(n, {tuple(int(i in s) for i in range(n)): c * c for s, c in dets.items()})
+
+
+def reference_inputs():
+    rng = random.Random(13)
+    for d in (2, 3, 4, 5):
+        yield gen_product(d), d, ones(d)
+        yield gen_elementary_symmetric(d + 1, d), d, ones(d + 1)
+    for n, d in ((6, 3), (6, 4), (7, 3), (6, 5)):
+        yield rank_one_determinant(rng, n, d), d, ones(n)
+    # det(diag(x1, x2, x3) - x4 J) at e = (3, 3, 3, 0): f(e + e_4) = 27 * (1 - 1) = 0,
+    # so the point for x4 is e + 2 e_4
+    f = parse_poly("x1*x2*x3 - x4*(x1*x2 + x1*x3 + x2*x3)", ["x1", "x2", "x3", "x4"])
+    e = [Fraction(3)] * 3 + [Fraction(0)]
+    assert f.evaluate(e) != 0 and f.evaluate(e[:3] + [Fraction(1)]) == 0
+    yield f, 3, e
+
+
+def test_pencil_from_points_is_the_adjugate_quotient():
+    # the builder reads M at n + 1 points; the symbolic route adj(A) = f^(d-2) M
+    # is the reference, up to the negation that makes M(e) positive definite
+    for f, d, e in reference_inputs():
+        A = interlacer_matrix_multiaffine(f, list(range(d))).entries
+        rep = build_detrep_multiaffine(f, list(range(d)), e)
+        assert isinstance(rep, DeterminantalRep)
+        assert verify_detrep(rep, f)
+        adj = poly_adjugate(A)
+        sign = 1 if adj[0][0].evaluate(e) > 0 else -1
+        power = f ** (d - 2) * sign
+        pencil = rep.pencil()
+        for r in range(d):
+            for c in range(d):
+                assert adj[r][c] == power * pencil[r][c]
+
+
+def test_build_rejects_e_on_the_hypersurface():
+    f = gen_elementary_symmetric(3, 2)
+    with pytest.raises(DetRepError, match=r"f\(e\) = 0"):
+        build_detrep_multiaffine(f, [0, 1], [1, 0, 0])
+
+
+def test_build_singular_interlacer_matrix_is_a_detrep_error(monkeypatch):
+    # A(p) singular where f(p) != 0 cannot come out of the checked builder
+    # (det A is a nonzero constant times f^(d-1)); a forged A must still give
+    # DetRepError, not ArithmeticError
+    f = gen_product(2)
+    x1 = Polynomial.variable(2, 0)
+    forged = InterlacerMatrix(entries=[[x1, x1], [x1, x1]], f=f, dvars=[0, 1])
+    monkeypatch.setattr(detrep, "interlacer_matrix_multiaffine", lambda f, dvars: forged)
+    with pytest.raises(DetRepError, match="singular"):
+        build_detrep_multiaffine(f, [0, 1], ones(2))
 
 
 def test_build_e2_four_vars_returns_obstruction():
