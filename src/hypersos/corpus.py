@@ -19,6 +19,7 @@ from .exactla import mat_det, solve_affine_family
 from .hypercone import delta_ij
 from .polycore import (
     Polynomial,
+    _IntForm,
     drop_trailing_variables,
     format_poly,
     identify_variables,
@@ -200,33 +201,26 @@ def vamos_reproduction() -> VamosReport:
     if W != expected_W:
         raise AssertionError("restricted Wronskian does not match the expected 19-term form")
 
-    for p in VAMOS_VANISHING_POINTS:
-        if W.evaluate(p) != 0:
+    # W and the claimed basis cubics, compiled once and read at the six points
+    cubic_basis = [parse_poly(t, names3) for t in _CUBIC_BASIS_TEXT]
+    form = _IntForm(3, [W, *cubic_basis])
+    values = [form.values_at(p) for p in VAMOS_VANISHING_POINTS]
+    for p, vals in zip(VAMOS_VANISHING_POINTS, values):
+        if vals[0] != 0:
             raise AssertionError(f"W does not vanish at {p}")
 
     # cubics vanishing at the six points: rank of the 6 x 10 evaluation matrix
     monos = monomials_of_degree(3, 3)
-    rows = []
-    for p in VAMOS_VANISHING_POINTS:
-        row = []
-        for m in monos:
-            v = Fraction(1)
-            for e, x in zip(m, p):
-                if e:
-                    v *= x**e
-            row.append(v)
-        rows.append(row)
+    cubics = _IntForm(3, [Polynomial(3, {m: Fraction(1)}) for m in monos])
+    rows = [cubics.values_at(p) for p in VAMOS_VANISHING_POINTS]
     sol = solve_affine_family(rows, [Fraction(0)] * 6, 10)
     assert sol is not None
     _, null_basis = sol
     if len(null_basis) != 4:
         raise AssertionError(f"vanishing cubics have dimension {len(null_basis)}, expected 4")
 
-    cubic_basis = [parse_poly(t, names3) for t in _CUBIC_BASIS_TEXT]
-    for b in cubic_basis:
-        for p in VAMOS_VANISHING_POINTS:
-            if b.evaluate(p) != 0:
-                raise AssertionError("claimed basis cubic does not vanish at all six points")
+    if any(any(vals[1:]) for vals in values):
+        raise AssertionError("claimed basis cubic does not vanish at all six points")
     coeff_rows = [[b.coefficient(m) for m in monos] for b in cubic_basis]
     indep = solve_affine_family(
         [list(col) for col in zip(*coeff_rows)], [Fraction(0)] * 10, 4

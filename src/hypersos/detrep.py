@@ -4,12 +4,14 @@ The builder follows the square-root route: the diagonal of the candidate
 rank-one-modulo-f matrix A holds the partial derivatives of f, the
 off-diagonal entries are exact square roots of the coordinate Wronskians
 (their existence is the obstruction and the failure witness), signs are
-fixed by divisibility of 2x2 minors.  The representation is the linear
-pencil M = adj(A) / f^(d-2), but adj(A) is never expanded symbolically: M is
-read at e and at e + s*e_k (k = 1..n) from the exact values of A and f there,
-M(p) = det A(p) * A(p)^-1 / f(p)^(d-2), and its coefficient matrices are the
-difference quotients.  The exact identity det M = gamma * f and exact LDL^T
-at e make the result a representation.
+fixed by divisibility of 2x2 minors.  When A is rank one modulo f, det A =
+kappa * f^(d-1) with kappa a constant, so the linear pencil M = adj(A) /
+f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) * f.  M is never expanded
+symbolically: kappa comes from det A(e), M is read at e and at e + s*e_k
+(k = 1..n) with one solve per column of A(p), and its coefficient matrices
+are the difference quotients.  Nothing checks beforehand that A is rank one
+modulo f: verify_detrep (det M = gamma * f exactly, gamma != 0, M(e) > 0 by
+exact LDL^T) is the one proof that the result is a representation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import soscert
@@ -175,21 +176,14 @@ def check_multiaffine_stable(
     )
 
 
-def _product_coefficient(f: Polynomial, dvars: Sequence[int]) -> Fraction:
-    mono = [0] * f.nvars
-    for i in dvars:
-        mono[i] = 1
-    return f.coefficient(mono)
-
-
 @dataclass
 class InterlacerMatrix:
-    """Rank-one-modulo-f matrix of degree-(d-1) forms: the builder's core.
+    """Candidate rank-one-modulo-f matrix of degree-(d-1) forms: the builder's core.
 
     The diagonal holds the partial derivatives of f along the affine
     variables, off-diagonal entries are exact square roots of the coordinate
-    Wronskians with signs fixed so all 2x2 minors are divisible by f.  The
-    entries and f are compiled once, for values_at.
+    Wronskians with signs fixed so the leading 2x2 minors are divisible by f.
+    The entries and f are compiled once, for values_at.
     """
 
     entries: list  # d x d symmetric, Polynomial
@@ -210,14 +204,15 @@ class InterlacerMatrix:
 def interlacer_matrix_multiaffine(
     f: Polynomial, dvars: Sequence[int]
 ) -> Union[InterlacerMatrix, NoRep]:
-    """Assemble and verify the rank-one-modulo-f matrix for the builder.
+    """Assemble the rank-one-modulo-f matrix for the builder.
 
     Returns NoRep with the offending pair when some Delta_ij f is not a
-    perfect square; raises DetRepError when a divisibility or rank check
-    fails (reducible or non-stable input).
+    perfect square; raises DetRepError when no sign of an off-diagonal entry
+    makes its leading 2x2 minor divisible by f (reducible or non-stable
+    input).  Whether A is rank one modulo f is not tested here: the builder
+    verifies the pencil it reads from A instead.
     """
     dvars = list(dvars)
-    n = f.nvars
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")
     d = f.total_degree()
@@ -226,8 +221,10 @@ def interlacer_matrix_multiaffine(
     for i in dvars:
         if f.degree_in(i) > 1:
             raise ValueError(f"f must be affine in variable {i}")
-    coeff = _product_coefficient(f, dvars)
-    if coeff == 0:
+    product = [0] * f.nvars
+    for i in dvars:
+        product[i] = 1
+    if f.coefficient(product) == 0:
         raise ValueError("coefficient of the dvars product monomial must be nonzero")
 
     # diagonal: partial derivatives; off-diagonal: square roots of Wronskians
@@ -259,39 +256,7 @@ def interlacer_matrix_multiaffine(
                 A[a][b] = flipped
                 A[b][a] = flipped
 
-    # rank-one modulo f: every 2x2 minor must be divisible by f.  A is
-    # symmetric, so minor(R, C) = minor(C, R): only row pairs R <= column
-    # pairs C are tested, and the first failure in lexicographic order is the same
-    pairs = list(combinations(range(d), 2))
-    for idx, (r1, r2) in enumerate(pairs):
-        for c1, c2 in pairs[idx:]:
-            minor = A[r1][c1] * A[r2][c2] - A[r1][c2] * A[r2][c1]
-            if not minor.is_zero() and exact_divide(minor, f) is None:
-                raise DetRepError(
-                    f"2x2 minor (rows {r1},{r2}, cols {c1},{c2}) is not divisible "
-                    "by f; f is likely reducible - factor it and build a "
-                    "representation per factor"
-                )
-
-    # full-rank spot checks: at p_k (all dvars except k set to 1) row k of A
-    # vanishes except the diagonal, which equals the product coefficient
-    built = InterlacerMatrix(entries=A, f=f, dvars=dvars)
-    for k in range(d):
-        p = [Fraction(0)] * n
-        for a, i in enumerate(dvars):
-            if a != k:
-                p[i] = Fraction(1)
-        row = built.values_at(p)[0][k]
-        for b in range(d):
-            expected = coeff if b == k else Fraction(0)
-            if row[b] != expected:
-                raise DetRepError(
-                    f"triangular vanishing pattern fails at row {k}, column {b}"
-                )
-    spot = [Fraction(2 * i + 1, 2) for i in range(n)]
-    if mat_det(built.values_at(spot)[0]) == 0:
-        raise DetRepError("det A vanishes at the rational spot-check point")
-    return built
+    return InterlacerMatrix(entries=A, f=f, dvars=dvars)
 
 
 def build_detrep_multiaffine(
@@ -302,12 +267,13 @@ def build_detrep_multiaffine(
     Requires f homogeneous of degree d, affine in the d variables `dvars`,
     with a nonzero coefficient on their product and f(e) != 0.  Returns NoRep
     with the offending pair when some Delta_ij f is not a perfect square.
-    Otherwise the pencil M = adj(A) / f^(d-2) of the rank-one-modulo-f matrix
-    A is linear, so n + 1 exact values fix it: M(e) and M(e + s*e_k) for each
-    k, each from det A(p) and one solve per column of A(p).  Raises
-    DetRepError if f(e) = 0, if some A(p) is singular, or if an exact check
-    fails (det M = gamma * f with gamma a nonzero constant, M(e) definite),
-    which indicates a reducible or non-stable input.
+    Otherwise the pencil is M = kappa * f * A^-1 for the rank-one-modulo-f
+    matrix A, with kappa = det A(e) / f(e)^(d-1) and gamma = kappa^(d-1).  M
+    is linear, so n + 1 exact values fix it: M(e) and M(e + s*e_k) for each
+    k, each from one solve per column of A(p).  Raises DetRepError if
+    f(e) = 0, if some A(p) is singular, if neither M(e) nor -M(e) is
+    definite, or with verify_detrep's reason if it rejects the result; each
+    indicates a reducible or non-stable input.
     """
     dvars = list(dvars)
     evec = [Fraction(x) for x in e]
@@ -334,13 +300,14 @@ def build_detrep_multiaffine(
     if isinstance(built, NoRep):
         return built
 
-    # M = adj(A) / f^(d-2) is linear, so its values at e and at e + s*e_k fix
+    # M = kappa * f * A^-1 is linear, so its values at e and at e + s*e_k fix
     # it; s is the first of 1..d+1 with f(e + s*e_k) != 0, which exists since
     # f(e + s*e_k) is a nonzero polynomial of degree <= d in s
     Ae, fe = built.values_at(evec)
     if fe == 0:
         raise DetRepError("f(e) = 0: no pencil is definite at e")
-    base = _pencil_value(Ae, fe, evec)
+    kappa = mat_det(Ae) / fe ** (d - 1)
+    base = _pencil_value(Ae, kappa * fe, evec)
     matrices = []
     for k in range(n):
         for s in range(1, d + 2):
@@ -349,38 +316,35 @@ def build_detrep_multiaffine(
             Ap, fp = built.values_at(p)
             if fp:
                 break
-        Mp = _pencil_value(Ap, fp, p)
+        Mp = _pencil_value(Ap, kappa * fp, p)
         matrices.append([[(x - y) / s for x, y in zip(rp, rb)] for rp, rb in zip(Mp, base)])
 
-    # gamma and definiteness are read from the pencil itself, and the
-    # determinant identity is checked exactly
-    rep = DeterminantalRep(matrices=matrices, e=evec, gamma=Fraction(0))
+    # orient M(e) to be positive definite, then verify the result exactly
+    rep = DeterminantalRep(matrices=matrices, e=evec, gamma=kappa ** (d - 1))
     Me = rep.matrix_at(evec)
-    rep.gamma = mat_det(Me) / fe
-    if poly_determinant(rep.pencil()) != f * rep.gamma:
-        raise DetRepError("det M is not a constant multiple of f")
-    if rep.gamma == 0:
-        raise DetRepError("det M vanishes identically")
-
     res = ldl_psd(Me)
-    if res.is_pd:
-        return rep
-    neg = ldl_psd([[-x for x in row] for row in Me])
-    if neg.is_pd:
-        return _negate_rep(rep)
-    raise DetRepError(f"M(e) is not definite: {res.reason or 'rank-deficient'}")
+    if not res.is_pd:
+        if not ldl_psd([[-x for x in row] for row in Me]).is_pd:
+            raise DetRepError(f"M(e) is not definite: {res.reason or 'rank-deficient'}")
+        rep = _negate_rep(rep)
+    check = verify_detrep(rep, f)
+    if not check:
+        raise DetRepError(check.reason)
+    return rep
 
 
-def _pencil_value(A: list, fval: Fraction, point: list) -> list:
-    """adj(A) / f^(d-2) at one point: det A * A^-1 / f^(d-2), a solve per column."""
-    det = mat_det(A)
-    if det == 0:
-        shown = ", ".join(map(str, point))
-        raise DetRepError(f"A is singular at ({shown}), where f is not zero; no pencil fits")
+def _pencil_value(A: list, scale: Fraction, point: list) -> list:
+    """scale * A^-1 at one point, a solve per column."""
     d = len(A)
-    scale = det / fval ** (d - 2)
     # A(p) is symmetric, so the columns of the result are also its rows
-    return [solve_linear(A, [scale if r == c else Fraction(0) for r in range(d)]) for c in range(d)]
+    columns = [[scale if r == c else Fraction(0) for r in range(d)] for c in range(d)]
+    try:
+        return [solve_linear(A, col) for col in columns]
+    except ArithmeticError:
+        shown = ", ".join(map(str, point))
+        raise DetRepError(
+            f"A is singular at ({shown}), where f is not zero; no pencil fits"
+        ) from None
 
 
 def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:

@@ -127,6 +127,21 @@ def test_detrep_build_verify_round_trip(tmp_path, capsys):
     assert code3 == 1
 
 
+def test_detrep_build_where_det_a_vanishes_off_e(tmp_path, capsys):
+    # f = (3x - y) * z: det A vanishes on 3x = y, but not at e or at the
+    # points the builder reads A at
+    rep_path = tmp_path / "rep.json"
+    poly = ["--poly", "3*x*z - y*z", "--vars", "x,y,z", "--no-timings"]
+    code, out, _ = run(
+        capsys, "detrep-build", *poly, "--dvars", "x,z", "--e", "2,1,3", "--cert-out", str(rep_path),
+    )
+    assert code == 0
+    assert json.loads(out)["representation"]["gamma"] == "3/1"
+    code2, out2, _ = run(capsys, "detrep-verify", *poly, "--rep", f"@{rep_path}")
+    assert code2 == 0
+    assert json.loads(out2)["ok"] is True
+
+
 def test_detrep_build_obstruction_exit_1(capsys):
     code, out, _ = run(
         capsys, "detrep-build", "--poly", "x1*x2+x1*x3+x1*x4+x2*x3+x2*x4+x3*x4",

@@ -181,9 +181,9 @@ def test_build_rejects_e_on_the_hypersurface():
 
 
 def test_build_singular_interlacer_matrix_is_a_detrep_error(monkeypatch):
-    # A(p) singular where f(p) != 0 cannot come out of the checked builder
-    # (det A is a nonzero constant times f^(d-1)); a forged A must still give
-    # DetRepError, not ArithmeticError
+    # A(p) can be singular where f(p) != 0 only when A is not rank one modulo
+    # f (otherwise det A is a nonzero constant times f^(d-1)); such an A must
+    # give DetRepError, not ArithmeticError
     f = gen_product(2)
     x1 = Polynomial.variable(2, 0)
     forged = InterlacerMatrix(entries=[[x1, x1], [x1, x1]], f=f, dvars=[0, 1])
@@ -199,6 +199,77 @@ def test_build_e2_four_vars_returns_obstruction():
     assert out.pair == (0, 1)
     assert out.delta == delta_ij(f, 0, 1)
     assert perfect_square_root(out.delta) is None
+
+
+def test_build_where_det_a_vanishes_off_e():
+    # det A = kappa * f^(d-1) vanishes wherever f does, e.g. on 3x = y for
+    # (3x - y) * z; the builder reads A only at e and at points where f != 0
+    names = ["x", "y", "z"]
+    for c in (2, 3):
+        f = parse_poly(f"{c}*x*z - y*z", names)
+        rep = build_detrep_multiaffine(f, [0, 2], [2, 1, 3])
+        assert isinstance(rep, DeterminantalRep) and verify_detrep(rep, f)
+        # the pencil diag(c x - y, c z) with gamma = c
+        assert rep.matrices == [[[c, 0], [0, 0]], [[-1, 0], [0, 0]], [[0, 0], [0, c]]]
+        assert rep.gamma == c
+
+
+def test_build_rejects_a_that_is_not_rank_one_modulo_f():
+    # Delta_ij f is a square for every pair of x2..x5 and the signs can be
+    # fixed, but A is not rank one modulo f: the builder must not return it
+    f = parse_poly(
+        "x1*x2*x3*x4 + x1*x2*x3*x5 + x1*x2*x4*x5 - x2*x3*x4*x5", ["x1", "x2", "x3", "x4", "x5"]
+    )
+    A = interlacer_matrix_multiaffine(f, [1, 2, 3, 4])
+    assert isinstance(A, InterlacerMatrix)
+    with pytest.raises(DetRepError):
+        build_detrep_multiaffine(f, [1, 2, 3, 4], [2, 3, 2, 1, 3])
+
+
+def multiaffine_fuzz_inputs(rng, count):
+    """Products of linear forms on disjoint variable blocks, and random
+    multiaffine supports with small integer coefficients of both signs."""
+    for k in range(count):
+        if k % 2:
+            n = rng.randint(2, 5)
+            d = rng.randint(2, min(n, 4))
+            terms = {}
+            for s in itertools.combinations(range(n), d):
+                if rng.random() < 0.7:
+                    terms[tuple(int(i in s) for i in range(n))] = rng.choice((-3, -2, -1, 1, 2, 3))
+            yield Polynomial(n, terms), sorted(rng.sample(range(n), d))
+        else:
+            sizes = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+            n = sum(sizes)
+            f = Polynomial.const(n, 1)
+            dvars = []
+            start = 0
+            for size in sizes:
+                block = range(start, start + size)
+                coeffs = {tuple(int(i == j) for i in range(n)): rng.choice((-2, -1, 1, 2, 3)) for j in block}
+                f = f * Polynomial(n, coeffs)
+                dvars.append(rng.choice(block))
+                start += size
+            yield f, dvars
+
+
+def test_build_returns_only_verified_representations():
+    rng = random.Random(1414)
+    seen = {"rep": 0, "norep": 0, "error": 0}
+    for f, dvars in multiaffine_fuzz_inputs(rng, 300):
+        e = [rng.randint(-2, 4) for _ in range(f.nvars)]
+        try:
+            out = build_detrep_multiaffine(f, dvars, e)
+        except (DetRepError, ValueError):
+            seen["error"] += 1
+            continue
+        if isinstance(out, NoRep):
+            assert perfect_square_root(delta_ij(f, *out.pair)) is None
+            seen["norep"] += 1
+        else:
+            assert isinstance(out, DeterminantalRep) and verify_detrep(out, f)
+            seen["rep"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_build_rejects_bad_inputs():
