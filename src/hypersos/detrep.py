@@ -213,6 +213,8 @@ def interlacer_matrix_multiaffine(
     verifies the pencil it reads from A instead.
     """
     dvars = list(dvars)
+    if f.is_zero():
+        raise ValueError("f is the zero polynomial, which has no determinantal representation")
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")
     d = f.total_degree()
@@ -280,25 +282,10 @@ def build_detrep_multiaffine(
     n = f.nvars
     if len(evec) != n:
         raise ValueError("e length must equal nvars")
-    if not f.is_homogeneous():
-        raise ValueError("f must be homogeneous")
-    d = f.total_degree()
-
-    if d == 1:
-        if len(dvars) != 1 or f.degree_in(dvars[0]) != 1:
-            raise ValueError("dvars must list the one variable f depends on")
-        M = [[[f.coefficient(tuple(1 if k == i else 0 for k in range(n)))]] for i in range(n)]
-        rep = DeterminantalRep(matrices=M, e=evec, gamma=Fraction(1))
-        val = rep.matrix_at(evec)[0][0]
-        if val == 0:
-            raise DetRepError("f(e) = 0: the 1x1 pencil is not definite at e")
-        if val < 0:
-            rep = _negate_rep(rep)
-        return rep
-
     built = interlacer_matrix_multiaffine(f, dvars)
     if isinstance(built, NoRep):
         return built
+    d = f.total_degree()
 
     # M = kappa * f * A^-1 is linear, so its values at e and at e + s*e_k fix
     # it; s is the first of 1..d+1 with f(e + s*e_k) != 0, which exists since

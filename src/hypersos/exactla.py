@@ -6,9 +6,12 @@ the lcm of its denominators, rows are combined by cross-multiplication and
 kept primitive (divided by the gcd of their entries), and Fractions are
 built only for the solution.  solve_linear is a square, nonsingular call of
 it, and mat_det is polycore.poly_determinant on the constant matrix.  The
-LDL^T factorization with symmetric pivoting is fraction-free too (symmetric
-Bareiss elimination on the lcm-scaled matrix), and only its L and D, the
-certificate, are built as Fractions.  It is the positive-semidefiniteness
+LDL^T factorization with symmetric pivoting is fraction-free too: the
+symmetry check and symmetric Bareiss elimination both run on the
+lcm-scaled ints, and only its L and D, the certificate, are built as
+Fractions.  Scaling a matrix by a positive constant keeps its PSD decision
+and the reduced row echelon form of its kernel, so callers that hold one as
+scaled ints pass the ints.  It is the positive-semidefiniteness
 oracle used by the certificate checkers: a completed factorization with
 nonnegative pivots proves PSD, and a negative pivot or a zero diagonal with
 a nonzero residual row disproves it.  ldl_reassemble, the checkers' replay,
@@ -122,29 +125,34 @@ def ldl_psd(A: Mat) -> LdlResult:
     Pivots on the largest remaining diagonal entry.  A negative diagonal
     disproves PSD outright; a zero maximal diagonal forces the whole
     remaining block to vanish (a zero diagonal with a nonzero off-diagonal
-    entry witnesses a negative 2x2 minor).  Symmetric Bareiss elimination
-    runs on A scaled to integers by the lcm q of its denominators: after
+    entry witnesses a negative 2x2 minor).  A is scaled to integers by the
+    lcm q of its denominators, which also checks its symmetry, and symmetric
+    Bareiss elimination runs on the scaled matrix: after
     pivots p_0..p_{k-1} the remaining block is M / (p_{k-1} q) with M
     integral, so comparing the ints of M picks the same pivot, L[i][k] is
     M[i][k] / p_k and D[k] is p_k / (p_{k-1} q).
     """
     n = len(A)
-    for i, row in enumerate(A):
+    q, flat = _common_denominator(_rationals([x for row in A for x in row]))
+    M, start = [], 0
+    for row in A:
+        M.append(flat[start:start + len(row)])
+        start += len(row)
+    for i, row in enumerate(M):
         if len(row) != n:
             raise ValueError("matrix must be square")
         for j in range(i):
-            if A[i][j] != A[j][i]:
+            if row[j] != M[j][i]:
                 raise ValueError("matrix must be symmetric")
-    q, flat = _common_denominator(_rationals([x for row in A for x in row]))
-    M = [flat[i * n:(i + 1) * n] for i in range(n)]
     perm = list(range(n))
     D: list[Fraction] = []
 
     def result(is_psd: bool, reason: str = "") -> LdlResult:
         # below pivot p_j = M[j][j], column j holds the numerators of L; row swaps moved them along
-        L = [[Fraction(M[i][j], M[j][j]) if j < min(i, len(D)) else Fraction(int(i == j))
+        zero, one = Fraction(0), Fraction(1)
+        L = [[Fraction(M[i][j], M[j][j]) if j < min(i, len(D)) else one if i == j else zero
               for j in range(n)] for i in range(n)]
-        return LdlResult(is_psd, perm, L, D + [Fraction(0)] * (n - len(D)), reason)
+        return LdlResult(is_psd, perm, L, D + [zero] * (n - len(D)), reason)
 
     prev = 1
     for k in range(n):

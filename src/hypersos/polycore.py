@@ -10,10 +10,11 @@ lcm of their denominators, work in Python int, and build Fractions only for
 the results.  Evaluation and line restriction share one compiled integer
 form, _IntForm, whose two kernels give a whole list of polynomials at one
 point or along one line; callers that reuse polynomials compile them once,
-and Polynomial.evaluate and restrict_to_line compile a one-element list per
-call.  The public constructor validates its input; the module's own
-arithmetic builds results that are clean by construction and wraps them with
-Polynomial._trusted instead of checking them again.
+Polynomial.evaluate keeps the form it compiles on its first call, and
+restrict_to_line compiles a one-element list per call.  The public
+constructor validates its input; the module's own arithmetic builds results
+that are clean by construction and wraps them with Polynomial._trusted
+instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
@@ -49,7 +50,8 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 class Polynomial:
     """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms")
+    # _form is the compiled _IntForm of evaluate, set on its first call
+    __slots__ = ("nvars", "terms", "_form")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         if nvars < 0:
@@ -211,7 +213,12 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
-        return _IntForm(self.nvars, [self]).values_at(_rationals(point))[0]
+        try:
+            form = self._form
+        except AttributeError:
+            form = _IntForm(self.nvars, [self])
+            object.__setattr__(self, "_form", form)
+        return form.values_at(_rationals(point))[0]
 
     def partial(self, i: int) -> "Polynomial":
         """Exact partial derivative with respect to variable i."""

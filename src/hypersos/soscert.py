@@ -9,7 +9,10 @@ The pipeline for a target form F of even degree:
      projections for families too large for its Newton system); this is the
      only floating-point step;
   3. round entrywise to bounded-denominator rationals, project exactly back
-     onto the family, and decide PSD by exact pivoted LDL^T.
+     onto the family, and decide PSD by exact pivoted LDL^T.  All three run
+     on Python ints (continued fractions on each float's integer ratio, one
+     correction per equation over the lcm of its denominators, elimination
+     on the lcm-scaled matrix), and build Fractions only for their results.
 
 A successful step 3 is a self-contained exact certificate.  Exact real zeros
 of the target (scanned on a small integer grid) drive a face reduction
@@ -41,6 +44,7 @@ from .polycore import (
     _IntForm,
     _common_denominator,
     _powers,
+    _rationals,
     default_names,
     format_poly,
     grlex_key,
@@ -229,9 +233,8 @@ class GramSystem:
     def matrix_from_vector(self, vec: Sequence[Fraction]) -> list[list[Fraction]]:
         n = self.size
         G = [[Fraction(0)] * n for _ in range(n)]
-        for k, (i, j) in enumerate(self.pairs):
-            G[i][j] = Fraction(vec[k])
-            G[j][i] = Fraction(vec[k])
+        for (i, j), v in zip(self.pairs, vec):
+            G[i][j] = G[j][i] = v if type(v) is Fraction else Fraction(v)
         return G
 
     def vector_from_matrix(self, G: Sequence[Sequence], extra: Sequence = ()) -> list[Fraction]:
@@ -263,19 +266,29 @@ class GramSystem:
     # -- exact projection ------------------------------------------------------
 
     def project_exact(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Weighted-Frobenius least-squares projection onto the affine family."""
-        y = [Fraction(v) for v in vec]
+        """Weighted-Frobenius least-squares projection onto the affine family.
+
+        On the structural form every coefficient of an equation equals its
+        unknown's weight w_k, so the projection adds one correction
+        nu = (rhs - sum w_k y_k) / sum w_k to each of the equation's
+        unknowns; it is computed in ints over the lcm q of the equation's
+        denominators, and each entry becomes one Fraction.
+        """
         if self._eqs is not None:
-            out = list(y)
-            for pair_idxs, coeffs, rhs in self._eqs:
-                num = rhs - sum(c * y[k] for k, c in zip(pair_idxs, coeffs))
-                den = sum(c * c / self.weights[k] for k, c in zip(pair_idxs, coeffs))
-                if den == 0:
-                    continue
-                nu = num / den
-                for k, c in zip(pair_idxs, coeffs):
-                    out[k] = y[k] + nu * c / self.weights[k]
+            y = [v.as_integer_ratio() for v in _rationals(vec)]
+            w = self.weights
+            out: list = [None] * len(y)
+            for pair_idxs, _, rhs in self._eqs:
+                r_num, r_den = rhs.as_integer_ratio()
+                ratios = [y[k] for k in pair_idxs]
+                q = math.lcm(r_den, *(d for _, d in ratios))
+                num = r_num * (q // r_den) - sum(w[k] * n * (q // d) for k, (n, d) in zip(pair_idxs, ratios))
+                # nu = num / Q and y_k = n * (Q // d) / Q, with Q = q * sum w_k
+                Q = q * sum(w[k] for k in pair_idxs)
+                for k, (n, d) in zip(pair_idxs, ratios):
+                    out[k] = Fraction(n * (Q // d) + num, Q)
             return out
+        y = [Fraction(v) for v in vec]
         null = self._null
         if not null:
             return list(self._particular)
@@ -419,9 +432,11 @@ class _ZeroGeometry:
         self._homogeneous = F.is_homogeneous()
         self._zero_planes: set[tuple] = set()
 
-    def derivatives_at(self, p) -> tuple[list[Fraction], list[list[Fraction]]]:
-        """The gradient and the symmetric Hessian of F at p.
+    def int_derivatives(self, p) -> tuple[list[int], list[list[int]], int, int]:
+        """(g, H, q, den): F's gradient at p is g q / den, its Hessian H q^2 / den.
 
+        den is positive, so g and the symmetric integer matrix H have the
+        signs, the PSD decision and the kernel of the exact derivatives.
         With p = P/q for integers P, a term c x^m scaled by q^(d - |m|)
         contributes m_i P^(m - e_i) to the gradient's numerator over q^(d-1)
         and m_i (m_j - [i = j]) P^(m - e_i - e_j) to the Hessian's over
@@ -457,21 +472,26 @@ class _ZeroGeometry:
             else:
                 i, j = dead
                 H[i][j] += 2 * w if i == j else w
-        den = cden * qpow[d]
-        gradient = [Fraction(g * q, den) for g in grad]
-        hessian = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
-            for j in range(i, n):
-                hessian[i][j] = hessian[j][i] = Fraction(H[i][j] * q * q, den)
-        return gradient, hessian
+            for j in range(i + 1, n):
+                H[j][i] = H[i][j]
+        return grad, H, q, cden * qpow[d]
+
+    def derivatives_at(self, p) -> tuple[list[Fraction], list[list[Fraction]]]:
+        """The gradient and the symmetric Hessian of F at p, as Fractions."""
+        grad, H, q, den = self.int_derivatives(p)
+        return [Fraction(g * q, den) for g in grad], [[Fraction(h * q * q, den) for h in row] for row in H]
 
     def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly, tuple]]:
-        """(u, t -> F(p + t u), plane key) for each kernel basis vector u of the Hessian H at p."""
+        """(u, t -> F(p + t u), plane key) for each kernel basis vector u of the Hessian at p.
+
+        H, when given, is the Hessian at p or a positive multiple of it.
+        """
         key = tuple(p)
         if key not in self._lines:
             n = self.nvars
             if H is None:
-                H = self.derivatives_at(p)[1]
+                H = self.int_derivatives(p)[1]
             sol = solve_affine_family(H, [Fraction(0)] * n, n)
             assert sol is not None
             P = _common_denominator(p)[1]
@@ -519,12 +539,15 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
         return None
     geometry = _geometry or _ZeroGeometry(F)
     for p in zeros:
-        grad, H = geometry.derivatives_at(p)
+        grad, H, _, _ = geometry.int_derivatives(p)
         if any(grad):
+            grad = geometry.derivatives_at(p)[0]
             return {"point": p, "gradient": grad, "kind": "nonzero gradient at a zero"}
-        res = ldl_psd(H)
-        if not res.is_psd:
-            return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({res.reason})"}
+        if not ldl_psd(H).is_psd:
+            # the reason names a pivot, so it is read from the exact Hessian
+            H = geometry.derivatives_at(p)[1]
+            reason = ldl_psd(H).reason
+            return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({reason})"}
         for u, line, _ in geometry.flat_lines(p, H):
             if line.is_zero():
                 continue
@@ -966,6 +989,32 @@ def _certify_from_vector(
     )
 
 
+def _limit_denominator(v: float, bound: int) -> Fraction:
+    """Fraction(v).limit_denominator(bound), computed on v's integer ratio.
+
+    The answer is the closer of the last convergent p1/q1 within bound and
+    the semiconvergent (p0 + k p1)/(q0 + k q1), and p1/q1 on a tie: with d
+    the last remainder, p1/q1 lies d/(q1 den) from v and 1/(q1 (q0 + k q1))
+    from the semiconvergent.
+    """
+    num, den = v.as_integer_ratio()
+    if den <= bound:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def _round_and_certify(
     sys: GramSystem,
     xfloat,
@@ -973,7 +1022,7 @@ def _round_and_certify(
     N: int,
 ) -> Optional[SosCertificate]:
     for bound in ROUNDING_DENOMINATORS:
-        rounded = [Fraction(float(v)).limit_denominator(bound) for v in xfloat]
+        rounded = [_limit_denominator(float(v), bound) for v in xfloat]
         vec = sys.project_exact(rounded)
         cert = _certify_from_vector(sys, vec, target, N)
         if cert is not None:

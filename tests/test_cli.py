@@ -213,6 +213,15 @@ def test_detrep_build_with_e_on_the_hypersurface_exit_3(capsys):
     assert "f(e) = 0" in json.loads(err)["error"]
 
 
+def test_detrep_build_of_the_zero_polynomial_exit_3(capsys):
+    code, out, err = run(
+        capsys, "detrep-build", "--poly", "0", "--vars", "x,y,z", "--dvars", "x",
+        "--e", "1,1,1", "--no-timings",
+    )
+    assert_input_error(code, out, err)
+    assert "zero polynomial" in json.loads(err)["error"]
+
+
 def test_malformed_rep_exit_3(tmp_path, capsys):
     poly = ["--poly", "x1*x2", "--vars", "x1,x2", "--no-timings"]
     missing_key = json.dumps({"matrices": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]})

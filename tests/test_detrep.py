@@ -280,13 +280,41 @@ def test_build_rejects_bad_inputs():
         build_detrep_multiaffine(parse_poly("x^2 + y^2", ["x", "y"]), [0, 1], ones(2))
     with pytest.raises(ValueError):
         build_detrep_multiaffine(f, [0, 2], ones(3) + [Fraction(1)])  # e length
+    for call in (lambda f: interlacer_matrix_multiaffine(f, []),
+                 lambda f: build_detrep_multiaffine(f, [], [1, 1, 1])):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            call(Polynomial.zero(3))
 
 
-def test_build_linear_polynomial():
+def test_build_linear_polynomial(monkeypatch):
     f = parse_poly("2*x + 3*y", ["x", "y"])
     rep = build_detrep_multiaffine(f, [0], ones(2))
     assert isinstance(rep, DeterminantalRep)
     assert verify_detrep(rep, f)
+    # degree one takes the same kappa * f * A^-1 route: A = [[c]] for the
+    # coefficient c of the dvars variable, and M = gamma * f with gamma = +-1;
+    # verify_detrep is the builder's proof at this degree too
+    proofs = []
+    monkeypatch.setattr(detrep, "verify_detrep", lambda rep, f: proofs.append(rep) or verify_detrep(rep, f))
+    rng = random.Random(1515)
+    built = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        f = Polynomial(n, {tuple(int(i == j) for i in range(n)): rng.randint(-3, 3) for j in range(n)})
+        if f.is_zero():
+            continue
+        k = rng.choice([j for j in range(n) if f.degree_in(j) == 1])
+        e = [rng.randint(-2, 3) for _ in range(n)]
+        if f.evaluate(e) == 0:
+            with pytest.raises(DetRepError, match="f\\(e\\) = 0"):
+                build_detrep_multiaffine(f, [k], e)
+            continue
+        rep = build_detrep_multiaffine(f, [k], e)
+        assert isinstance(rep, DeterminantalRep) and verify_detrep(rep, f)
+        assert rep.size == 1 and rep.gamma in (1, -1)
+        assert rep.pencil()[0][0] == f * rep.gamma
+        built += 1
+    assert built >= 20 and len(proofs) == built
 
 
 def test_builder_closure_under_derivative_and_restriction():

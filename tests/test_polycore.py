@@ -255,6 +255,38 @@ def test_evaluate_matches_naive_reference():
         assert got == naive_evaluate(f, point)
 
 
+def test_evaluate_keeps_its_compiled_form():
+    # evaluate compiles the polynomial once and keeps the form; repeated
+    # calls give what a fresh compiled form gives, and the polynomial stays
+    # immutable and compares, hashes and computes as before
+    for f, e, a, point in kernel_cases():
+        first = f.evaluate(point)
+        form = f._form
+        assert f.evaluate(a) == _IntForm(f.nvars, [f]).values_at(a)[0]
+        assert f.evaluate(point) == first == _IntForm(f.nvars, [f]).values_at(point)[0]
+        assert f._form is form
+        fresh = Polynomial(f.nvars, f.terms)
+        assert f == fresh and hash(f) == hash(fresh)
+        with pytest.raises(AttributeError):
+            f.nvars = 1
+        with pytest.raises(AttributeError):
+            f._form = None
+        # results derived from an evaluated polynomial compile their own form
+        for derived in (f + 1, f * f, -f, f * Fraction(2, 3), f - f):
+            assert not hasattr(derived, "_form")
+            assert derived == Polynomial(f.nvars, derived.terms)
+            assert derived.evaluate(point) == naive_evaluate(derived, point)
+        if f.nvars:
+            g = f.partial(0)
+            assert not hasattr(g, "_form")
+            assert g.evaluate(point) == naive_evaluate(g, point)
+    p = P("x*y - 2*z^2")
+    p.evaluate([1, 2, 3])
+    with pytest.raises(AttributeError):
+        p.x = 1
+    assert p == P("x*y - 2*z^2") and p * 2 == P("2*x*y - 4*z^2") and p + p == p * 2
+
+
 def test_restrict_to_line_matches_naive_reference():
     for f, e, a, _ in kernel_cases():
         got = restrict_to_line(f, e, a)

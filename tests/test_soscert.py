@@ -22,11 +22,13 @@ from hypersos.polycore import (
     restrict_to_line,
 )
 from hypersos.soscert import (
+    ROUNDING_DENOMINATORS,
     GramSystem,
     SdpSettings,
     SosCertificate,
     _ZeroGeometry,
     _auto_basis,
+    _limit_denominator,
     assemble_gram_system,
     box_reduced_support,
     certify_sos,
@@ -34,6 +36,7 @@ from hypersos.soscert import (
     constrain_basis_to_zeros,
     monomials_of_degree,
     scan_small_points,
+    second_order_obstruction,
     solve_sdp,
     sos_cone_membership,
 )
@@ -851,3 +854,119 @@ def test_certify_sos_mod_f_lorentz_points_inside_the_cone():
             assert v.is_yes and v.witness.verify(), a
         else:
             assert not v.is_yes, a
+
+
+# -- rounding, projection and the Hessian check in ints -------------------------
+
+
+def rounding_floats(rng):
+    """Seeded floats: signed zeros, extremes, integers, small dyadics, and both signs."""
+    xs = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 3.0, -7.0, 0.5, -0.375]
+    for _ in range(300):
+        xs.append(rng.uniform(-10, 10))
+        xs.append(rng.uniform(-1e-3, 1e-3))
+        xs.append(float(rng.randint(-1000, 1000)))
+        # a denominator of at most 64, within every rounding bound
+        xs.append(rng.randint(-5000, 5000) / 2 ** rng.randint(0, 6))
+    return xs
+
+
+def halfway_floats(rng, bound, count=200):
+    """Floats within two ulps of the midpoint of two Farey neighbours of order bound.
+
+    Between neighbours a/b < c/d (c b - a d = 1, both denominators within
+    bound) the rounding switches from a/b to c/d at their midpoint.
+    """
+    out = []
+    for _ in range(count):
+        b = rng.randint(1, bound)
+        a = rng.randint(-3 * b, 3 * b)
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        d0 = -pow(a, -1, b) % b if b > 1 else 0
+        d = d0 + b * ((bound - d0) // b)
+        c = (1 + a * d) // b
+        x = float((Fraction(a, b) + Fraction(c, d)) / 2)
+        lo = hi = x
+        for _ in range(2):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out.extend((lo, hi))
+        out.append(x)
+    return out
+
+
+def test_limit_denominator_matches_the_stdlib():
+    rng = random.Random(1515)
+    xs = rounding_floats(rng)
+    assert any(x.as_integer_ratio()[1] > 1 and x.as_integer_ratio()[1] <= 64 for x in xs)
+    for bound in ROUNDING_DENOMINATORS:
+        for x in xs + halfway_floats(rng, bound):
+            got = _limit_denominator(x, bound)
+            assert type(got) is Fraction
+            assert got == Fraction(x).limit_denominator(bound), (x, bound)
+
+
+def test_limit_denominator_breaks_exact_ties_like_the_stdlib():
+    # a + 1/(2B) is halfway between a and a + 1/B; with B a power of two it
+    # is a float, and the smaller denominator wins
+    for k in (1, 4, 7, 12):
+        B = 2**k
+        for a in (-3, -1, 0, 2, 5):
+            for x in (a + 1 / (2 * B), a - 1 / (2 * B)):
+                want = Fraction(x).limit_denominator(B)
+                assert want == a
+                assert _limit_denominator(x, B) == want
+
+
+def naive_structural_projection(sys, vec):
+    """GramSystem.project_exact on a structural family, in plain Fraction arithmetic."""
+    y = [Fraction(v) for v in vec]
+    out = list(y)
+    for pair_idxs, coeffs, rhs in sys._eqs:
+        num = rhs - sum(c * y[k] for k, c in zip(pair_idxs, coeffs))
+        den = sum(c * c / sys.weights[k] for k, c in zip(pair_idxs, coeffs))
+        nu = num / den
+        for k, c in zip(pair_idxs, coeffs):
+            out[k] = y[k] + nu * c / sys.weights[k]
+    return out
+
+
+def test_structural_projection_matches_the_fraction_reference():
+    rng = random.Random(1516)
+    for trial in range(40):
+        nvars, degree = rng.choice([(2, 2), (2, 4), (3, 2), (3, 4), (4, 2)])
+        terms = {m: Fraction(rng.randint(-60, 60), rng.randint(1, 997))
+                 for m in monomials_of_degree(nvars, degree) if rng.random() < 0.7}
+        F = Polynomial(nvars, terms) or Polynomial.monomial(nvars, (degree,) + (0,) * (nvars - 1))
+        sys = assemble_gram_system(F)
+        assert sys._eqs is not None
+        vec = []
+        for _ in range(sys.nunknowns):
+            kind = rng.randrange(4)
+            if kind == 0:
+                vec.append(rng.randint(-9, 9))
+            elif kind == 1:
+                vec.append(rng.uniform(-3, 3))
+            else:
+                vec.append(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5)))
+        got = sys.project_exact(vec)
+        assert all(type(x) is Fraction for x in got)
+        assert got == naive_structural_projection(sys, vec)
+        assert sys.residual(got).is_zero()
+        assert sys.project_exact(got) == got
+
+
+def test_hessian_refutation_reads_its_reason_from_the_exact_hessian():
+    # F and its gradient vanish at p; the Hessian there is diag(4/45, -2/21, 0),
+    # and the refutation names its pivot -2/21, not that of a scaled copy
+    names = ["x", "y", "z"]
+    F = parse_poly("2/5*x^2*z^2 - 3/7*y^2*z^2 + x^4 + y^4", names)
+    p = [Fraction(0), Fraction(0), Fraction(1, 3)]
+    assert F.evaluate(p) == 0
+    out = second_order_obstruction(F, [p])
+    grad, H = _ZeroGeometry(F).derivatives_at(p)
+    assert not any(grad)
+    reason = ldl_psd(H).reason
+    assert reason == "negative diagonal entry -2/21"
+    assert out == {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({reason})"}
+    assert all(type(h) is Fraction for row in out["hessian"] for h in row)
