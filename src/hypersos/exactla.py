@@ -8,14 +8,14 @@ built only for the solution.  solve_linear is a square, nonsingular call of
 it, and mat_det is polycore.poly_determinant on the constant matrix.  The
 LDL^T factorization with symmetric pivoting is fraction-free too: the
 symmetry check and symmetric Bareiss elimination both run on the
-lcm-scaled ints, and only its L and D, the certificate, are built as
-Fractions.  Scaling a matrix by a positive constant keeps its PSD decision
-and the reduced row echelon form of its kernel, so callers that hold one as
-scaled ints pass the ints.  It is the positive-semidefiniteness
-oracle used by the certificate checkers: a completed factorization with
-nonnegative pivots proves PSD, and a negative pivot or a zero diagonal with
-a nonzero residual row disproves it.  ldl_reassemble, the checkers' replay,
-stays plain Fraction arithmetic, so it checks the kernel independently.
+lcm-scaled ints, and only its L and D are built as Fractions.  It is the
+positive-semidefiniteness oracle used by the certificate checkers: a
+completed factorization with nonnegative pivots proves PSD, and a negative
+pivot or a zero diagonal with a nonzero residual row disproves it.  A
+refutation's reason names the offending row, never the pivot's value, which
+can run to thousands of digits.  Scaling a matrix by a positive constant
+keeps its PSD decision, its reason and the reduced row echelon form of its
+kernel, so callers that hold one as scaled ints pass the ints.
 """
 
 from __future__ import annotations
@@ -159,11 +159,11 @@ def ldl_psd(A: Mat) -> LdlResult:
         idx = max(range(k, n), key=lambda i: M[i][i])
         top = M[idx][idx]
         if top < 0:
-            return result(False, f"negative diagonal pivot {Fraction(top, prev * q)}")
+            return result(False, f"negative diagonal pivot at row {perm[idx]}")
         if top == 0:
             for i in range(k, n):
                 if M[i][i] < 0:
-                    return result(False, f"negative diagonal entry {Fraction(M[i][i], prev * q)}")
+                    return result(False, f"negative diagonal entry at row {perm[i]}")
                 if any(M[i][k:]):
                     return result(False, "zero diagonal with nonzero off-diagonal residual")
             return result(True)
@@ -181,13 +181,3 @@ def ldl_psd(A: Mat) -> LdlResult:
                 row[j] = M[j][i] = (top * row[j] - lik * pivot_row[j]) // prev
         prev = top
     return result(True)
-
-
-def ldl_reassemble(res: LdlResult) -> Mat:
-    """Return the matrix B with B[r][c] = (L D L^T)[r][c] (permuted order)."""
-    n = len(res.D)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            out[r][c] = sum(res.L[r][k] * res.D[k] * res.L[c][k] for k in range(min(r, c) + 1))
-    return out

@@ -8,24 +8,26 @@ The pipeline for a target form F of even degree:
      that maximises the smallest eigenvalue over the family (alternating
      projections for families too large for its Newton system); this is the
      only floating-point step;
-  3. round entrywise to bounded-denominator rationals, project exactly back
-     onto the family, and decide PSD by exact pivoted LDL^T.  All three run
-     on Python ints (continued fractions on each float's integer ratio, one
-     correction per equation over the lcm of its denominators, elimination
-     on the lcm-scaled matrix), and build Fractions only for their results.
+  3. round every entry to one common denominator Q (Peyrl-Parrilo), project
+     exactly back onto the family, and decide PSD by exact pivoted LDL^T,
+     for each Q of ROUNDING_DENOMINATORS in turn.  The projection and the
+     elimination run on Python ints (one correction per equation over the
+     lcm of its denominators, elimination on the lcm-scaled matrix), and
+     build Fractions only for their results.
 
-A successful step 3 is a self-contained exact certificate.  Exact real zeros
-of the target (scanned on a small integer grid) drive a face reduction
-before step 1: every candidate square must vanish at each zero, and along
-flat Hessian directions it must vanish to half the order of the target's
-line restriction.  This frequently collapses boundary instances to a unique
-Gram point decided outright.  CERTIFIED_NO is issued only from an exact
-decision: a negative value or a local obstruction at a zero, a single
-non-PSD Gram point, or no Gram matrix at all over a complete basis.
-Denominator powers upgrade the relaxation: (sum x_i^2)^N * F is tried for
-N = 0..budget.  A modulo-f variant searches for a polynomial multiplier p
-with F - p*f a sum of squares, carrying p's coefficients as extra exact
-unknowns of the same affine family.
+A successful step 3 is a self-contained exact certificate: the Gram matrix
+alone, which verify() checks against the target and by re-running LDL^T.
+Exact real zeros of the target (scanned on a small integer grid) drive a
+face reduction before step 1: every candidate square must vanish at each
+zero, and along flat Hessian directions it must vanish to half the order of
+the target's line restriction.  This frequently collapses boundary
+instances to a unique Gram point decided outright.  CERTIFIED_NO is issued
+only from an exact decision: a negative value or a local obstruction at a
+zero, a single non-PSD Gram point, or no Gram matrix at all over a complete
+basis.  Denominator powers upgrade the relaxation: (sum x_i^2)^N * F is
+tried for N = 0..budget.  A modulo-f variant searches for a polynomial
+multiplier p with F - p*f a sum of squares, carrying p's coefficients as
+extra exact unknowns of the same affine family.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import LdlResult, ldl_psd, ldl_reassemble, solve_affine_family, solve_linear
+from .exactla import LdlResult, ldl_psd, solve_affine_family, solve_linear
 from .polycore import (
     Mono,
     Polynomial,
@@ -66,7 +68,7 @@ BARRIER_MAX_STEPS = 400
 # alternating-projection iterations per SDP solve, split over its margins;
 # only families too large for the barrier method use them
 SDP_MAX_ITERATIONS = 3000
-# denominator bounds tried in turn when rounding the float Gram point
+# common denominators tried in turn when rounding the float Gram point
 ROUNDING_DENOMINATORS = (100, 1600, 25600, 409600)
 
 
@@ -152,7 +154,8 @@ class GramSystem:
         monomial_basis = modulus is None and all(
             p.num_terms() == 1 and next(iter(p.terms.values())) == 1 for p in basis
         )
-        self._eqs: Optional[list[tuple[list[int], list[Fraction], Fraction]]] = None
+        # structural form: (unknowns, rhs) per equation, each unknown k weighted by weights[k]
+        self._eqs: Optional[list[tuple[list[int], Fraction]]] = None
         self._null: Optional[list[list[Fraction]]] = None
         self._normal_cache: Optional[list[list[Fraction]]] = None
         if monomial_basis:
@@ -173,15 +176,13 @@ class GramSystem:
                 raise GramInfeasibleError(
                     "target monomial admits no product split over the basis"
                 )
-        eqs = []
-        for m, pair_idxs in sorted(eq_of_mono.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
-            coeffs = [Fraction(self.weights[k]) for k in pair_idxs]
-            rhs = self.target.terms.get(m, Fraction(0))
-            eqs.append((pair_idxs, coeffs, rhs))
-        self._eqs = eqs
+        self._eqs = [
+            (pair_idxs, self.target.terms.get(m, Fraction(0)))
+            for m, pair_idxs in sorted(eq_of_mono.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        ]
         vec = [Fraction(0)] * self.nunknowns
-        for pair_idxs, coeffs, rhs in eqs:
-            vec[pair_idxs[0]] = rhs / coeffs[0]
+        for pair_idxs, rhs in self._eqs:
+            vec[pair_idxs[0]] = rhs / self.weights[pair_idxs[0]]
         self._particular = vec
 
     def _assemble_general(self):
@@ -224,7 +225,7 @@ class GramSystem:
     @property
     def nullspace_dim(self) -> int:
         if self._eqs is not None:
-            return sum(len(p) - 1 for p, _, _ in self._eqs)
+            return sum(len(p) - 1 for p, _ in self._eqs)
         return len(self._null)
 
     def particular_vector(self) -> list[Fraction]:
@@ -248,13 +249,14 @@ class GramSystem:
     def nullspace_vectors(self) -> list[list[Fraction]]:
         if self._null is not None:
             return [list(v) for v in self._null]
+        w = self.weights
         out = []
-        for pair_idxs, coeffs, _ in self._eqs:
+        for pair_idxs, _ in self._eqs:
             lead = pair_idxs[0]
-            for k, c in zip(pair_idxs[1:], coeffs[1:]):
+            for k in pair_idxs[1:]:
                 v = [Fraction(0)] * self.nunknowns
                 v[k] = Fraction(1)
-                v[lead] = -c / coeffs[0]
+                v[lead] = Fraction(-w[k], w[lead])
                 out.append(v)
         return out
 
@@ -278,7 +280,7 @@ class GramSystem:
             y = [v.as_integer_ratio() for v in _rationals(vec)]
             w = self.weights
             out: list = [None] * len(y)
-            for pair_idxs, _, rhs in self._eqs:
+            for pair_idxs, rhs in self._eqs:
                 r_num, r_den = rhs.as_integer_ratio()
                 ratios = [y[k] for k in pair_idxs]
                 q = math.lcm(r_den, *(d for _, d in ratios))
@@ -543,11 +545,11 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
         if any(grad):
             grad = geometry.derivatives_at(p)[0]
             return {"point": p, "gradient": grad, "kind": "nonzero gradient at a zero"}
-        if not ldl_psd(H).is_psd:
-            # the reason names a pivot, so it is read from the exact Hessian
+        res = ldl_psd(H)
+        if not res.is_psd:
+            # H is a positive multiple of the Hessian, so the reason's row is the Hessian's
             H = geometry.derivatives_at(p)[1]
-            reason = ldl_psd(H).reason
-            return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({reason})"}
+            return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({res.reason})"}
         for u, line, _ in geometry.flat_lines(p, H):
             if line.is_zero():
                 continue
@@ -672,7 +674,7 @@ def _float_directions(sys: GramSystem):
     """The nullspace as a dense float unknowns x m matrix.
 
     A structural family's directions come straight from its equations: each
-    non-leading unknown k of an equation gives e_k - (c_k / c_lead) e_lead.
+    non-leading unknown k of an equation gives e_k - (w_k / w_lead) e_lead.
     """
     import numpy as np
 
@@ -684,12 +686,13 @@ def _float_directions(sys: GramSystem):
                 if v:
                     D[k, d] = v
         return D
+    w = sys.weights
     ks, leads, ratios = [], [], []
-    for pair_idxs, coeffs, _ in sys._eqs:
-        for k, c in zip(pair_idxs[1:], coeffs[1:]):
+    for pair_idxs, _ in sys._eqs:
+        for k in pair_idxs[1:]:
             ks.append(k)
             leads.append(pair_idxs[0])
-            ratios.append(float(c / coeffs[0]))
+            ratios.append(w[k] / w[pair_idxs[0]])
     D = np.zeros((sys.nunknowns, len(ks)))
     ds = np.arange(len(ks))
     D[ks, ds] = 1.0
@@ -788,23 +791,20 @@ def _alternating_projections(sys: GramSystem, x0, rows, cols, scale: float, tol:
         return np.concatenate([M[rows, cols], extra])
 
     if sys._eqs is not None:
+        # each equation sum w_k y_k = rhs gets one correction nu, added to all of its unknowns
         neq = len(sys._eqs)
         eq_of_pair = np.zeros(npairs, dtype=np.int64)
-        cvec = np.zeros(npairs)
         rhs = np.zeros(neq)
         wvec = np.array([float(w) for w in sys.weights])
-        for e, (pair_idxs, coeffs, r) in enumerate(sys._eqs):
+        for e, (pair_idxs, r) in enumerate(sys._eqs):
             rhs[e] = float(r)
-            for k, c in zip(pair_idxs, coeffs):
-                eq_of_pair[k] = e
-                cvec[k] = float(c)
-        denom = np.bincount(eq_of_pair, weights=cvec * cvec / wvec, minlength=neq)
+            eq_of_pair[pair_idxs] = e
+        denom = np.bincount(eq_of_pair, weights=wvec, minlength=neq)
 
         def proj_affine(y):
-            s = np.bincount(eq_of_pair, weights=cvec * y[:npairs], minlength=neq)
-            nu = np.where(denom > 0, (rhs - s) / np.where(denom > 0, denom, 1.0), 0.0)
+            s = np.bincount(eq_of_pair, weights=wvec * y[:npairs], minlength=neq)
             out = y.copy()
-            out[:npairs] = y[:npairs] + nu[eq_of_pair] * cvec / wvec
+            out[:npairs] += ((rhs - s) / denom)[eq_of_pair]
             return out
 
     else:
@@ -858,15 +858,23 @@ def _alternating_projections(sys: GramSystem, x0, rows, cols, scale: float, tol:
 
 @dataclass
 class SosCertificate:
-    """Exact witness that v^T G v = (sum x_i^2)^N * target - multiplier*modulus."""
+    """Exact witness that v^T G v = (sum x_i^2)^N * target - multiplier*modulus.
+
+    The PSD Gram matrix G is the whole witness of positivity; its LDL^T is
+    recomputed from G, never stored.
+    """
 
     basis: list[Polynomial]
     gram: list[list[Fraction]]
     denominator_power: int
     target: Polynomial
-    ldl: LdlResult
     multiplier: Optional[Polynomial] = None
     modulus: Optional[Polynomial] = None
+
+    @property
+    def ldl(self) -> LdlResult:
+        """The pivoted LDL^T of the Gram matrix, computed on each read."""
+        return ldl_psd(self.gram)
 
     def certified_form(self) -> Polynomial:
         """(sum x_i^2)^N * target, the form the Gram matrix certifies."""
@@ -880,24 +888,15 @@ class SosCertificate:
     def verify(self) -> bool:
         """Re-check the certificate from scratch, exactly.
 
-        False, never an exception, when a field has the wrong shape: the Gram
-        matrix must be m x m and symmetric for m basis elements, perm a
-        permutation of range(m), L unit lower triangular m x m, and D of
-        length m.
+        The Gram matrix must be m x m and symmetric for m basis elements
+        (False, never an exception, when it is not), v^T G v must equal the
+        certified form exactly, and ldl_psd must find G PSD.
         """
         m = len(self.basis)
-        gram, perm, L, D = self.gram, self.ldl.perm, self.ldl.L, self.ldl.D
+        gram = self.gram
         if len(gram) != m or any(len(row) != m for row in gram):
             return False
         if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i)):
-            return False
-        if len(perm) != m or {p for p in perm if isinstance(p, int)} != set(range(m)):
-            return False
-        if len(L) != m or any(len(row) != m for row in L):
-            return False
-        if any(L[r][r] != 1 or any(L[r][r + 1 :]) for r in range(m)):
-            return False
-        if len(D) != m or not self.ldl.is_psd or any(d < 0 for d in D):
             return False
         acc = Polynomial.zero(self.target.nvars)
         for i, bi in enumerate(self.basis):
@@ -908,10 +907,7 @@ class SosCertificate:
         expected = self.certified_form()
         if self.multiplier is not None and self.modulus is not None:
             expected = expected - self.multiplier * self.modulus
-        if acc != expected:
-            return False
-        B = ldl_reassemble(self.ldl)
-        return all(B[r][c] == gram[perm[r]][perm[c]] for r in range(m) for c in range(m))
+        return acc == expected and ldl_psd(gram).is_psd
 
     def to_jsonable(self, names: Optional[list[str]] = None) -> dict:
         names = names or default_names(self.target.nvars)
@@ -924,11 +920,6 @@ class SosCertificate:
             "target": format_poly(self.target, names),
             "multiplier": None if self.multiplier is None else format_poly(self.multiplier, names),
             "modulus": None if self.modulus is None else format_poly(self.modulus, names),
-            "ldl": {
-                "perm": list(self.ldl.perm),
-                "L": [[frac_json(x) for x in row] for row in self.ldl.L],
-                "D": [frac_json(x) for x in self.ldl.D],
-            },
         }
 
     def to_json(self, names: Optional[list[str]] = None) -> str:
@@ -940,12 +931,6 @@ class SosCertificate:
         names = data["vars"]
         basis = [parse_poly(s, names) for s in data["basis"]]
         gram = [[Fraction(x) for x in row] for row in data["gram"]]
-        ldl = LdlResult(
-            is_psd=True,
-            perm=list(data["ldl"]["perm"]),
-            L=[[Fraction(x) for x in row] for row in data["ldl"]["L"]],
-            D=[Fraction(x) for x in data["ldl"]["D"]],
-        )
         mult = data.get("multiplier")
         mod = data.get("modulus")
         return cls(
@@ -953,7 +938,6 @@ class SosCertificate:
             gram=gram,
             denominator_power=int(data["N"]),
             target=parse_poly(data["target"], names),
-            ldl=ldl,
             multiplier=None if mult is None else parse_poly(mult, names),
             modulus=None if mod is None else parse_poly(mod, names),
         )
@@ -966,8 +950,7 @@ def _certify_from_vector(
     N: int,
 ) -> Optional[SosCertificate]:
     G = sys.matrix_from_vector(vec)
-    res = ldl_psd(G)
-    if not res.is_psd:
+    if not ldl_psd(G).is_psd:
         return None
     multiplier = None
     if sys.modulus is not None:
@@ -983,36 +966,9 @@ def _certify_from_vector(
         gram=G,
         denominator_power=N,
         target=target,
-        ldl=res,
         multiplier=multiplier,
         modulus=sys.modulus,
     )
-
-
-def _limit_denominator(v: float, bound: int) -> Fraction:
-    """Fraction(v).limit_denominator(bound), computed on v's integer ratio.
-
-    The answer is the closer of the last convergent p1/q1 within bound and
-    the semiconvergent (p0 + k p1)/(q0 + k q1), and p1/q1 on a tie: with d
-    the last remainder, p1/q1 lies d/(q1 den) from v and 1/(q1 (q0 + k q1))
-    from the semiconvergent.
-    """
-    num, den = v.as_integer_ratio()
-    if den <= bound:
-        return Fraction(num, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (bound - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def _round_and_certify(
@@ -1021,8 +977,8 @@ def _round_and_certify(
     target: Polynomial,
     N: int,
 ) -> Optional[SosCertificate]:
-    for bound in ROUNDING_DENOMINATORS:
-        rounded = [_limit_denominator(float(v), bound) for v in xfloat]
+    for Q in ROUNDING_DENOMINATORS:
+        rounded = [Fraction(round(float(v) * Q), Q) for v in xfloat]
         vec = sys.project_exact(rounded)
         cert = _certify_from_vector(sys, vec, target, N)
         if cert is not None:
@@ -1057,8 +1013,7 @@ def certify_sos(
         raise ValueError(f"max_denominator_power must be nonnegative, got {max_denominator_power}")
     settings = settings or SdpSettings()
     if F.is_zero():
-        empty = LdlResult(True, [], [], [])
-        cert = SosCertificate(basis=[], gram=[], denominator_power=0, target=F, ldl=empty)
+        cert = SosCertificate(basis=[], gram=[], denominator_power=0, target=F)
         return certified_yes(witness=cert, detail="zero polynomial is the empty sum of squares")
     if not F.is_homogeneous():
         raise ValueError("target must be homogeneous")
@@ -1151,9 +1106,8 @@ def certify_sos_mod_f(
         raise ValueError("both polynomials must be homogeneous")
     d = f.total_degree()
     if F.is_zero():
-        empty = LdlResult(True, [], [], [])
         cert = SosCertificate(
-            basis=[], gram=[], denominator_power=0, target=F, ldl=empty,
+            basis=[], gram=[], denominator_power=0, target=F,
             multiplier=Polynomial.zero(F.nvars), modulus=f,
         )
         return certified_yes(witness=cert, detail="zero polynomial: empty sum with zero multiplier")

@@ -5,8 +5,9 @@ reference below is the plain Fraction Gauss-Jordan elimination it replaced;
 the reduced row echelon form is unique, so (particular, nullspace basis) must
 agree exactly.  `ldl_psd` runs symmetric Bareiss elimination on integers; its
 reference is the pivoted LDL^T over Fraction it replaced, and the whole
-result (verdict, permutation, L, D, reason) must agree.  `mat_det` is checked
-against the permutation expansion.
+result (verdict, permutation, L, D, reason) must agree; every PSD result must
+also reassemble to the permuted input.  `mat_det` is checked against the
+permutation expansion.
 """
 
 import functools
@@ -69,11 +70,11 @@ def naive_ldl_psd(A):
     for k in range(n):
         idx = max(range(k, n), key=lambda i: work[i][i])
         if work[idx][idx] < 0:
-            return LdlResult(False, perm, L, D, reason=f"negative diagonal pivot {work[idx][idx]}")
+            return LdlResult(False, perm, L, D, reason=f"negative diagonal pivot at row {perm[idx]}")
         if work[idx][idx] == 0:
             for i in range(k, n):
                 if work[i][i] < 0:
-                    return LdlResult(False, perm, L, D, reason=f"negative diagonal entry {work[i][i]}")
+                    return LdlResult(False, perm, L, D, reason=f"negative diagonal entry at row {perm[i]}")
                 for j in range(k, n):
                     if work[i][j] != 0:
                         return LdlResult(
@@ -102,6 +103,13 @@ def naive_ldl_psd(A):
             work[i][k] = Fraction(0)
             work[k][i] = Fraction(0)
     return LdlResult(True, perm, L, D)
+
+
+def ldl_reassemble(res):
+    """L D L^T of a factorization, in plain Fraction arithmetic (permuted order)."""
+    n = len(res.D)
+    return [[sum(res.L[r][k] * res.D[k] * res.L[c][k] for k in range(min(r, c) + 1)) for c in range(n)]
+            for r in range(n)]
 
 
 def naive_det(A):
@@ -318,10 +326,11 @@ def test_ldl_psd_matches_naive_reference():
         got, want = ldl_psd(A), naive_ldl_psd(A)
         assert got == want, A
         assert all(type(x) is Fraction for x in [*got.D, *(x for row in got.L for x in row)])
-        reasons.add(got.reason.rstrip("-0123456789/ "))
+        reasons.add(got.reason.rstrip("0123456789"))
         if got.is_psd:
             ranks.add((len(A), got.rank))
-    assert {"", "negative diagonal pivot", "negative diagonal entry",
+            assert ldl_reassemble(got) == [[A[r][c] for c in got.perm] for r in got.perm], A
+    assert {"", "negative diagonal pivot at row ", "negative diagonal entry at row ",
             "zero diagonal with nonzero off-diagonal residual"} <= reasons
     assert {(n, r) for n in range(11) for r in range(n + 1)} <= ranks  # PSD of every rank
     entries = [x for A in cases for row in A for x in row]
@@ -334,3 +343,15 @@ def test_ldl_psd_matches_naive_reference():
             naive_ldl_psd(bad)
         with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
             ldl_psd(bad)
+
+
+def test_ldl_psd_names_a_huge_pivot_by_its_row():
+    # pivots of more than 4,300 digits cannot be printed as ints; the reason
+    # names the pivot's row and sign, so it never formats them
+    big = Fraction(10**4400, 3)
+    assert ldl_psd([[Fraction(-10**4400)]]).reason == "negative diagonal pivot at row 0"
+    res = ldl_psd([[big, big, 0], [big, big, 0], [0, 0, -big]])
+    assert not res.is_psd and res.reason == "negative diagonal entry at row 2"
+    res = ldl_psd([[big, 1], [1, -big]])
+    assert not res.is_psd and res.reason == "negative diagonal pivot at row 1"
+    assert res == naive_ldl_psd([[big, 1], [1, -big]])

@@ -2,8 +2,9 @@
 
 Enable with HYPERSOS_RUN_SLOW=1.  These exercise the 8-variable Vamos
 polynomial at full scale: the stability certification of its coordinate
-Wronskians (including the non-SOS pair) and the modulo-h relaxation on the
-4-variable restriction.
+Wronskians (including the non-SOS pair), the SOS relaxation of its
+hyperbolicity Wronskian, and the modulo-h relaxation on the 4-variable
+restriction.
 """
 
 import os
@@ -12,9 +13,10 @@ import pytest
 
 from hypersos.corpus import gen_vamos
 from hypersos.detrep import check_multiaffine_stable
-from hypersos.hypercone import SampleConfig, delta_ij
+from hypersos.hypercone import SampleConfig, delta_ij, wronskian_delta
 from hypersos.polycore import drop_trailing_variables, exact_divide, identify_variables
-from hypersos.soscert import certify_sos, certify_sos_mod_f
+from hypersos.soscert import SosCertificate, certify_sos, certify_sos_mod_f
+from hypersos.verdicts import Verdict
 
 slow = pytest.mark.skipif(
     os.environ.get("HYPERSOS_RUN_SLOW") != "1",
@@ -31,6 +33,24 @@ def test_vamos_delta13_certification_attempt():
     d13 = delta_ij(h, 0, 2)
     v = certify_sos(d13, 0)
     assert v.is_yes and v.witness.verify()
+
+
+@slow
+def test_vamos_hyperbolicity_wronskian_gives_a_verdict():
+    # W = (D_e h)^2 - h D_e^2 h for e = (1, ..., 1) has 784 terms and a
+    # 56-element basis, beyond the face-reduction cap of 28, so the family
+    # keeps 812 nullspace directions.  Rounding each Gram entry to its own
+    # denominator once made ldl_psd carry a 444-digit lcm into pivots of more
+    # than 4,300 digits, and the refutation reason raised while printing one
+    h = gen_vamos()
+    ones = [1] * h.nvars
+    v = certify_sos(wronskian_delta(h, ones, ones), 0)
+    assert isinstance(v, Verdict)
+    if v.is_yes:
+        assert v.witness.verify()
+        assert SosCertificate.from_json(v.witness.to_json()).verify()
+    else:
+        assert v.is_unknown
 
 
 @slow

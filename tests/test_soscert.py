@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hypersos.corpus import gen_lorentz, gen_product, gen_vamos
-from hypersos.exactla import LdlResult, ldl_psd, ldl_reassemble, mat_det, solve_affine_family
+from hypersos.exactla import ldl_psd, mat_det, solve_affine_family
 from hypersos.hypercone import HyperbolicityInstance, delta_ij, wronskian_delta
 from hypersos.polycore import (
     Polynomial,
@@ -22,13 +22,11 @@ from hypersos.polycore import (
     restrict_to_line,
 )
 from hypersos.soscert import (
-    ROUNDING_DENOMINATORS,
     GramSystem,
     SdpSettings,
     SosCertificate,
     _ZeroGeometry,
     _auto_basis,
-    _limit_denominator,
     assemble_gram_system,
     box_reduced_support,
     certify_sos,
@@ -172,8 +170,8 @@ def test_certificate_json_round_trip():
     assert again.verify()
     # wire schema: exact rationals as "p/q" strings under the stable keys
     data = json.loads(cert.to_json())
-    assert {"basis", "gram", "N", "multiplier", "ldl"} <= set(data)
-    assert {"perm", "L", "D"} <= set(data["ldl"])
+    assert {"basis", "gram", "N", "multiplier"} <= set(data)
+    assert "ldl" not in data  # the Gram matrix is the whole PSD witness
     assert all("/" in entry for row in data["gram"] for entry in row)
 
 
@@ -406,10 +404,9 @@ def test_ldl_psd_decision_and_reassembly():
     A = [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(2)]]
     res = ldl_psd(A)
     assert res.is_psd and res.is_pd
-    re = ldl_reassemble(res)
-    for r in range(2):
-        for c in range(2):
-            assert re[r][c] == A[res.perm[r]][res.perm[c]]
+    L, D = res.L, res.D
+    LDLt = [[sum(L[r][k] * D[k] * L[c][k] for k in range(2)) for c in range(2)] for r in range(2)]
+    assert LDLt == [[A[r][c] for c in res.perm] for r in res.perm]
     bad = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert not ldl_psd(bad).is_psd
     neg = [[Fraction(-1)]]
@@ -424,26 +421,24 @@ def test_ldl_psd_decision_and_reassembly():
 
 
 def forged_indefinite_certificate():
-    """x^2 - y^2 with Gram diag(1, -1) and an LDL^T whose perm repeats row 0."""
-    target = P("x^2 - y^2", ["x", "y"])
+    """x^2 - y^2 with the indefinite Gram matrix diag(1, -1): the identity holds, PSD fails."""
     return SosCertificate(
         basis=[P("x", ["x", "y"]), P("y", ["x", "y"])],
         gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
         denominator_power=0,
-        target=target,
-        ldl=LdlResult(
-            is_psd=True,
-            perm=[0, 0],
-            L=[[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]],
-            D=[Fraction(1), Fraction(0)],
-        ),
+        target=P("x^2 - y^2", ["x", "y"]),
     )
 
 
 def test_verify_rejects_forged_permutation():
     forged = forged_indefinite_certificate()
-    assert not forged.verify()
-    assert not SosCertificate.from_json(forged.to_json()).verify()
+    assert forged.verify() is False
+    assert SosCertificate.from_json(forged.to_json()).verify() is False
+    # a file in the older format still carries a stored LDL^T; its claim of a
+    # PSD factorization, here with a perm that repeats row 0, is not read
+    data = json.loads(forged.to_json())
+    data["ldl"] = {"perm": [0, 0], "L": [["1/1", "0/1"], ["1/1", "0/1"]], "D": ["1/1", "0/1"]}
+    assert SosCertificate.from_json(json.dumps(data)).verify() is False
 
 
 def genuine_certificate():
@@ -453,39 +448,30 @@ def genuine_certificate():
     return v.witness
 
 
-def mutated(cert, **ldl_fields):
-    ldl = LdlResult(True, list(cert.ldl.perm), [list(r) for r in cert.ldl.L], list(cert.ldl.D))
-    for name, value in ldl_fields.items():
-        setattr(ldl, name, value)
+def with_gram(cert, gram, target=None):
     return SosCertificate(
-        basis=list(cert.basis), gram=[list(r) for r in cert.gram],
-        denominator_power=cert.denominator_power, target=cert.target, ldl=ldl,
+        basis=list(cert.basis), gram=gram,
+        denominator_power=cert.denominator_power, target=cert.target if target is None else target,
     )
 
 
 def test_verify_rejects_malformed_fields_without_raising():
     cert = genuine_certificate()
-    m = len(cert.basis)
-    bad = [
-        mutated(cert, L=cert.ldl.L[:-1]),
-        mutated(cert, L=[row[:-1] for row in cert.ldl.L]),
-        mutated(cert, D=cert.ldl.D[:-1]),
-        mutated(cert, perm=cert.ldl.perm[:-1]),
-        mutated(cert, perm=list(reversed(cert.ldl.perm))[:1] * m),
-        mutated(cert, perm=[*cert.ldl.perm[:-1], m]),
-    ]
-    upper = mutated(cert)
-    upper.ldl.L[0][m - 1] = Fraction(1)
-    bad.append(upper)
-    short_gram = mutated(cert)
-    short_gram.gram = [row[:-1] for row in cert.gram]
-    bad.append(short_gram)
-    skew = mutated(cert)
-    skew.gram[0][1] += 1
-    bad.append(skew)
-    for forged in bad:
-        assert forged.verify() is False
-    assert mutated(cert).verify()
+    gram = cert.gram
+    ragged = [list(row) for row in gram]
+    ragged[-1] = ragged[-1][:-1]
+    skew = [list(row) for row in gram]
+    skew[0][1] += 1
+    for bad in (gram[:-1], [row[:-1] for row in gram], ragged, skew):
+        assert with_gram(cert, bad).verify() is False
+    # -G matches -target exactly, and only the PSD check rejects it
+    negated = with_gram(cert, [[-x for x in row] for row in gram], -cert.target)
+    assert negated.verify() is False and negated.ldl.reason
+    assert with_gram(cert, [list(row) for row in gram]).verify()
+    # the factorization is read from the Gram matrix, never stored beside it
+    with pytest.raises(AttributeError):
+        cert.ldl = ldl_psd(gram)
+    assert cert.ldl == ldl_psd(gram)
 
 
 def test_certify_sos_never_differentiates_however_many_zeros(monkeypatch):
@@ -750,7 +736,8 @@ def test_certify_sos_restricts_each_zero_plane_once(monkeypatch):
 def test_vamos_sweep_at_budget_zero():
     # all 28 coordinate Wronskians of the Vamos polynomial at denominator
     # power 0: 4 refuted, and 24 certified, the boundary pairs Delta_13,
-    # Delta_14, Delta_23 and Delta_24 among them
+    # Delta_14, Delta_23 and Delta_24 among them; each certificate checks
+    # again after a JSON round trip
     vamos = gen_vamos()
     no = {(0, 1), (2, 3), (4, 5), (6, 7)}
     for i in range(8):
@@ -760,6 +747,7 @@ def test_vamos_sweep_at_budget_zero():
                 assert v.is_no, (i, j)
             else:
                 assert v.is_yes and v.witness.verify(), (i, j)
+                assert SosCertificate.from_json(v.witness.to_json()).verify(), (i, j)
 
 
 # -- the float SDP step -------------------------------------------------------------
@@ -859,75 +847,15 @@ def test_certify_sos_mod_f_lorentz_points_inside_the_cone():
 # -- rounding, projection and the Hessian check in ints -------------------------
 
 
-def rounding_floats(rng):
-    """Seeded floats: signed zeros, extremes, integers, small dyadics, and both signs."""
-    xs = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 3.0, -7.0, 0.5, -0.375]
-    for _ in range(300):
-        xs.append(rng.uniform(-10, 10))
-        xs.append(rng.uniform(-1e-3, 1e-3))
-        xs.append(float(rng.randint(-1000, 1000)))
-        # a denominator of at most 64, within every rounding bound
-        xs.append(rng.randint(-5000, 5000) / 2 ** rng.randint(0, 6))
-    return xs
-
-
-def halfway_floats(rng, bound, count=200):
-    """Floats within two ulps of the midpoint of two Farey neighbours of order bound.
-
-    Between neighbours a/b < c/d (c b - a d = 1, both denominators within
-    bound) the rounding switches from a/b to c/d at their midpoint.
-    """
-    out = []
-    for _ in range(count):
-        b = rng.randint(1, bound)
-        a = rng.randint(-3 * b, 3 * b)
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        d0 = -pow(a, -1, b) % b if b > 1 else 0
-        d = d0 + b * ((bound - d0) // b)
-        c = (1 + a * d) // b
-        x = float((Fraction(a, b) + Fraction(c, d)) / 2)
-        lo = hi = x
-        for _ in range(2):
-            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-            out.extend((lo, hi))
-        out.append(x)
-    return out
-
-
-def test_limit_denominator_matches_the_stdlib():
-    rng = random.Random(1515)
-    xs = rounding_floats(rng)
-    assert any(x.as_integer_ratio()[1] > 1 and x.as_integer_ratio()[1] <= 64 for x in xs)
-    for bound in ROUNDING_DENOMINATORS:
-        for x in xs + halfway_floats(rng, bound):
-            got = _limit_denominator(x, bound)
-            assert type(got) is Fraction
-            assert got == Fraction(x).limit_denominator(bound), (x, bound)
-
-
-def test_limit_denominator_breaks_exact_ties_like_the_stdlib():
-    # a + 1/(2B) is halfway between a and a + 1/B; with B a power of two it
-    # is a float, and the smaller denominator wins
-    for k in (1, 4, 7, 12):
-        B = 2**k
-        for a in (-3, -1, 0, 2, 5):
-            for x in (a + 1 / (2 * B), a - 1 / (2 * B)):
-                want = Fraction(x).limit_denominator(B)
-                assert want == a
-                assert _limit_denominator(x, B) == want
-
-
 def naive_structural_projection(sys, vec):
     """GramSystem.project_exact on a structural family, in plain Fraction arithmetic."""
     y = [Fraction(v) for v in vec]
     out = list(y)
-    for pair_idxs, coeffs, rhs in sys._eqs:
-        num = rhs - sum(c * y[k] for k, c in zip(pair_idxs, coeffs))
-        den = sum(c * c / sys.weights[k] for k, c in zip(pair_idxs, coeffs))
-        nu = num / den
-        for k, c in zip(pair_idxs, coeffs):
-            out[k] = y[k] + nu * c / sys.weights[k]
+    for pair_idxs, rhs in sys._eqs:
+        num = rhs - sum(sys.weights[k] * y[k] for k in pair_idxs)
+        nu = num / sum(sys.weights[k] for k in pair_idxs)
+        for k in pair_idxs:
+            out[k] = y[k] + nu
     return out
 
 
@@ -957,16 +885,20 @@ def test_structural_projection_matches_the_fraction_reference():
 
 
 def test_hessian_refutation_reads_its_reason_from_the_exact_hessian():
-    # F and its gradient vanish at p; the Hessian there is diag(4/45, -2/21, 0),
-    # and the refutation names its pivot -2/21, not that of a scaled copy
+    # F and its gradient vanish at p; the Hessian there is diag(4/45, -2/21, 0).
+    # The refutation factors the integer Hessian, a positive multiple of the
+    # exact one, so it names the same row, and it reports the exact Hessian
     names = ["x", "y", "z"]
     F = parse_poly("2/5*x^2*z^2 - 3/7*y^2*z^2 + x^4 + y^4", names)
     p = [Fraction(0), Fraction(0), Fraction(1, 3)]
     assert F.evaluate(p) == 0
     out = second_order_obstruction(F, [p])
-    grad, H = _ZeroGeometry(F).derivatives_at(p)
+    geometry = _ZeroGeometry(F)
+    grad, H = geometry.derivatives_at(p)
     assert not any(grad)
+    assert H == [[Fraction(4, 45), 0, 0], [0, Fraction(-2, 21), 0], [0, 0, 0]]
     reason = ldl_psd(H).reason
-    assert reason == "negative diagonal entry -2/21"
+    assert reason == "negative diagonal entry at row 1"
+    assert ldl_psd(geometry.int_derivatives(p)[1]).reason == reason
     assert out == {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({reason})"}
     assert all(type(h) is Fraction for row in out["hessian"] for h in row)
