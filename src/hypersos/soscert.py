@@ -5,9 +5,9 @@ The pipeline for a target form F of even degree:
   1. assemble the affine family of Gram matrices {G : v^T G v = F} exactly
      (particular solution + nullspace basis over Q);
   2. find a numerically PSD member by a log-barrier interior-point method
-     that maximises the smallest eigenvalue over the family (alternating
-     projections for families too large for its Newton system); this is the
-     only floating-point step;
+     that maximises the smallest eigenvalue over the family, with one Newton
+     unknown per nullspace direction, or per equation when the nullspace is
+     too large; this is the only floating-point step;
   3. round every entry to one common denominator Q (Peyrl-Parrilo), project
      exactly back onto the family, and decide PSD by exact pivoted LDL^T,
      for each Q of ROUNDING_DENOMINATORS in turn.  The projection and the
@@ -55,19 +55,16 @@ from .polycore import (
 from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
 
 
-# A barrier Newton step holds the (m+1) x (m+1) Hessian and the m+1 search
-# directions as dense n x n matrices, for m nullspace directions over a
-# basis of n: (m+1)^2 + (m+1) n^2 doubles.  A basis of at most 28 elements
-# has m <= 406 and needs under 2^19 doubles, so 2^22 doubles (32 MiB)
-# keeps every face-reduced family on the barrier method.  The
-# denominator-power-1 Vamos family (n = 211, m = 18,187) would need 0.8e9
-# doubles, and goes to alternating projections instead.
+# The barrier's Newton system in the nullspace form takes (m+1)^2 + (m+1) n^2
+# doubles for m nullspace directions over a basis of n, which stays under
+# 2^19 for every face-reduced basis (at most 28 elements, m <= 406).  A
+# larger family takes the equation form, (K+1+extra)^2 doubles for K
+# equations, when that fits: 120 cubic monomials in 8 variables give
+# m = 5,544 but K = 1,716.  The denominator-power-1 Vamos family (n = 211,
+# m = 18,187, K = 4,179) fits neither and gets no SDP.
 BARRIER_MAX_DOUBLES = 2**22
 # Newton steps per barrier solve; a boundary family needs about 100
 BARRIER_MAX_STEPS = 400
-# alternating-projection iterations per SDP solve, split over its margins;
-# only families too large for the barrier method use them
-SDP_MAX_ITERATIONS = 3000
 # common denominators tried in turn when rounding the float Gram point
 ROUNDING_DENOMINATORS = (100, 1600, 25600, 409600)
 
@@ -642,11 +639,12 @@ def constrain_basis_to_zeros(
 def solve_sdp(sys: GramSystem, settings: SdpSettings):
     """Find a numerically PSD point in the affine Gram family.
 
-    Families whose Newton system fits in BARRIER_MAX_DOUBLES go to a
-    log-barrier interior-point method (see _barrier_sdp); larger ones to
-    alternating projections.  Returns a finite float unknown-vector whose
-    Gram matrix has smallest eigenvalue at least -tolerance * scale, or None
-    (numerically infeasible, or the float method broke down).
+    A log-barrier method searches (see _barrier_sdp).  Its Newton system has
+    one unknown per nullspace direction when that fits BARRIER_MAX_DOUBLES,
+    else one per equation when that fits; a family too large for both gets
+    None at once.  Returns a finite float unknown-vector whose Gram matrix
+    has smallest eigenvalue at least -tolerance * scale, or None
+    (numerically infeasible, too large, or the float method broke down).
     """
     import numpy as np  # only this float stage needs numpy; exact paths never load it
 
@@ -659,10 +657,14 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
     tol = settings.feasibility_tolerance * scale
 
     m = sys.nullspace_dim + 1  # the Gram directions and t
+    k = sys.nunknowns - sys.nullspace_dim + 1 + sys.extra  # the equations, t and the multiplier
     if m * m + m * n * n <= BARRIER_MAX_DOUBLES:
-        x = _barrier_sdp(sys, x0, rows, cols, scale, tol)
+        form = _nullspace_form(sys, x0, rows, cols, scale)
+    elif k * k <= BARRIER_MAX_DOUBLES:
+        form = _equation_form(sys, rows, cols, scale)
     else:
-        x = _alternating_projections(sys, x0, rows, cols, scale, tol)
+        return None
+    x = None if form is None else _barrier_sdp(form, n, scale, tol)
     if x is None or not np.all(np.isfinite(x)):
         return None
     G = np.zeros((n, n))
@@ -670,54 +672,85 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
     return x if np.linalg.eigvalsh(G)[0] >= -tol else None
 
 
-def _float_directions(sys: GramSystem):
-    """The nullspace as a dense float unknowns x m matrix.
+def _barrier_sdp(form, n: int, scale: float, tol: float):
+    """Maximise t subject to S = G - t I >= 0 over the family by a log-barrier method.
 
-    A structural family's directions come straight from its equations: each
-    non-leading unknown k of an equation gives e_k - (w_k / w_lead) e_lead.
+    form is (z, G, slack, newton, point): the parameters z of the start
+    member G; slack(z) = S once t is appended to z; newton(z, S, L, W, mu)
+    -> (step in z, step dS, squared Newton decrement) for -t/mu - log det S,
+    given S = L L^T and W = S^-1; and point(z), the unknown-vector.  Each
+    step goes 0.99 of the way to the boundary at most, and mu shrinks
+    tenfold once the Newton decrement is below 1/4.  On a boundary face the
+    central path tends to the face's relative interior, where rounding
+    succeeds.  Stops at the interior margin 4e-3 * scale (no step at all
+    when the start member has it), when the duality gap n mu drops below
+    tol / 1000 or proves the family infeasible, or when a Newton system is
+    singular.
     """
     import numpy as np
 
-    if sys._eqs is None:
-        null = sys._null
-        D = np.zeros((sys.nunknowns, len(null)))
-        for d, vec in enumerate(null):
-            for k, v in enumerate(vec):
-                if v:
-                    D[k, d] = v
-        return D
-    w = sys.weights
-    ks, leads, ratios = [], [], []
-    for pair_idxs, _ in sys._eqs:
-        for k in pair_idxs[1:]:
-            ks.append(k)
-            leads.append(pair_idxs[0])
-            ratios.append(w[k] / w[pair_idxs[0]])
-    D = np.zeros((sys.nunknowns, len(ks)))
-    ds = np.arange(len(ks))
-    D[ks, ds] = 1.0
-    D[leads, ds] = -np.array(ratios)
-    return D
+    z, G, slack, newton, point = form
+    target = 0.4e-2 * scale
+    lam_min = float(np.linalg.eigvalsh(G)[0])
+    if lam_min >= target or not len(z):
+        return point(z)
+    z = np.append(z, lam_min - scale)
+    mu = scale / n
+    for _ in range(BARRIER_MAX_STEPS):
+        S = slack(z)
+        try:
+            L = np.linalg.cholesky(S)
+            Li = np.linalg.inv(L)
+            W = Li.T @ Li
+            step, dS, decrement2 = newton(z, S, L, W, mu)
+            if not np.all(np.isfinite(step)):
+                break
+            # the largest alpha keeping S + alpha dS positive definite
+            e = float(np.linalg.eigvalsh(Li @ dS @ Li.T)[0])
+        except np.linalg.LinAlgError:
+            break
+        decrement = math.sqrt(max(0.0, decrement2))
+        alpha = 1.0 if e >= 0 else min(1.0, -0.99 / e)
+        z = z + alpha * step
+        if z[-1] >= target:
+            break
+        if decrement < 0.25:
+            if z[-1] + 2 * n * mu < -tol:
+                return None  # the duality gap bounds every member's lambda_min below -tol
+            if n * mu < 1e-3 * tol:
+                break
+            mu *= 0.1
+    return point(z)
 
 
-def _barrier_sdp(sys: GramSystem, x0, rows, cols, scale: float, tol: float):
-    """Maximise t subject to G(lam) - t I >= 0 by a log-barrier method.
+def _nullspace_form(sys: GramSystem, x0, rows, cols, scale: float):
+    """The barrier in z = (lam, t) for the family G(lam) = G0 + sum lam_k B_k.
 
-    G(lam) = G0 + sum lam_k B_k is the family.  Damped Newton steps in
-    z = (lam, t) minimise -t/mu - log det(G(lam) - t I); with the t
-    direction written as B = -I, the gradient is -tr(W B_a) - [a = t]/mu and
-    the Hessian tr(W B_a W B_b) for W = (G - t I)^-1.  Each step goes 0.99 of
-    the way to the boundary at most, and mu shrinks tenfold once the Newton
-    decrement is below 1/4.  On a boundary face the central path tends to
-    the face's relative interior, where rounding succeeds.  Stops at the
-    interior margin 4e-3 * scale (no step at all when the member nearest
-    scale * I has it), when the duality gap n mu drops below tol / 1000 or
-    proves the family infeasible, or when a Newton system is singular.
+    With the t direction written as B = -I, the gradient is
+    -tr(W B_a) - [a = t]/mu and the Hessian tr(W B_a W B_b).  Starts at the
+    family member nearest scale * I.
     """
     import numpy as np
 
     n, npairs = sys.size, len(sys.pairs)
-    D = _float_directions(sys)
+    if sys._eqs is None:
+        D = np.zeros((sys.nunknowns, len(sys._null)))
+        for d, vec in enumerate(sys._null):
+            for k, v in enumerate(vec):
+                if v:
+                    D[k, d] = v
+    else:
+        # each non-leading unknown k of an equation gives e_k - (w_k / w_lead) e_lead
+        w = sys.weights
+        ks, leads, ratios = [], [], []
+        for pair_idxs, _ in sys._eqs:
+            for k in pair_idxs[1:]:
+                ks.append(k)
+                leads.append(pair_idxs[0])
+                ratios.append(w[k] / w[pair_idxs[0]])
+        D = np.zeros((sys.nunknowns, len(ks)))
+        D[ks, range(len(ks))] = 1.0
+        D[leads, range(len(ks))] = -np.array(ratios)
     # keep the directions that move G: the Jacobi scaling divides by each one's curvature
     D = D[:, np.any(D[:npairs] != 0, axis=0)]
     m = D.shape[1]
@@ -727,130 +760,89 @@ def _barrier_sdp(sys: GramSystem, x0, rows, cols, scale: float, tol: float):
     Bf = B.reshape(m + 1, -1)
     G0 = np.zeros((n, n))
     G0[rows, cols] = G0[cols, rows] = x0[:npairs]
-    target = 0.4e-2 * scale
-
-    # start at the family member nearest scale * I
     lam = np.linalg.lstsq(Bf[:m].T, (scale * np.eye(n) - G0).ravel(), rcond=None)[0] if m else np.zeros(0)
+
+    def newton(z, S, L, W, mu):
+        grad = -Bf @ W.ravel()
+        grad[m] -= 1.0 / mu
+        H = Bf @ (W @ B @ W).reshape(m + 1, -1).T
+        # Jacobi scaling: near a face, H spans many orders of magnitude
+        r = 1.0 / np.sqrt(np.diag(H))
+        step = -r * np.linalg.solve(H * r[:, None] * r, grad * r)
+        return step, (step @ Bf).reshape(n, n), -float(grad @ step)
+
     G = G0 + (lam @ Bf[:m]).reshape(n, n)
-    lam_min = float(np.linalg.eigvalsh(G)[0])
-    if lam_min >= target or m == 0:
-        return x0 + D @ lam
-    z = np.append(lam, lam_min - scale)
-    mu = scale / n
-    for _ in range(BARRIER_MAX_STEPS):
-        S = G0 + (z @ Bf).reshape(n, n)
-        try:
-            Li = np.linalg.inv(np.linalg.cholesky(S))
-            W = Li.T @ Li
-            grad = -Bf @ W.ravel()
-            grad[m] -= 1.0 / mu
-            H = Bf @ (W @ B @ W).reshape(m + 1, -1).T
-            # Jacobi scaling: near a face, H spans many orders of magnitude
-            r = 1.0 / np.sqrt(np.diag(H))
-            step = -r * np.linalg.solve(H * r[:, None] * r, grad * r)
-            if not np.all(np.isfinite(step)):
-                break
-            # the largest alpha keeping S + alpha dS positive definite
-            dS = (step @ Bf).reshape(n, n)
-            e = float(np.linalg.eigvalsh(Li @ dS @ Li.T)[0])
-        except np.linalg.LinAlgError:
-            break
-        decrement = math.sqrt(max(0.0, -float(grad @ step)))
-        alpha = 1.0 if e >= 0 else min(1.0, -0.99 / e)
-        z = z + alpha * step
-        if z[m] >= target:
-            break
-        if decrement < 0.25:
-            if z[m] + 2 * n * mu < -tol:
-                return None  # the duality gap bounds every member's lambda_min below -tol
-            if n * mu < 1e-3 * tol:
-                break
-            mu *= 0.1
-    return x0 + D @ z[:m]
+    return lam, G, lambda z: G0 + (z @ Bf).reshape(n, n), newton, lambda z: x0 + D @ z[:m]
 
 
-def _alternating_projections(sys: GramSystem, x0, rows, cols, scale: float, tol: float):
-    """Alternate between the PSD cone (eigenvalue clamping) and the family.
+def _equation_form(sys: GramSystem, rows, cols, scale: float):
+    """The barrier in z = (x, t) for the unknowns x, one Newton unknown per equation.
 
-    Runs over a decreasing ladder of interiority margins, so that strictly
-    feasible problems return well-conditioned interior points.  Only for
-    families whose barrier Newton system would not fit in memory.
+    Equation k reads tr(A_k G) + (R p)_k = b_k: A_k is the Gram part of its
+    row over the pair weights, and R holds the multiplier columns.  The step
+    dS = S - S Y S for Y = sum y_k A_k solves (Vandenberghe-Boyd 1996)
+
+        [M, -a, -R; a^T, 0, 0; R^T, 0, 0] [y; dt; dp] = [A(S); 1/mu; 0]
+
+    with M_kl = tr(A_k S A_l S) and a = A(I).  M carries the square of S's
+    condition number, so near a boundary face this form runs out of accuracy
+    at about 1e-8 * scale, long before the nullspace form.  Starts at the
+    family member nearest scale * I.  None unless every basis element is a
+    single term, so that each pair enters exactly one equation.
     """
     import numpy as np
 
-    n = sys.size
-    npairs = len(sys.pairs)
+    if any(p.num_terms() != 1 for p in sys.basis):
+        return None
+    monos, cs = zip(*(next(iter(p.terms.items())) for p in sys.basis))
+    index: dict[Mono, int] = {}
+    eq = np.array([index.setdefault(tuple(map(sum, zip(monos[i], monos[j]))), len(index)) for i, j in sys.pairs])
+    coef = np.array([float(w * cs[i] * cs[j]) for w, (i, j) in zip(sys.weights, sys.pairs)])
+    polys = [sys.target] + [Polynomial.monomial(sys.target.nvars, m) * sys.modulus for m in sys.mult_monos]
+    bR = np.zeros((len(index), len(polys)))
+    for t, p in enumerate(polys):
+        for m, c in p.terms.items():
+            bR[index[m], t] = float(c)
+    b, R = bR[:, 0], bR[:, 1:]
+    n, npairs, K, extra = sys.size, len(sys.pairs), len(index), sys.extra
+    h = coef / np.array(sys.weights)  # the entry of A_eq[k] at pair k
+    diag, flat = (rows == cols).astype(float), rows * n + cols
+    # every pair as (i, j) and (j, i), grouped by equation: S A_l S is
+    # S[:, I] diag(c / 2) S[J, :] over equation l's segment
+    order = np.argsort(np.concatenate([eq, eq]), kind="stable")
+    I, J = np.concatenate([rows, cols])[order], np.concatenate([cols, rows])[order]
+    half = np.concatenate([coef, coef])[order] / 2
+    bounds = np.append(0, np.cumsum(2 * np.bincount(eq, minlength=K)))
 
-    def to_matrix(x):
-        M = np.zeros((n, n))
-        M[rows, cols] = x[:npairs]
-        M[cols, rows] = x[:npairs]
-        return M
+    def A(X):
+        return np.bincount(eq, weights=coef * np.take(X, flat), minlength=K)
 
-    def from_matrix(M, extra):
-        return np.concatenate([M[rows, cols], extra])
+    a = A(np.eye(n))
 
-    if sys._eqs is not None:
-        # each equation sum w_k y_k = rhs gets one correction nu, added to all of its unknowns
-        neq = len(sys._eqs)
-        eq_of_pair = np.zeros(npairs, dtype=np.int64)
-        rhs = np.zeros(neq)
-        wvec = np.array([float(w) for w in sys.weights])
-        for e, (pair_idxs, r) in enumerate(sys._eqs):
-            rhs[e] = float(r)
-            eq_of_pair[pair_idxs] = e
-        denom = np.bincount(eq_of_pair, weights=wvec, minlength=neq)
+    def gram(values):
+        G = np.zeros((n, n))
+        G[rows, cols] = G[cols, rows] = values
+        return G
 
-        def proj_affine(y):
-            s = np.bincount(eq_of_pair, weights=wvec * y[:npairs], minlength=neq)
-            out = y.copy()
-            out[:npairs] += ((rhs - s) / denom)[eq_of_pair]
-            return out
+    def newton(z, S, L, W, mu):
+        kkt = np.zeros((K + 1 + extra, K + 1 + extra))
+        U, V = S[:, I] * half, S[J]
+        for l in range(K):
+            kkt[:K, l] = A(U[:, bounds[l]:bounds[l + 1]] @ V[bounds[l]:bounds[l + 1]])
+        kkt[:K, K], kkt[K, :K] = -a, a
+        kkt[:K, K + 1:], kkt[K + 1:, :K] = -R, R.T
+        sol = np.linalg.solve(kkt, np.concatenate([A(S), [1.0 / mu], np.zeros(extra)]))
+        # S - S Y S as L (I - L^T Y L) L^T: S Y S cancels S to the size of Y's rounding
+        X = np.eye(n) - L.T @ gram(sol[eq] * h) @ L
+        dS = L @ X @ L.T
+        step = np.concatenate([np.take(dS, flat) + sol[K] * diag, sol[K + 1:], [sol[K]]])
+        return step, dS, float(np.trace(X)) + sol[K] / mu
 
-    else:
-        Nmat = _float_directions(sys)  # u x m
-        if not Nmat.shape[1]:
-            def proj_affine(y):
-                return x0.copy()
-        else:
-            w = np.array([float(wt) for wt in sys.weights] + [1.0] * sys.extra)
-            WN = Nmat * w[:, None]
-            gram = Nmat.T @ WN
-            gram_inv = np.linalg.pinv(gram)
-
-            def proj_affine(y):
-                lam = gram_inv @ (WN.T @ (y - x0))
-                return x0 + Nmat @ lam
-
-    margins = [1e-2 * scale, 1e-4 * scale, 0.0]
-    per_stage = SDP_MAX_ITERATIONS // len(margins)
-
-    x = proj_affine(x0.copy())
-    best_x, best_min = None, -np.inf
-    for margin in margins:
-        prev = None
-        for _ in range(per_stage):
-            M = to_matrix(x)
-            eigvals, eigvecs = np.linalg.eigh(M)
-            lam_min = float(eigvals[0])
-            if lam_min > best_min:
-                best_min, best_x = lam_min, x.copy()
-            if margin > 0 and lam_min >= 0.4 * margin:
-                return x
-            if margin == 0 and lam_min >= -tol:
-                return x
-            clamped = np.clip(eigvals, margin, None)
-            Mp = (eigvecs * clamped) @ eigvecs.T
-            y = from_matrix(Mp, x[npairs:])
-            x_new = proj_affine(y)
-            if prev is not None and float(np.max(np.abs(x_new - prev))) < 1e-15 * scale:
-                x = x_new
-                break
-            prev = x.copy()
-            x = x_new
-    if best_x is not None and best_min >= -tol:
-        return best_x
-    return None
+    d = b - scale * a
+    N = np.bincount(eq, weights=coef * h, minlength=K)  # tr(A_k A_k), as the A_k have disjoint supports
+    p = np.linalg.lstsq(R / np.sqrt(N)[:, None], d / np.sqrt(N), rcond=None)[0]
+    x = np.concatenate([scale * diag + ((d - R @ p) / N)[eq] * h, p])
+    return x, gram(x[:npairs]), lambda z: gram(z[:npairs]) - z[-1] * np.eye(n), newton, lambda z: z[:npairs + extra]
 
 
 # -- certificates ---------------------------------------------------------------
@@ -878,25 +870,25 @@ class SosCertificate:
 
     def certified_form(self) -> Polynomial:
         """(sum x_i^2)^N * target, the form the Gram matrix certifies."""
-        n = self.target.nvars
-        s2 = sum(
-            (Polynomial.variable(n, i) * Polynomial.variable(n, i) for i in range(n)),
-            Polynomial.zero(n),
-        )
-        return self.target * s2**self.denominator_power
+        return self.target * _sum_of_var_squares(self.target.nvars) ** self.denominator_power
 
     def verify(self) -> bool:
         """Re-check the certificate from scratch, exactly.
 
         The Gram matrix must be m x m and symmetric for m basis elements
         (False, never an exception, when it is not), v^T G v must equal the
-        certified form exactly, and ldl_psd must find G PSD.
+        certified form exactly, and ldl_psd must find G PSD.  A negative N,
+        or one that lifts the target above twice the largest basis degree,
+        is rejected before (sum x_i^2)^N is built.
         """
         m = len(self.basis)
         gram = self.gram
         if len(gram) != m or any(len(row) != m for row in gram):
             return False
         if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i)):
+            return False
+        N, top = self.denominator_power, max((b.total_degree() for b in self.basis), default=0)
+        if N < 0 or self.target.total_degree() + 2 * N > 2 * top:
             return False
         acc = Polynomial.zero(self.target.nvars)
         for i, bi in enumerate(self.basis):

@@ -2,20 +2,23 @@
 
 Enable with HYPERSOS_RUN_SLOW=1.  These exercise the 8-variable Vamos
 polynomial at full scale: the stability certification of its coordinate
-Wronskians (including the non-SOS pair), the SOS relaxation of its
-hyperbolicity Wronskian, and the modulo-h relaxation on the 4-variable
-restriction.
+Wronskians (including the non-SOS pair) at SOS budgets 0 and 1, the SOS
+relaxation of its hyperbolicity Wronskian, and the modulo-h relaxation on
+the 4-variable restriction; and a modulo-e_{6,4} family whose Gram system
+only fits the barrier's equation form.
 """
 
 import os
+import random
 
 import pytest
 
-from hypersos.corpus import gen_vamos
+from hypersos.corpus import gen_elementary_symmetric, gen_vamos
 from hypersos.detrep import check_multiaffine_stable
 from hypersos.hypercone import SampleConfig, delta_ij, wronskian_delta
-from hypersos.polycore import drop_trailing_variables, exact_divide, identify_variables
-from hypersos.soscert import SosCertificate, certify_sos, certify_sos_mod_f
+from hypersos.polycore import Polynomial, drop_trailing_variables, exact_divide, identify_variables
+from hypersos import soscert
+from hypersos.soscert import SosCertificate, certify_sos, certify_sos_mod_f, monomials_of_degree
 from hypersos.verdicts import Verdict
 
 slow = pytest.mark.skipif(
@@ -61,6 +64,43 @@ def test_vamos_stability_pairs():
     # aggregate verdict stays UNKNOWN with that pair among the uncertified
     assert v.is_unknown
     assert (6, 7) in v.witness["uncertified_pairs"]
+
+
+@slow
+def test_vamos_stability_pairs_at_budget_one():
+    # the four N = 1 families left undecided at budget 0 fit neither barrier
+    # Newton system and get no SDP, so the verdict is the budget-0 one
+    v = check_multiaffine_stable(gen_vamos())
+    assert v.is_unknown
+    assert (6, 7) in v.witness["uncertified_pairs"]
+
+
+@slow
+def test_sos_mod_elementary_symmetric_in_the_equation_form(monkeypatch):
+    # F = sum of random cubic squares + q e_{6,4} over 56 cubic monomials:
+    # 1,155 nullspace directions (21 of them multiplier unknowns) are too
+    # many for the nullspace form, the 462 equations are not
+    f = gen_elementary_symmetric(6, 4)
+    rng = random.Random(64)
+    q = Polynomial(6, {m: rng.randint(-3, 3) for m in monomials_of_degree(6, 2)})
+    cubics = monomials_of_degree(6, 3)
+    families = []
+    solve_sdp = soscert.solve_sdp
+
+    def recording(sys, settings):
+        families.append((sys.size, sys.nullspace_dim, sys.extra))
+        return solve_sdp(sys, settings)
+
+    monkeypatch.setattr(soscert, "solve_sdp", recording)
+    for count in (60, 12):
+        F = q * f
+        for _ in range(count):
+            c = Polynomial(6, {m: rng.randint(-3, 3) for m in cubics})
+            F = F + c * c
+        v = certify_sos_mod_f(F, f)
+        assert v.is_yes and v.witness.verify(), count
+        assert SosCertificate.from_json(v.witness.to_json()).verify(), count
+    assert families == [(56, 1155, 21)] * 2
 
 
 @slow

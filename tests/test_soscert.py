@@ -468,6 +468,12 @@ def test_verify_rejects_malformed_fields_without_raising():
     negated = with_gram(cert, [[-x for x in row] for row in gram], -cert.target)
     assert negated.verify() is False and negated.ldl.reason
     assert with_gram(cert, [list(row) for row in gram]).verify()
+    # a negative N, or one too large for the basis degree, is rejected
+    # before (sum x_i^2)^N is built
+    for N in (-1, 10**9):
+        data = json.loads(cert.to_json())
+        data["N"] = N
+        assert SosCertificate.from_json(json.dumps(data)).verify() is False
     # the factorization is read from the Gram matrix, never stored beside it
     with pytest.raises(AttributeError):
         cert.ldl = ldl_psd(gram)
@@ -736,8 +742,9 @@ def test_certify_sos_restricts_each_zero_plane_once(monkeypatch):
 def test_vamos_sweep_at_budget_zero():
     # all 28 coordinate Wronskians of the Vamos polynomial at denominator
     # power 0: 4 refuted, and 24 certified, the boundary pairs Delta_13,
-    # Delta_14, Delta_23 and Delta_24 among them; each certificate checks
-    # again after a JSON round trip
+    # Delta_14, Delta_23 and Delta_24 among them (Delta_13 over a
+    # face-reduced basis of 13); each certificate checks again after a JSON
+    # round trip
     vamos = gen_vamos()
     no = {(0, 1), (2, 3), (4, 5), (6, 7)}
     for i in range(8):
@@ -748,6 +755,7 @@ def test_vamos_sweep_at_budget_zero():
             else:
                 assert v.is_yes and v.witness.verify(), (i, j)
                 assert SosCertificate.from_json(v.witness.to_json()).verify(), (i, j)
+                assert (i, j) != (0, 2) or len(v.witness.basis) == 13
 
 
 # -- the float SDP step -------------------------------------------------------------
@@ -777,11 +785,50 @@ def test_barrier_reaches_a_boundary_face_without_face_reduction():
     assert cert is not None and cert.verify()
 
 
+def random_cubic_squares(nvars, count, seed):
+    """The sum of count squares of cubic forms with random coefficients in -3..3."""
+    rng = random.Random(seed)
+    monos = monomials_of_degree(nvars, 3)
+    F = Polynomial.zero(nvars)
+    for _ in range(count):
+        q = Polynomial(nvars, {m: rng.randint(-3, 3) for m in monos})
+        F = F + q * q
+    return F
+
+
+def spy_on_equation_steps(monkeypatch, every_family=False):
+    """Count the equation-form Newton steps.
+
+    The nullspace form must not run; with every_family, each family that
+    would take it takes the equation form instead.
+    """
+    from hypersos import soscert
+
+    steps = []
+    equation_form = soscert._equation_form
+
+    def counting_form(sys, rows, cols, scale):
+        z, G, slack, newton, point = equation_form(sys, rows, cols, scale)
+        return z, G, slack, lambda *a: steps.append(1) or newton(*a), point
+
+    def nullspace_form(sys, x0, rows, cols, scale):
+        assert every_family, "nullspace form on a family too large for it"
+        return counting_form(sys, rows, cols, scale)
+
+    monkeypatch.setattr(soscert, "_equation_form", counting_form)
+    monkeypatch.setattr(soscert, "_nullspace_form", nullspace_form)
+    return steps
+
+
 def test_solve_sdp_returns_none_when_the_newton_system_is_singular(monkeypatch):
     import numpy as np
 
+    # a nullspace-form family, and one whose 1,134 directions only fit the equation form
     F = P("(x^2 - y^2)^2 + (x*y - z^2)^2")
-    sys = assemble_gram_system(F)
+    G = random_cubic_squares(6, 12, 1)
+    systems = [assemble_gram_system(F), GramSystem(G, _auto_basis(G))]
+    assert [s.nullspace_dim for s in systems] == [6, 1134]
+    assert solve_sdp(systems[1], SdpSettings()) is not None
 
     def singular(H, g):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -791,39 +838,69 @@ def test_solve_sdp_returns_none_when_the_newton_system_is_singular(monkeypatch):
 
     for solve in (singular, not_finite):
         monkeypatch.setattr(np.linalg, "solve", solve)
-        assert solve_sdp(sys, SdpSettings()) is None
+        for sys in systems:
+            assert solve_sdp(sys, SdpSettings()) is None
 
 
-def test_budget_one_vamos_family_goes_to_alternating_projections(monkeypatch):
-    # the dense Newton system of (sum x_i^2) * Delta_13 over its 211
-    # monomials would need gigabytes; only alternating projections run on it
+def test_budget_one_vamos_family_gets_no_sdp(monkeypatch):
+    # (sum x_i^2) * Delta_13 over its 211 monomials fits neither Newton
+    # system in BARRIER_MAX_DOUBLES: 18,187 nullspace directions, 4,179
+    # equations.  solve_sdp gives up before any Newton step
     from hypersos import soscert
 
     d = delta_ij(gen_vamos(), 0, 2)
     F = d * soscert._sum_of_var_squares(d.nvars)
     sys = GramSystem(F, _auto_basis(F))
-    assert (sys.size, sys.nullspace_dim) == (211, 18187)
-    routed = []
+    assert (sys.size, sys.nullspace_dim, sys.nunknowns - sys.nullspace_dim) == (211, 18187, 4179)
 
-    def barrier(*args):
-        raise AssertionError("barrier method on a family too large for it")
+    def no_solve(*args):
+        raise AssertionError("SDP work on a family too large for it")
 
-    monkeypatch.setattr(soscert, "_barrier_sdp", barrier)
-    monkeypatch.setattr(soscert, "_alternating_projections", lambda *args: routed.append(args[0]))
+    for name in ("_barrier_sdp", "_nullspace_form", "_equation_form"):
+        monkeypatch.setattr(soscert, name, no_solve)
     assert solve_sdp(sys, SdpSettings()) is None
-    assert routed == [sys]
 
 
-def test_small_families_never_use_alternating_projections(monkeypatch):
-    from hypersos import soscert
-
-    def projections(*args):
-        raise AssertionError("alternating projections on a small family")
-
-    monkeypatch.setattr(soscert, "_alternating_projections", projections)
-    v = certify_sos(delta_ij(gen_vamos(), 0, 2), 0)
+def test_equation_form_certifies_random_cubic_squares(monkeypatch):
+    # n = 56 monomials give 1,134 nullspace directions, too many for the
+    # nullspace form, but only 462 equations
+    F = random_cubic_squares(6, 12, 1)
+    sys = GramSystem(F, _auto_basis(F))
+    assert (sys.size, sys.nullspace_dim, len(sys._eqs)) == (56, 1134, 462)
+    steps = spy_on_equation_steps(monkeypatch)
+    v = certify_sos(F, 0)
     assert v.is_yes and v.witness.verify()
-    assert len(v.witness.basis) == 13
+    assert steps
+
+
+def test_equation_form_decides_what_the_nullspace_form_does(monkeypatch):
+    # small families through both forms, the modulo-f ones with their
+    # multiplier column: the same verdicts, and every YES verifies
+    from hypersos.polycore import directional_derivative
+
+    f = gen_lorentz(3)
+    e = [Fraction(1), Fraction(0), Fraction(0)]
+    mod_f = [directional_derivative(f, e) * directional_derivative(f, [Fraction(c) for c in a])
+             for a in ([3, 2, 2], [5, -3, 3], [-2, 1, 0])]
+    families = [random_cubic_squares(3, 4, 2), P("x^4 + x^2*y^2 + y^4 + z^4 - x*y*z^2")]
+
+    def verdicts():
+        return [certify_sos(F, 0) for F in families] + [certify_sos_mod_f(G, f) for G in mod_f]
+
+    before = verdicts()
+    assert [v.is_yes for v in before] == [True, True, True, True, False]
+    steps = spy_on_equation_steps(monkeypatch, every_family=True)
+    after = verdicts()
+    assert [v.status for v in after] == [v.status for v in before]
+    assert all(v.witness.verify() for v in after if v.is_yes)
+    assert steps
+    # the float point itself, multiplier included, stays on the family
+    basis = [Polynomial.monomial(3, m) for m in monomials_of_degree(3, 1)]
+    sys = GramSystem(mod_f[0], basis, modulus=f, mult_monos=monomials_of_degree(3, 0))
+    steps.clear()
+    x = solve_sdp(sys, SdpSettings())
+    residual = sys.residual([Fraction(v) for v in x])
+    assert steps and max(map(abs, residual.terms.values()), default=0) < 1e-9
 
 
 def test_certify_sos_mod_f_lorentz_points_inside_the_cone():
