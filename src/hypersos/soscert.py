@@ -2,8 +2,11 @@
 
 The pipeline for a target form F of even degree:
 
-  1. assemble the affine family of Gram matrices {G : v^T G v = F} exactly
-     (particular solution + nullspace basis over Q);
+  1. assemble the affine family of Gram matrices {G : v^T G v = F} exactly:
+     over a basis of unit monomials, modulo-f families included, a table
+     with one coefficient equation per monomial, each Gram pair in exactly
+     one equation; over a general basis, particular solution + nullspace
+     basis over Q by exact elimination;
   2. find a numerically PSD member by a log-barrier interior-point method
      that maximises the smallest eigenvalue over the family, with one Newton
      unknown per nullspace direction, or per equation when the nullspace is
@@ -12,8 +15,8 @@ The pipeline for a target form F of even degree:
      exactly back onto the family, and decide PSD by exact pivoted LDL^T,
      for each Q of ROUNDING_DENOMINATORS in turn.  The projection and the
      elimination run on Python ints (one correction per equation over the
-     lcm of its denominators, elimination on the lcm-scaled matrix), and
-     build Fractions only for their results.
+     lcm of its denominators, the multiplier held fixed, elimination on the
+     lcm-scaled matrix), and build Fractions only for their results.
 
 A successful step 3 is a self-contained exact certificate: the Gram matrix
 alone, which verify() checks against the target and by re-running LDL^T.
@@ -27,7 +30,8 @@ zero, a single non-PSD Gram point, or no Gram matrix at all over a complete
 basis.  Denominator powers upgrade the relaxation: (sum x_i^2)^N * F is
 tried for N = 0..budget.  A modulo-f variant searches for a polynomial
 multiplier p with F - p*f a sum of squares, carrying p's coefficients as
-extra exact unknowns of the same affine family.
+extra exact unknowns of the same affine family, one column of the equation
+table each.
 """
 
 from __future__ import annotations
@@ -123,10 +127,16 @@ class GramSystem:
     """Affine family of Gram matrices for a target form over a fixed basis.
 
     Unknowns are the upper-triangle entries of the symmetric matrix, plus
-    (for the modulo-f variant) the multiplier coefficients.  For a basis of
-    distinct monomials each coefficient-matching equation touches a disjoint
-    set of unknowns, so the family has a cheap structural form; general
-    polynomial bases go through exact Gaussian elimination.
+    (for the modulo-f variant) the multiplier coefficients p_t.  Over a
+    basis of distinct unit monomials every Gram pair enters exactly one
+    coefficient-matching equation, with its weight w_k (1 on the diagonal,
+    2 off it), and the multiplier enters through the terms of m_t * modulus:
+
+        sum_{k in E} w_k G_k + sum_t c_t p_t = rhs    for each equation E.
+
+    This structural form is kept as a table of equations and needs no
+    elimination; only a caller-supplied basis of general polynomials, with
+    no modulus, goes through exact Gaussian elimination.
     """
 
     def __init__(
@@ -148,15 +158,18 @@ class GramSystem:
         self.extra = len(self.mult_monos)
         self.nunknowns = len(self.pairs) + self.extra
 
-        monomial_basis = modulus is None and all(
-            p.num_terms() == 1 and next(iter(p.terms.values())) == 1 for p in basis
-        )
-        # structural form: (unknowns, rhs) per equation, each unknown k weighted by weights[k]
-        self._eqs: Optional[list[tuple[list[int], Fraction]]] = None
+        if self.mult_monos and modulus is None:
+            raise ValueError("multiplier monomials need a modulus")
+        monomial_basis = all(p.num_terms() == 1 and next(iter(p.terms.values())) == 1 for p in basis)
+        # structural form: (pair unknowns, rhs, {multiplier t: coefficient})
+        # per equation, each pair unknown k weighted by weights[k]
+        self._eqs: Optional[list[tuple[list[int], Fraction, dict[int, Fraction]]]] = None
         self._null: Optional[list[list[Fraction]]] = None
         self._normal_cache: Optional[list[list[Fraction]]] = None
         if monomial_basis:
             self._assemble_structural()
+        elif modulus is not None:
+            raise ValueError("a modulus needs a basis of unit monomials")
         else:
             self._assemble_general()
 
@@ -164,54 +177,39 @@ class GramSystem:
 
     def _assemble_structural(self):
         basis_monos = [next(iter(p.terms.keys())) for p in self.basis]
-        eq_of_mono: dict[Mono, list[int]] = {}
+        eq_of_mono: dict[Mono, tuple[list[int], dict[int, Fraction]]] = {}
         for k, (i, j) in enumerate(self.pairs):
             m = tuple(a + b for a, b in zip(basis_monos[i], basis_monos[j]))
-            eq_of_mono.setdefault(m, []).append(k)
+            eq_of_mono.setdefault(m, ([], {}))[0].append(k)
         for m in self.target.terms:
             if m not in eq_of_mono:
                 raise GramInfeasibleError(
                     "target monomial admits no product split over the basis"
                 )
+        for t, mt in enumerate(self.mult_monos):
+            for m, c in self.modulus.terms.items():
+                m = tuple(a + b for a, b in zip(mt, m))
+                if m not in eq_of_mono:
+                    raise ValueError("multiplier term admits no product split over the basis")
+                eq_of_mono[m][1][t] = c
         self._eqs = [
-            (pair_idxs, self.target.terms.get(m, Fraction(0)))
-            for m, pair_idxs in sorted(eq_of_mono.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+            (pair_idxs, self.target.terms.get(m, Fraction(0)), mult)
+            for m, (pair_idxs, mult) in sorted(eq_of_mono.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
         ]
         vec = [Fraction(0)] * self.nunknowns
-        for pair_idxs, rhs in self._eqs:
+        for pair_idxs, rhs, _ in self._eqs:
             vec[pair_idxs[0]] = rhs / self.weights[pair_idxs[0]]
         self._particular = vec
 
     def _assemble_general(self):
-        nvars = self.target.nvars
-        products: dict[int, Polynomial] = {}
-        for k, (i, j) in enumerate(self.pairs):
-            p = self.basis[i] * self.basis[j]
-            products[k] = p * self.weights[k]
-        mult_polys: list[Polynomial] = []
-        if self.modulus is not None:
-            for m in self.mult_monos:
-                mult_polys.append(Polynomial.monomial(nvars, m) * self.modulus)
+        products = [self.basis[i] * self.basis[j] * w for (i, j), w in zip(self.pairs, self.weights)]
         all_monos: set[Mono] = set(self.target.terms)
-        for p in products.values():
-            all_monos.update(p.terms)
-        for p in mult_polys:
+        for p in products:
             all_monos.update(p.terms)
         mono_list = sorted(all_monos, key=grlex_key, reverse=True)
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for m in mono_list:
-            row = [Fraction(0)] * self.nunknowns
-            for k in range(len(self.pairs)):
-                c = products[k].terms.get(m)
-                if c:
-                    row[k] = c
-            for t, p in enumerate(mult_polys):
-                c = p.terms.get(m)
-                if c:
-                    row[len(self.pairs) + t] = c
-            rows.append(row)
-            rhs.append(self.target.terms.get(m, Fraction(0)))
+        zero = Fraction(0)
+        rows = [[p.terms.get(m, zero) for p in products] for m in mono_list]
+        rhs = [self.target.terms.get(m, zero) for m in mono_list]
         sol = solve_affine_family(rows, rhs, self.nunknowns)
         if sol is None:
             raise GramInfeasibleError("coefficient-matching equations are inconsistent")
@@ -222,7 +220,7 @@ class GramSystem:
     @property
     def nullspace_dim(self) -> int:
         if self._eqs is not None:
-            return sum(len(p) - 1 for p, _ in self._eqs)
+            return sum(len(p) - 1 for p, _, _ in self._eqs) + self.extra
         return len(self._null)
 
     def particular_vector(self) -> list[Fraction]:
@@ -243,19 +241,24 @@ class GramSystem:
     def particular_matrix(self) -> list[list[Fraction]]:
         return self.matrix_from_vector(self._particular)
 
-    def nullspace_vectors(self) -> list[list[Fraction]]:
+    def nullspace_vectors(self) -> list[dict[int, Fraction]]:
+        """A basis of the family's directions, each as {unknown: nonzero entry}.
+
+        On the structural form: e_k - (w_k / w_lead) e_lead for each
+        non-leading pair k of an equation, then e_t - sum_E (c_t / w_lead)
+        e_lead for each multiplier unknown t, over the equations E it enters.
+        """
         if self._null is not None:
-            return [list(v) for v in self._null]
-        w = self.weights
-        out = []
-        for pair_idxs, _ in self._eqs:
-            lead = pair_idxs[0]
-            for k in pair_idxs[1:]:
-                v = [Fraction(0)] * self.nunknowns
-                v[k] = Fraction(1)
-                v[lead] = Fraction(-w[k], w[lead])
-                out.append(v)
-        return out
+            return [{k: v for k, v in enumerate(vec) if v} for vec in self._null]
+        w, one, npairs = self.weights, Fraction(1), len(self.pairs)
+        ratio = {(a, b): Fraction(-a, b) for a in (1, 2) for b in (1, 2)}
+        pair_dirs = [{k: one, pair_idxs[0]: ratio[w[k], w[pair_idxs[0]]]}
+                     for pair_idxs, _, _ in self._eqs for k in pair_idxs[1:]]
+        mult_dirs = [{npairs + t: one} for t in range(self.extra)]
+        for pair_idxs, _, mult in self._eqs:
+            for t, c in mult.items():
+                mult_dirs[t][pair_idxs[0]] = -c / w[pair_idxs[0]]
+        return pair_dirs + mult_dirs
 
     def contains(self, G: Sequence[Sequence], extra: Sequence = ()) -> bool:
         """Exact membership of a symmetric matrix (+multiplier) in the family."""
@@ -265,19 +268,24 @@ class GramSystem:
     # -- exact projection ------------------------------------------------------
 
     def project_exact(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Weighted-Frobenius least-squares projection onto the affine family.
+        """Weighted-Frobenius least-squares projection of the Gram unknowns onto the family.
 
-        On the structural form every coefficient of an equation equals its
-        unknown's weight w_k, so the projection adds one correction
-        nu = (rhs - sum w_k y_k) / sum w_k to each of the equation's
-        unknowns; it is computed in ints over the lcm q of the equation's
-        denominators, and each entry becomes one Fraction.
+        On the structural form the multiplier unknowns keep their values and
+        their terms move to the right-hand side, rhs - sum c_t p_t.  Every
+        Gram coefficient of an equation equals its unknown's weight w_k, so
+        the projection adds one correction nu = (rhs - sum w_k y_k) / sum w_k
+        to each of the equation's Gram unknowns; it is computed in ints over
+        the lcm q of the equation's denominators, and each entry becomes one
+        Fraction.  No linear system is solved.
         """
         if self._eqs is not None:
-            y = [v.as_integer_ratio() for v in _rationals(vec)]
-            w = self.weights
-            out: list = [None] * len(y)
-            for pair_idxs, rhs in self._eqs:
+            vals = _rationals(vec)
+            y = [v.as_integer_ratio() for v in vals]
+            w, held = self.weights, vals[len(self.pairs):]
+            out: list = [None] * len(self.pairs) + [Fraction(p) for p in held]
+            for pair_idxs, rhs, mult in self._eqs:
+                if mult:
+                    rhs = rhs - sum(c * held[t] for t, c in mult.items())
                 r_num, r_den = rhs.as_integer_ratio()
                 ratios = [y[k] for k in pair_idxs]
                 q = math.lcm(r_den, *(d for _, d in ratios))
@@ -291,7 +299,7 @@ class GramSystem:
         null = self._null
         if not null:
             return list(self._particular)
-        w = [Fraction(wt) for wt in self.weights] + [Fraction(1)] * self.extra
+        w = self.weights
         m = len(null)
         if self._normal_cache is None:
             A = [[Fraction(0)] * m for _ in range(m)]
@@ -585,7 +593,7 @@ def constrain_basis_to_zeros(
     lines keep their rows, since their vanishing order is local at p.
     Returns the original basis when nothing binds.
     """
-    if not zeros:
+    if not zeros or not basis:
         return basis
     # constrained bases leave the cheap structural assembly for exact
     # elimination, which grows fast; beyond this size the constraints cost
@@ -733,26 +741,11 @@ def _nullspace_form(sys: GramSystem, x0, rows, cols, scale: float):
     import numpy as np
 
     n, npairs = sys.size, len(sys.pairs)
-    if sys._eqs is None:
-        D = np.zeros((sys.nunknowns, len(sys._null)))
-        for d, vec in enumerate(sys._null):
-            for k, v in enumerate(vec):
-                if v:
-                    D[k, d] = v
-    else:
-        # each non-leading unknown k of an equation gives e_k - (w_k / w_lead) e_lead
-        w = sys.weights
-        ks, leads, ratios = [], [], []
-        for pair_idxs, _ in sys._eqs:
-            for k in pair_idxs[1:]:
-                ks.append(k)
-                leads.append(pair_idxs[0])
-                ratios.append(w[k] / w[pair_idxs[0]])
-        D = np.zeros((sys.nunknowns, len(ks)))
-        D[ks, range(len(ks))] = 1.0
-        D[leads, range(len(ks))] = -np.array(ratios)
-    # keep the directions that move G: the Jacobi scaling divides by each one's curvature
-    D = D[:, np.any(D[:npairs] != 0, axis=0)]
+    directions = sys.nullspace_vectors()
+    D = np.zeros((sys.nunknowns, len(directions)))
+    for d, vec in enumerate(directions):
+        for k, v in vec.items():
+            D[k, d] = v
     m = D.shape[1]
     B = np.zeros((m + 1, n, n))
     B[:m, rows, cols] = B[:m, cols, rows] = D[:npairs].T
@@ -778,8 +771,8 @@ def _nullspace_form(sys: GramSystem, x0, rows, cols, scale: float):
 def _equation_form(sys: GramSystem, rows, cols, scale: float):
     """The barrier in z = (x, t) for the unknowns x, one Newton unknown per equation.
 
-    Equation k reads tr(A_k G) + (R p)_k = b_k: A_k is the Gram part of its
-    row over the pair weights, and R holds the multiplier columns.  The step
+    Equation k of the table sys._eqs reads tr(A_k G) + (R p)_k = b_k: A_k
+    is the 0/1 pattern of its pairs, and R holds the multiplier columns.  The step
     dS = S - S Y S for Y = sum y_k A_k solves (Vandenberghe-Boyd 1996)
 
         [M, -a, -R; a^T, 0, 0; R^T, 0, 0] [y; dt; dp] = [A(S); 1/mu; 0]
@@ -787,25 +780,19 @@ def _equation_form(sys: GramSystem, rows, cols, scale: float):
     with M_kl = tr(A_k S A_l S) and a = A(I).  M carries the square of S's
     condition number, so near a boundary face this form runs out of accuracy
     at about 1e-8 * scale, long before the nullspace form.  Starts at the
-    family member nearest scale * I.  None unless every basis element is a
-    single term, so that each pair enters exactly one equation.
+    family member nearest scale * I.  None on a family without the table.
     """
     import numpy as np
 
-    if any(p.num_terms() != 1 for p in sys.basis):
+    if sys._eqs is None:
         return None
-    monos, cs = zip(*(next(iter(p.terms.items())) for p in sys.basis))
-    index: dict[Mono, int] = {}
-    eq = np.array([index.setdefault(tuple(map(sum, zip(monos[i], monos[j]))), len(index)) for i, j in sys.pairs])
-    coef = np.array([float(w * cs[i] * cs[j]) for w, (i, j) in zip(sys.weights, sys.pairs)])
-    polys = [sys.target] + [Polynomial.monomial(sys.target.nvars, m) * sys.modulus for m in sys.mult_monos]
-    bR = np.zeros((len(index), len(polys)))
-    for t, p in enumerate(polys):
-        for m, c in p.terms.items():
-            bR[index[m], t] = float(c)
-    b, R = bR[:, 0], bR[:, 1:]
-    n, npairs, K, extra = sys.size, len(sys.pairs), len(index), sys.extra
-    h = coef / np.array(sys.weights)  # the entry of A_eq[k] at pair k
+    n, npairs, K, extra = sys.size, len(sys.pairs), len(sys._eqs), sys.extra
+    eq, b, R = np.zeros(npairs, dtype=np.int64), np.zeros(K), np.zeros((K, extra))
+    for l, (pair_idxs, rhs, mult) in enumerate(sys._eqs):
+        eq[pair_idxs], b[l] = l, float(rhs)
+        for t, c in mult.items():
+            R[l, t] = float(c)
+    coef = np.array(sys.weights, dtype=float)
     diag, flat = (rows == cols).astype(float), rows * n + cols
     # every pair as (i, j) and (j, i), grouped by equation: S A_l S is
     # S[:, I] diag(c / 2) S[J, :] over equation l's segment
@@ -833,15 +820,15 @@ def _equation_form(sys: GramSystem, rows, cols, scale: float):
         kkt[:K, K + 1:], kkt[K + 1:, :K] = -R, R.T
         sol = np.linalg.solve(kkt, np.concatenate([A(S), [1.0 / mu], np.zeros(extra)]))
         # S - S Y S as L (I - L^T Y L) L^T: S Y S cancels S to the size of Y's rounding
-        X = np.eye(n) - L.T @ gram(sol[eq] * h) @ L
+        X = np.eye(n) - L.T @ gram(sol[eq]) @ L
         dS = L @ X @ L.T
         step = np.concatenate([np.take(dS, flat) + sol[K] * diag, sol[K + 1:], [sol[K]]])
         return step, dS, float(np.trace(X)) + sol[K] / mu
 
     d = b - scale * a
-    N = np.bincount(eq, weights=coef * h, minlength=K)  # tr(A_k A_k), as the A_k have disjoint supports
+    N = np.bincount(eq, weights=coef, minlength=K)  # tr(A_k A_k), as the A_k have disjoint supports
     p = np.linalg.lstsq(R / np.sqrt(N)[:, None], d / np.sqrt(N), rcond=None)[0]
-    x = np.concatenate([scale * diag + ((d - R @ p) / N)[eq] * h, p])
+    x = np.concatenate([scale * diag + ((d - R @ p) / N)[eq], p])
     return x, gram(x[:npairs]), lambda z: gram(z[:npairs]) - z[-1] * np.eye(n), newton, lambda z: z[:npairs + extra]
 
 
@@ -879,11 +866,16 @@ class SosCertificate:
         (False, never an exception, when it is not), v^T G v must equal the
         certified form exactly, and ldl_psd must find G PSD.  A negative N,
         or one that lifts the target above twice the largest basis degree,
-        is rejected before (sum x_i^2)^N is built.
+        is rejected before (sum x_i^2)^N is built.  So is a basis element,
+        multiplier or modulus over another ring than the target, and a
+        multiplier without a modulus or the other way round.
         """
         m = len(self.basis)
         gram = self.gram
         if len(gram) != m or any(len(row) != m for row in gram):
+            return False
+        extras = [p for p in (self.multiplier, self.modulus) if p is not None]
+        if len(extras) == 1 or any(p.nvars != self.target.nvars for p in [*self.basis, *extras]):
             return False
         if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i)):
             return False
@@ -897,7 +889,7 @@ class SosCertificate:
                 if c:
                     acc = acc + bi * bj * c
         expected = self.certified_form()
-        if self.multiplier is not None and self.modulus is not None:
+        if extras:
             expected = expected - self.multiplier * self.modulus
         return acc == expected and ldl_psd(gram).is_psd
 
@@ -1088,12 +1080,16 @@ def certify_sos_mod_f(
     """Search for a multiplier p with F - p*f a sum of squares.
 
     The multiplier's coefficients (homogeneous of degree deg F - deg f) join
-    the Gram unknowns as exact linear variables.  CERTIFIED_NO is only
-    available when the combined affine family is a single point.
+    the Gram unknowns as exact linear variables, one column of the equation
+    table each.  Every coefficient is a free direction of the family, so it
+    is never a single point, and the answer is CERTIFIED_YES or UNKNOWN,
+    never CERTIFIED_NO.
     """
     settings = settings or SdpSettings()
     if f.is_zero():
         raise ValueError("modulus polynomial must be nonzero")
+    if F.nvars != f.nvars:
+        raise ValueError(f"F has {F.nvars} variables but f has {f.nvars}")
     if not F.is_homogeneous() or not f.is_homogeneous():
         raise ValueError("both polynomials must be homogeneous")
     d = f.total_degree()
@@ -1110,15 +1106,6 @@ def certify_sos_mod_f(
     basis = [Polynomial.monomial(F.nvars, m) for m in monomials_of_degree(F.nvars, d - 1)]
     mult_monos = monomials_of_degree(F.nvars, d - 2)
     sys = GramSystem(F, basis, modulus=f, mult_monos=mult_monos)
-    if sys.nullspace_dim == 0:
-        vec = sys.particular_vector()
-        cert = _certify_from_vector(sys, vec, F, 0)
-        if cert is not None:
-            return certified_yes(witness=cert, detail="unique Gram matrix is PSD")
-        return certified_no(
-            witness={"gram": sys.particular_matrix()},
-            detail="unique Gram matrix of the modulo-f family is not PSD",
-        )
     xfloat = solve_sdp(sys, settings)
     if xfloat is not None:
         cert = _round_and_certify(sys, xfloat, F, 0)

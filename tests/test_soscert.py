@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersos.corpus import gen_lorentz, gen_product, gen_vamos
+from hypersos.corpus import gen_elementary_symmetric, gen_lorentz, gen_product, gen_vamos
 from hypersos.exactla import ldl_psd, mat_det, solve_affine_family
 from hypersos.hypercone import HyperbolicityInstance, delta_ij, wronskian_delta
 from hypersos.polycore import (
@@ -85,7 +85,7 @@ def test_family_is_exact_on_random_members():
         for nv in nulls:
             lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if lam:
-                vec = [v + lam * w for v, w in zip(vec, nv)]
+                vec = [v + lam * nv.get(k, 0) for k, v in enumerate(vec)]
         assert sys.residual(vec).is_zero()
         pt = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
         G = sys.matrix_from_vector(vec)
@@ -925,10 +925,16 @@ def test_certify_sos_mod_f_lorentz_points_inside_the_cone():
 
 
 def naive_structural_projection(sys, vec):
-    """GramSystem.project_exact on a structural family, in plain Fraction arithmetic."""
+    """GramSystem.project_exact on a structural family, in plain Fraction arithmetic.
+
+    The multiplier unknowns keep their values; each equation corrects its
+    Gram unknowns against rhs - sum c_t p_t.
+    """
     y = [Fraction(v) for v in vec]
     out = list(y)
-    for pair_idxs, rhs in sys._eqs:
+    held = y[len(sys.pairs):]
+    for pair_idxs, rhs, mult in sys._eqs:
+        rhs = rhs - sum(c * held[t] for t, c in mult.items())
         num = rhs - sum(sys.weights[k] * y[k] for k in pair_idxs)
         nu = num / sum(sys.weights[k] for k in pair_idxs)
         for k in pair_idxs:
@@ -945,20 +951,145 @@ def test_structural_projection_matches_the_fraction_reference():
         F = Polynomial(nvars, terms) or Polynomial.monomial(nvars, (degree,) + (0,) * (nvars - 1))
         sys = assemble_gram_system(F)
         assert sys._eqs is not None
-        vec = []
-        for _ in range(sys.nunknowns):
-            kind = rng.randrange(4)
-            if kind == 0:
-                vec.append(rng.randint(-9, 9))
-            elif kind == 1:
-                vec.append(rng.uniform(-3, 3))
-            else:
-                vec.append(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5)))
+        vec = random_unknowns(rng, sys.nunknowns)
         got = sys.project_exact(vec)
         assert all(type(x) is Fraction for x in got)
         assert got == naive_structural_projection(sys, vec)
         assert sys.residual(got).is_zero()
         assert sys.project_exact(got) == got
+
+
+def random_unknowns(rng, count):
+    """count ints, floats and Fractions with large denominators, mixed."""
+    vec = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            vec.append(rng.randint(-9, 9))
+        elif kind == 1:
+            vec.append(rng.uniform(-3, 3))
+        else:
+            vec.append(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5)))
+    return vec
+
+
+def modulo_f_cases():
+    """(F, f) for Lorentz(3) and e_{4,3}, with F = D_e f * D_a f."""
+    from hypersos.polycore import directional_derivative
+
+    cases = []
+    for f, e, a in ((gen_lorentz(3), [1, 0, 0], [2, 1, 0]),
+                    (gen_elementary_symmetric(4, 3), [1, 1, 1, 1], [3, 1, 2, 5])):
+        e, a = [Fraction(c) for c in e], [Fraction(c) for c in a]
+        cases.append((directional_derivative(f, e) * directional_derivative(f, a), f))
+    return cases
+
+
+def modulo_f_system(F, f):
+    """The Gram family that certify_sos_mod_f searches."""
+    d = f.total_degree()
+    basis = [Polynomial.monomial(f.nvars, m) for m in monomials_of_degree(f.nvars, d - 1)]
+    return GramSystem(F, basis, modulus=f, mult_monos=monomials_of_degree(f.nvars, d - 2))
+
+
+def test_modulo_f_projection_holds_the_multiplier():
+    rng = random.Random(1818)
+    for F, f in modulo_f_cases():
+        sys = modulo_f_system(F, f)
+        npairs = len(sys.pairs)
+        assert sys._eqs is not None and sys.extra == f.nvars ** (f.total_degree() - 2)
+        for _ in range(20):
+            vec = random_unknowns(rng, sys.nunknowns)
+            got = sys.project_exact(vec)
+            assert all(type(x) is Fraction for x in got)
+            assert got == naive_structural_projection(sys, vec)
+            assert got[npairs:] == [Fraction(v) for v in vec[npairs:]]
+            assert sys.residual(got).is_zero()
+            assert sys.project_exact(got) == got
+
+
+def test_modulo_f_directions_span_the_family():
+    for F, f in modulo_f_cases():
+        sys = modulo_f_system(F, f)
+        directions = sys.nullspace_vectors()
+        assert len(directions) == sys.nullspace_dim
+        base = sys.particular_vector()
+        assert sys.residual(base).is_zero()
+        for d in directions:
+            assert sys.residual([v + d.get(k, 0) for k, v in enumerate(base)]) == sys.residual(base)
+        dense = [[d.get(k, Fraction(0)) for k in range(sys.nunknowns)] for d in directions]
+        # the directions are independent ...
+        _, kernel = solve_affine_family(dense, [Fraction(0)] * len(dense), sys.nunknowns)
+        assert len(kernel) == sys.nunknowns - len(directions)
+        # ... and as many as exact elimination finds on the dense coefficient rows
+        polys = [sys.basis[i] * sys.basis[j] * w for (i, j), w in zip(sys.pairs, sys.weights)]
+        polys += [Polynomial.monomial(f.nvars, m) * f for m in sys.mult_monos]
+        monos = sorted({m for p in polys for m in p.terms} | set(F.terms))
+        rows = [[p.terms.get(m, Fraction(0)) for p in polys] for m in monos]
+        _, null = solve_affine_family(rows, [F.terms.get(m, Fraction(0)) for m in monos], sys.nunknowns)
+        assert len(null) == sys.nullspace_dim
+
+
+def test_certify_sos_mod_f_makes_no_exact_elimination(monkeypatch):
+    from hypersos import soscert
+
+    def eliminate(*args):
+        raise AssertionError("exact elimination in a modulo-f family")
+
+    monkeypatch.setattr(soscert, "solve_affine_family", eliminate)
+    monkeypatch.setattr(soscert, "solve_linear", eliminate)
+    for F, f in modulo_f_cases():
+        v = certify_sos_mod_f(F, f)
+        assert v.is_yes and v.witness.verify()
+    F, f = modulo_f_cases()[0]
+    assert certify_sos_mod_f(-F, f).is_unknown
+
+
+def test_modulo_f_inputs_are_checked():
+    F, f = modulo_f_cases()[0]
+    with pytest.raises(ValueError, match="variables"):
+        certify_sos_mod_f(Polynomial.zero(2), f)
+    with pytest.raises(ValueError, match="variables"):
+        certify_sos_mod_f(P("x^2 + y^2", ["x", "y"]), f)
+    basis = [Polynomial.variable(3, i) for i in range(3)]
+    with pytest.raises(ValueError, match="unit monomials"):
+        GramSystem(F, [b * 2 for b in basis], modulus=f, mult_monos=[(0, 0, 0)])
+    with pytest.raises(ValueError, match="multiplier term"):
+        GramSystem(P("x^2 + y^2"), basis[:2], modulus=f, mult_monos=[(0, 0, 0)])
+    with pytest.raises(ValueError, match="need a modulus"):
+        GramSystem(F, basis, mult_monos=[(0, 0, 0)])
+
+
+def test_verify_rejects_other_rings_and_a_lone_multiplier():
+    import dataclasses
+
+    def widen(p):
+        return Polynomial(p.nvars + 1, {m + (0,): c for m, c in p.terms.items()})
+
+    F, f = modulo_f_cases()[0]
+    cert = certify_sos_mod_f(F, f).witness
+    assert cert.verify()
+    plain = genuine_certificate()
+    bad = [
+        dataclasses.replace(cert, modulus=None),
+        dataclasses.replace(cert, multiplier=None),
+        dataclasses.replace(plain, multiplier=Polynomial.zero(3)),
+        dataclasses.replace(cert, multiplier=widen(cert.multiplier)),
+        dataclasses.replace(cert, modulus=widen(f)),
+        dataclasses.replace(cert, basis=[widen(cert.basis[0])] + cert.basis[1:]),
+        SosCertificate(basis=[], gram=[], denominator_power=0, target=Polynomial.zero(2),
+                       multiplier=Polynomial.zero(3), modulus=f),
+    ]
+    for c in bad:
+        assert c.verify() is False
+
+
+def test_certify_sos_with_an_empty_basis_is_refuted():
+    F = P("x^2*y^2 + z^4")
+    zeros, _ = scan_small_points(F)
+    assert zeros and constrain_basis_to_zeros([], zeros, F) == []
+    v = certify_sos(F, 0, basis=[])
+    assert v.is_no and v.detail.startswith("no candidate square")
 
 
 def test_hessian_refutation_reads_its_reason_from_the_exact_hessian():
