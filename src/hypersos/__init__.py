@@ -43,7 +43,6 @@ from .hypercone import (
 )
 from .soscert import (
     GramSystem,
-    SdpSettings,
     SosCertificate,
     assemble_gram_system,
     certify_sos,
@@ -94,7 +93,6 @@ __all__ = [
     "interlaces",
     "wronskian_delta",
     "GramSystem",
-    "SdpSettings",
     "SosCertificate",
     "assemble_gram_system",
     "certify_sos",

@@ -52,14 +52,6 @@ def _count(minimum: int):
     return parse
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: an SDP feasibility tolerance, finite and positive."""
-    try:
-        return soscert.SdpSettings(feasibility_tolerance=float(text)).feasibility_tolerance
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _read_poly_text(source: str) -> str:
     if source.startswith("@"):
         with open(source[1:], "r", encoding="utf-8") as fh:
@@ -86,10 +78,6 @@ def _load_poly(args) -> tuple[Polynomial, list[str]]:
 
 def _sample_config(args) -> SampleConfig:
     return SampleConfig(trials=args.trials, seed=args.seed, coordinate_bound=args.bound)
-
-
-def _sdp_settings(args) -> soscert.SdpSettings:
-    return soscert.SdpSettings(feasibility_tolerance=args.tolerance)
 
 
 def _verdict_exit(v: Verdict) -> int:
@@ -133,7 +121,6 @@ def _add_common(
         p.add_argument("--a", dest="a", help="query point/direction, e.g. 2,1,0")
     if sdp:
         p.add_argument("--sos-budget", type=_count(0), default=2, help="max denominator power N")
-        p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="SDP feasibility tolerance")
     if cert_out:
         p.add_argument("--cert-out", help="write the certificate/report JSON to this file")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -237,7 +224,7 @@ def _cmd_interlaces(args):
     e_text, g_text = _require(args, "e", "g")
     inst = HyperbolicityInstance(f, _parse_vector(e_text))
     g = parse_poly(_read_poly_text(g_text), names)
-    v = interlaces(inst, g, _sample_config(args), args.sos_budget, _sdp_settings(args), strict=args.strict)
+    v = interlaces(inst, g, _sample_config(args), args.sos_budget, strict=args.strict)
     payload = {"verdict": to_jsonable(v)}
     _attach_certificate(payload, v, args, names)
     return payload, _verdict_exit(v)
@@ -252,7 +239,7 @@ def _cmd_delta(args):
 
 def _cmd_sos_certify(args):
     f, names = _load_poly(args)
-    v = soscert.certify_sos(f, args.sos_budget, _sdp_settings(args))
+    v = soscert.certify_sos(f, args.sos_budget)
     payload = {"verdict": to_jsonable(v)}
     _attach_certificate(payload, v, args, names)
     return payload, _verdict_exit(v)
@@ -262,7 +249,7 @@ def _cmd_sos_cone_member(args):
     f, names = _load_poly(args)
     e_text, a_text = _require(args, "e", "a")
     inst = HyperbolicityInstance(f, _parse_vector(e_text))
-    v = soscert.sos_cone_membership(inst, _parse_vector(a_text), args.sos_budget, _sdp_settings(args))
+    v = soscert.sos_cone_membership(inst, _parse_vector(a_text), args.sos_budget)
     payload = {"verdict": to_jsonable(v)}
     _attach_certificate(payload, v, args, names)
     return payload, _verdict_exit(v)
@@ -306,7 +293,7 @@ def _cmd_detrep_verify(args):
     (rep_text,) = _require(args, "rep")
     try:
         rep = detrep.DeterminantalRep.from_json(_read_poly_text(rep_text))
-    except (KeyError, IndexError, TypeError, OverflowError, ZeroDivisionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"malformed representation: {type(exc).__name__}: {exc}") from exc
     res = detrep.verify_detrep(rep, f)
     payload = {"ok": bool(res), "reason": res.reason}
@@ -315,7 +302,7 @@ def _cmd_detrep_verify(args):
 
 def _cmd_stable_check(args):
     f, names = _load_poly(args)
-    v = detrep.check_multiaffine_stable(f, _sample_config(args), args.sos_budget, _sdp_settings(args))
+    v = detrep.check_multiaffine_stable(f, _sample_config(args), args.sos_budget)
     return {"verdict": to_jsonable(v)}, _verdict_exit(v)
 
 

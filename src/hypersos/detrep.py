@@ -32,7 +32,7 @@ from .polycore import (
     poly_adjugate,
     poly_determinant,
 )
-from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
+from .verdicts import Verdict, certified_no, certified_yes, frac_from_json, frac_json, unknown
 
 
 class DetRepError(ValueError):
@@ -111,9 +111,9 @@ class DeterminantalRep:
     def from_json(cls, text: str) -> "DeterminantalRep":
         data = json.loads(text)
         return cls(
-            matrices=[[[Fraction(x) for x in row] for row in M] for M in data["matrices"]],
-            e=[Fraction(x) for x in data["e"]],
-            gamma=Fraction(data["gamma"]),
+            matrices=[[[frac_from_json(x) for x in row] for row in M] for M in data["matrices"]],
+            e=[frac_from_json(x) for x in data["e"]],
+            gamma=frac_from_json(data["gamma"]),
         )
 
 
@@ -132,7 +132,6 @@ def check_multiaffine_stable(
     f: Polynomial,
     cfg: Optional[SampleConfig] = None,
     sos_budget: int = 1,
-    settings: Optional[soscert.SdpSettings] = None,
 ) -> Verdict:
     """Stability test for homogeneous multiaffine f via coordinate Wronskians.
 
@@ -165,7 +164,7 @@ def check_multiaffine_stable(
                     )
             if perfect_square_root(d) is not None:
                 continue
-            v = soscert.certify_sos(d, sos_budget, settings)
+            v = soscert.certify_sos(d, sos_budget)
             if not v.is_yes:
                 uncertified.append((i, j))
     if not uncertified:

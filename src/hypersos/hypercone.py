@@ -187,7 +187,6 @@ def interlaces(
     g: Polynomial,
     cfg: SampleConfig,
     sos_budget: int = 2,
-    settings: Optional[soscert.SdpSettings] = None,
     strict: bool = False,
 ) -> Verdict:
     """Does g interlace f with respect to e (and satisfy g(e) > 0)?
@@ -237,8 +236,7 @@ def interlaces(
                 detail="Wronskian of (f, g) in direction e is negative at the witness point",
             )
 
-    settings = settings or soscert.SdpSettings()
-    cert = soscert.certify_sos(wg, sos_budget, settings)
+    cert = soscert.certify_sos(wg, sos_budget)
     if cert.is_yes:
         detail = "SOS certificate for the interlacing Wronskian"
         if strict:
@@ -257,11 +255,10 @@ def int_cone_membership_by_derivative(
     a: Sequence,
     cfg: SampleConfig,
     sos_budget: int = 2,
-    settings: Optional[soscert.SdpSettings] = None,
 ) -> Verdict:
     """Closed-cone membership of a, decided through D_a f interlacing f."""
     avec = [Fraction(x) for x in a]
     da = directional_derivative(inst.f, avec)
     if da.is_zero():
         return certified_no(witness={"D_a f": "0"}, detail="D_a f vanishes identically")
-    return interlaces(inst, da, cfg, sos_budget, settings)
+    return interlaces(inst, da, cfg, sos_budget)

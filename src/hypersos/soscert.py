@@ -10,13 +10,15 @@ The pipeline for a target form F of even degree:
   2. find a numerically PSD member by a log-barrier interior-point method
      that maximises the smallest eigenvalue over the family, with one Newton
      unknown per nullspace direction, or per equation when the nullspace is
-     too large; this is the only floating-point step;
+     too large; this is the only floating-point step, and its tolerance
+     SDP_TOLERANCE only picks the points worth rounding;
   3. round every entry to one common denominator Q (Peyrl-Parrilo), project
      exactly back onto the family, and decide PSD by exact pivoted LDL^T,
-     for each Q of ROUNDING_DENOMINATORS in turn.  The projection and the
-     elimination run on Python ints (one correction per equation over the
-     lcm of its denominators, the multiplier held fixed, elimination on the
-     lcm-scaled matrix), and build Fractions only for their results.
+     for each Q of ROUNDING_DENOMINATORS in turn.  No projection solves a
+     linear system: on the table it is one correction per equation, in
+     Python ints over the lcm of its denominators, with the multiplier held
+     fixed; on a general basis the free unknowns of step 1 keep their
+     rounded values and the pivot unknowns are back-substituted.
 
 A successful step 3 is a self-contained exact certificate: the Gram matrix
 alone, which verify() checks against the target and by re-running LDL^T.
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactla import LdlResult, ldl_psd, solve_affine_family, solve_linear
+from .exactla import LdlResult, ldl_psd, solve_affine_family
 from .polycore import (
     Mono,
     Polynomial,
@@ -56,7 +58,7 @@ from .polycore import (
     grlex_key,
     parse_poly,
 )
-from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
+from .verdicts import Verdict, certified_no, certified_yes, frac_from_json, frac_json, unknown
 
 
 # The barrier's Newton system in the nullspace form takes (m+1)^2 + (m+1) n^2
@@ -69,18 +71,11 @@ from .verdicts import Verdict, certified_no, certified_yes, frac_json, unknown
 BARRIER_MAX_DOUBLES = 2**22
 # Newton steps per barrier solve; a boundary family needs about 100
 BARRIER_MAX_STEPS = 400
+# a float Gram point may have smallest eigenvalue down to -SDP_TOLERANCE * scale;
+# the exact projection and LDL^T decide whatever it rounds to
+SDP_TOLERANCE = 1e-9
 # common denominators tried in turn when rounding the float Gram point
 ROUNDING_DENOMINATORS = (100, 1600, 25600, 409600)
-
-
-@dataclass
-class SdpSettings:
-    feasibility_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        tol = self.feasibility_tolerance
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"feasibility_tolerance must be finite and positive, got {tol}")
 
 
 class GramInfeasibleError(ValueError):
@@ -135,8 +130,10 @@ class GramSystem:
         sum_{k in E} w_k G_k + sum_t c_t p_t = rhs    for each equation E.
 
     This structural form is kept as a table of equations and needs no
-    elimination; only a caller-supplied basis of general polynomials, with
-    no modulus, goes through exact Gaussian elimination.
+    elimination.  Only a basis of general polynomials (the face-reduced
+    bases of constrain_basis_to_zeros), with no modulus, goes through exact
+    Gauss-Jordan elimination, once, for a particular solution and the RREF
+    nullspace basis; its projection back-substitutes through them.
     """
 
     def __init__(
@@ -165,7 +162,6 @@ class GramSystem:
         # per equation, each pair unknown k weighted by weights[k]
         self._eqs: Optional[list[tuple[list[int], Fraction, dict[int, Fraction]]]] = None
         self._null: Optional[list[list[Fraction]]] = None
-        self._normal_cache: Optional[list[list[Fraction]]] = None
         if monomial_basis:
             self._assemble_structural()
         elif modulus is not None:
@@ -268,15 +264,19 @@ class GramSystem:
     # -- exact projection ------------------------------------------------------
 
     def project_exact(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Weighted-Frobenius least-squares projection of the Gram unknowns onto the family.
+        """An exact member of the family near the unknown-vector; a member maps to itself.
 
         On the structural form the multiplier unknowns keep their values and
         their terms move to the right-hand side, rhs - sum c_t p_t.  Every
         Gram coefficient of an equation equals its unknown's weight w_k, so
-        the projection adds one correction nu = (rhs - sum w_k y_k) / sum w_k
-        to each of the equation's Gram unknowns; it is computed in ints over
-        the lcm q of the equation's denominators, and each entry becomes one
-        Fraction.  No linear system is solved.
+        the weighted least-squares projection adds one correction
+        nu = (rhs - sum w_k y_k) / sum w_k to each of the equation's Gram
+        unknowns; it is computed in ints over the lcm q of the equation's
+        denominators, and each entry becomes one Fraction.  On a general
+        basis the free unknowns of the elimination keep their values and the
+        pivots are back-substituted: x0 + sum_f y_f v_f, where the RREF
+        nullspace vector v_f is 1 at its free unknown f, its last nonzero
+        entry, and x0 is 0 there.  Neither form solves a linear system.
         """
         if self._eqs is not None:
             vals = _rationals(vec)
@@ -295,37 +295,13 @@ class GramSystem:
                 for k, (n, d) in zip(pair_idxs, ratios):
                     out[k] = Fraction(n * (Q // d) + num, Q)
             return out
-        y = [Fraction(v) for v in vec]
-        null = self._null
-        if not null:
-            return list(self._particular)
-        w = self.weights
-        m = len(null)
-        if self._normal_cache is None:
-            A = [[Fraction(0)] * m for _ in range(m)]
-            for r in range(m):
-                vr = null[r]
-                support_r = [i for i in range(self.nunknowns) if vr[i]]
-                for c in range(r, m):
-                    vc = null[c]
-                    s = sum(w[i] * vr[i] * vc[i] for i in support_r if vc[i])
-                    A[r][c] = s
-                    A[c][r] = s
-            self._normal_cache = A
-        A = self._normal_cache
-        b = [Fraction(0)] * m
-        diff = [y[i] - self._particular[i] for i in range(self.nunknowns)]
-        for r in range(m):
-            vr = null[r]
-            b[r] = sum(w[i] * vr[i] * diff[i] for i in range(self.nunknowns) if vr[i])
-        lam = solve_linear(A, b)
+        y = _rationals(vec)
         out = list(self._particular)
-        for r, lr in enumerate(lam):
-            if lr:
-                vr = null[r]
-                for i in range(self.nunknowns):
-                    if vr[i]:
-                        out[i] += lr * vr[i]
+        for v in self.nullspace_vectors():
+            yf = y[max(v)]
+            if yf:
+                for i, c in v.items():
+                    out[i] += yf * c
         return out
 
     def residual(self, vec: Sequence[Fraction]) -> Polynomial:
@@ -644,14 +620,14 @@ def constrain_basis_to_zeros(
 # -- numeric feasibility -------------------------------------------------------
 
 
-def solve_sdp(sys: GramSystem, settings: SdpSettings):
+def solve_sdp(sys: GramSystem):
     """Find a numerically PSD point in the affine Gram family.
 
     A log-barrier method searches (see _barrier_sdp).  Its Newton system has
     one unknown per nullspace direction when that fits BARRIER_MAX_DOUBLES,
     else one per equation when that fits; a family too large for both gets
     None at once.  Returns a finite float unknown-vector whose Gram matrix
-    has smallest eigenvalue at least -tolerance * scale, or None
+    has smallest eigenvalue at least -SDP_TOLERANCE * scale, or None
     (numerically infeasible, too large, or the float method broke down).
     """
     import numpy as np  # only this float stage needs numpy; exact paths never load it
@@ -662,7 +638,7 @@ def solve_sdp(sys: GramSystem, settings: SdpSettings):
     rows = np.fromiter((i for i, _ in sys.pairs), dtype=np.int64, count=npairs)
     cols = np.fromiter((j for _, j in sys.pairs), dtype=np.int64, count=npairs)
     scale = max(1.0, float(np.max(np.abs(x0[:npairs]))) if npairs else 1.0)
-    tol = settings.feasibility_tolerance * scale
+    tol = SDP_TOLERANCE * scale
 
     m = sys.nullspace_dim + 1  # the Gram directions and t
     k = sys.nunknowns - sys.nullspace_dim + 1 + sys.extra  # the equations, t and the multiplier
@@ -914,13 +890,15 @@ class SosCertificate:
         data = json.loads(text)
         names = data["vars"]
         basis = [parse_poly(s, names) for s in data["basis"]]
-        gram = [[Fraction(x) for x in row] for row in data["gram"]]
+        gram = [[frac_from_json(x) for x in row] for row in data["gram"]]
+        if type(data["N"]) is not int:
+            raise ValueError(f"N must be a JSON integer, got {data['N']!r}")
         mult = data.get("multiplier")
         mod = data.get("modulus")
         return cls(
             basis=basis,
             gram=gram,
-            denominator_power=int(data["N"]),
+            denominator_power=data["N"],
             target=parse_poly(data["target"], names),
             multiplier=None if mult is None else parse_poly(mult, names),
             modulus=None if mod is None else parse_poly(mod, names),
@@ -978,24 +956,15 @@ def _sum_of_var_squares(nvars: int) -> Polynomial:
     return acc
 
 
-def certify_sos(
-    F: Polynomial,
-    max_denominator_power: int = 0,
-    settings: Optional[SdpSettings] = None,
-    basis: Optional[list[Polynomial]] = None,
-) -> Verdict:
+def certify_sos(F: Polynomial, max_denominator_power: int = 0) -> Verdict:
     """Decide whether (sum x_i^2)^N * F is a sum of squares for some N <= budget.
 
     CERTIFIED_YES carries an exact SosCertificate.  CERTIFIED_NO is issued
     only on an exact refutation (unique Gram point that is not PSD, or no
     Gram matrix at all); it soundly implies F itself is not a sum of squares.
-    With a caller-supplied basis the refutation is relative to that basis,
-    which is conclusive exactly when the basis provably contains every
-    possible square (e.g. forced by vanishing points).
     """
     if max_denominator_power < 0:
         raise ValueError(f"max_denominator_power must be nonnegative, got {max_denominator_power}")
-    settings = settings or SdpSettings()
     if F.is_zero():
         cert = SosCertificate(basis=[], gram=[], denominator_power=0, target=F)
         return certified_yes(witness=cert, detail="zero polynomial is the empty sum of squares")
@@ -1025,15 +994,14 @@ def certify_sos(
     refute_detail = ""
     for N in range(max_denominator_power + 1):
         FN = F * s2**N if N else F
-        use_basis = basis if basis is not None else _auto_basis(FN)
-        use_basis = constrain_basis_to_zeros(list(use_basis), zeros, F, _geometry=geometry)
+        use_basis = constrain_basis_to_zeros(_auto_basis(FN), zeros, F, _geometry=geometry)
         if not use_basis:
             refuted.append(N)
             refute_witness = {"N": N, "zeros": zeros}
             refute_detail = "no candidate square vanishes at all exact zeros of the target"
             continue
         try:
-            sys = GramSystem(FN, list(use_basis))
+            sys = GramSystem(FN, use_basis)
         except GramInfeasibleError as exc:
             refuted.append(N)
             refute_witness = {"N": N}
@@ -1048,7 +1016,7 @@ def certify_sos(
             refute_witness = {"N": N, "gram": sys.particular_matrix()}
             refute_detail = f"unique Gram matrix at denominator power {N} is not PSD"
             continue
-        xfloat = solve_sdp(sys, settings)
+        xfloat = solve_sdp(sys)
         if xfloat is None:
             continue
         cert = _round_and_certify(sys, xfloat, F, N)
@@ -1072,11 +1040,7 @@ def certify_sos(
     return unknown(detail=f"no SOS certificate found for denominator powers 0..{max_denominator_power}")
 
 
-def certify_sos_mod_f(
-    F: Polynomial,
-    f: Polynomial,
-    settings: Optional[SdpSettings] = None,
-) -> Verdict:
+def certify_sos_mod_f(F: Polynomial, f: Polynomial) -> Verdict:
     """Search for a multiplier p with F - p*f a sum of squares.
 
     The multiplier's coefficients (homogeneous of degree deg F - deg f) join
@@ -1085,7 +1049,6 @@ def certify_sos_mod_f(
     is never a single point, and the answer is CERTIFIED_YES or UNKNOWN,
     never CERTIFIED_NO.
     """
-    settings = settings or SdpSettings()
     if f.is_zero():
         raise ValueError("modulus polynomial must be nonzero")
     if F.nvars != f.nvars:
@@ -1106,7 +1069,7 @@ def certify_sos_mod_f(
     basis = [Polynomial.monomial(F.nvars, m) for m in monomials_of_degree(F.nvars, d - 1)]
     mult_monos = monomials_of_degree(F.nvars, d - 2)
     sys = GramSystem(F, basis, modulus=f, mult_monos=mult_monos)
-    xfloat = solve_sdp(sys, settings)
+    xfloat = solve_sdp(sys)
     if xfloat is not None:
         cert = _round_and_certify(sys, xfloat, F, 0)
         if cert is not None:
@@ -1114,12 +1077,7 @@ def certify_sos_mod_f(
     return unknown(detail="no modulo-f SOS certificate found (family is not a single point)")
 
 
-def sos_cone_membership(
-    inst,
-    a: Sequence,
-    max_denominator_power: int = 2,
-    settings: Optional[SdpSettings] = None,
-) -> Verdict:
+def sos_cone_membership(inst, a: Sequence, max_denominator_power: int = 2) -> Verdict:
     """Inner SOS relaxation of closed hyperbolicity-cone membership.
 
     CERTIFIED_YES (the membership Wronskian times a denominator power is a
@@ -1130,7 +1088,7 @@ def sos_cone_membership(
     from .hypercone import wronskian_delta
 
     delta = wronskian_delta(inst.f, inst.e, a)
-    v = certify_sos(delta, max_denominator_power, settings)
+    v = certify_sos(delta, max_denominator_power)
     if v.is_yes:
         return certified_yes(witness=v.witness, detail=f"membership Wronskian certified SOS ({v.detail})")
     if v.is_no:

@@ -60,6 +60,17 @@ def frac_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def frac_from_json(x: Any) -> Fraction:
+    """A certificate rational read back from JSON: an int or a rational string.
+
+    Floats, bools and null have no exact rational meaning here and raise
+    ValueError; a float would round the value it stood for.
+    """
+    if type(x) is int or type(x) is str:
+        return Fraction(x)
+    raise ValueError(f"a rational must be a JSON integer or string, got {type(x).__name__}")
+
+
 def to_jsonable(obj: Any) -> Any:
     """Convert verdicts/fractions/tuples to plain JSON-ready structures."""
     if isinstance(obj, Verdict):

@@ -227,8 +227,8 @@ def test_malformed_rep_exit_3(tmp_path, capsys):
     missing_key = json.dumps({"matrices": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]})
     for rep in (missing_key, "[1, 2]", json.dumps({"matrices": 5, "e": ["1", "1"], "gamma": "1"})):
         assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", rep))
-    # non-finite JSON numbers have no exact rational value
-    for gamma in ("1e400", "Infinity", "-Infinity", "NaN"):
+    # floats, non-finite ones included, and bools have no exact rational value
+    for gamma in ("1e400", "Infinity", "-Infinity", "NaN", "true", "0.5"):
         rep = '{"matrices": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "e": [1, 1], "gamma": %s}' % gamma
         assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", rep))
     path = tmp_path / "rep.json"
@@ -287,15 +287,6 @@ def test_zero_sampling_bound_exits_3_without_hanging():
     assert_input_error(proc.returncode, proc.stdout, proc.stderr)
 
 
-def test_tolerance_must_be_finite_and_positive(capsys):
-    square = ["--poly", "x^2 + y^2", "--vars", "x,y", "--sos-budget", "0", "--no-timings"]
-    for bad in ("nan", "inf", "-inf", "-1", "0", "tiny"):
-        assert_input_error(*run(capsys, "sos-certify", *square, "--tolerance", bad))
-        assert_input_error(*run(capsys, "check-hyperbolic", *square, "--e", "1,0", "--tolerance", bad))
-    code, out, _ = run(capsys, "sos-certify", *square, "--tolerance", "1e-6")
-    assert code == 0 and json.loads(out)["verdict"]["status"] == "CERTIFIED_YES"
-
-
 def test_parser_built_once_and_reused_without_leaking_state(capsys, monkeypatch):
     import hypersos.cli as cli
 
@@ -329,7 +320,7 @@ OPTION_COMMANDS = {
     "--e": {"check-hyperbolic", "cone-member", "interlaces", "delta", "sos-cone-member", "detrep-build"},
     "--a": {"cone-member", "delta", "sos-cone-member"},
     "--sos-budget": {"interlaces", "sos-certify", "sos-cone-member", "stable-check"},
-    "--tolerance": {"interlaces", "sos-certify", "sos-cone-member", "stable-check"},
+    "--tolerance": set(),
     "--cert-out": {"interlaces", "sos-certify", "sos-cone-member", "detrep-build", "vamos-repro"},
 }
 

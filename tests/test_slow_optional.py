@@ -87,9 +87,9 @@ def test_sos_mod_elementary_symmetric_in_the_equation_form(monkeypatch):
     families = []
     solve_sdp = soscert.solve_sdp
 
-    def recording(sys, settings):
+    def recording(sys):
         families.append((sys.size, sys.nullspace_dim, sys.extra))
-        return solve_sdp(sys, settings)
+        return solve_sdp(sys)
 
     monkeypatch.setattr(soscert, "solve_sdp", recording)
     for count in (60, 12):

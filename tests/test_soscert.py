@@ -23,7 +23,6 @@ from hypersos.polycore import (
 )
 from hypersos.soscert import (
     GramSystem,
-    SdpSettings,
     SosCertificate,
     _ZeroGeometry,
     _auto_basis,
@@ -330,18 +329,19 @@ def test_solve_sdp_numerically_infeasible_on_unique_indefinite_family():
     rep = vamos_reproduction()
     sys = GramSystem(rep.W, rep.cubic_basis)
     assert sys.nullspace_dim == 0
-    assert solve_sdp(sys, SdpSettings()) is None
+    assert solve_sdp(sys) is None
 
 
 def test_certify_sos_vamos_refuted_exactly():
-    # certify_sos refutes the restricted Vamos Wronskian over the vanishing
-    # cubics: its line conditions at the six zeros make the coefficient
-    # matching outright infeasible (even before the unique-Gram argument)
+    # certify_sos refutes the restricted Vamos Wronskian: the line
+    # conditions at its six zeros make the coefficient matching outright
+    # infeasible over the face-reduced cubics (even before the unique-Gram
+    # argument)
     from hypersos.corpus import vamos_reproduction
 
     rep = vamos_reproduction()
-    v = certify_sos(rep.W, 0, basis=rep.cubic_basis)
-    assert v.is_no
+    v = certify_sos(rep.W, 0)
+    assert v.is_no and v.detail.startswith("no Gram matrix exists over the basis")
     # the classical unique-Gram argument is preserved verbatim in the report
     assert mat_det(rep.gram) == Fraction(-1, 4)
     res = ldl_psd(rep.gram)
@@ -369,9 +369,8 @@ def test_sos_cone_membership_restricted_vamos_boundary():
 def test_solve_sdp_deterministic():
     d = wronskian_delta(gen_product(3), [1, 1, 1], [3, 4, 6])
     sys = assemble_gram_system(d)
-    s = SdpSettings()
-    x1 = solve_sdp(sys, s)
-    x2 = solve_sdp(GramSystem(d, list(sys.basis)), s)
+    x1 = solve_sdp(sys)
+    x2 = solve_sdp(GramSystem(d, list(sys.basis)))
     assert x1 is not None and x2 is not None
     assert list(x1) == list(x2)
 
@@ -474,6 +473,15 @@ def test_verify_rejects_malformed_fields_without_raising():
         data = json.loads(cert.to_json())
         data["N"] = N
         assert SosCertificate.from_json(json.dumps(data)).verify() is False
+    # JSON values without an exact rational meaning are rejected on reading
+    for field, bad in (("N", 1.0), ("N", True), ("N", "0"), ("gram", 0.5), ("gram", True), ("gram", None)):
+        data = json.loads(cert.to_json())
+        if field == "N":
+            data["N"] = bad
+        else:
+            data["gram"][0][0] = bad
+        with pytest.raises(ValueError):
+            SosCertificate.from_json(json.dumps(data))
     # the factorization is read from the Gram matrix, never stored beside it
     with pytest.raises(AttributeError):
         cert.ldl = ldl_psd(gram)
@@ -599,13 +607,6 @@ def test_scan_small_points_matches_naive_loop():
         zeros, neg = scan_small_points(F, coord)
         assert (zeros, neg) == naive_scan(F, coord)
         assert all(type(c) is Fraction for p in zeros + [neg or []] for c in p)
-
-
-def test_sdp_settings_reject_unusable_values():
-    for tol in (float("nan"), float("inf"), -1.0, 0.0):
-        with pytest.raises(ValueError):
-            SdpSettings(feasibility_tolerance=tol)
-    assert SdpSettings(feasibility_tolerance=1e-3).feasibility_tolerance == 1e-3
 
 
 def test_auto_basis_is_always_box_reduced():
@@ -774,7 +775,7 @@ def test_barrier_reaches_a_boundary_face_without_face_reduction():
     F = P("(x^2 - y^2)^2 + (x*y - z^2)^2")
     sys = assemble_gram_system(F)
     assert len(sys.basis) == 6 and sys.nullspace_dim == 6
-    x = solve_sdp(sys, SdpSettings())
+    x = solve_sdp(sys)
     assert x is not None
     G = np.zeros((6, 6))
     for k, (i, j) in enumerate(sys.pairs):
@@ -828,7 +829,7 @@ def test_solve_sdp_returns_none_when_the_newton_system_is_singular(monkeypatch):
     G = random_cubic_squares(6, 12, 1)
     systems = [assemble_gram_system(F), GramSystem(G, _auto_basis(G))]
     assert [s.nullspace_dim for s in systems] == [6, 1134]
-    assert solve_sdp(systems[1], SdpSettings()) is not None
+    assert solve_sdp(systems[1]) is not None
 
     def singular(H, g):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -839,7 +840,7 @@ def test_solve_sdp_returns_none_when_the_newton_system_is_singular(monkeypatch):
     for solve in (singular, not_finite):
         monkeypatch.setattr(np.linalg, "solve", solve)
         for sys in systems:
-            assert solve_sdp(sys, SdpSettings()) is None
+            assert solve_sdp(sys) is None
 
 
 def test_budget_one_vamos_family_gets_no_sdp(monkeypatch):
@@ -858,7 +859,7 @@ def test_budget_one_vamos_family_gets_no_sdp(monkeypatch):
 
     for name in ("_barrier_sdp", "_nullspace_form", "_equation_form"):
         monkeypatch.setattr(soscert, name, no_solve)
-    assert solve_sdp(sys, SdpSettings()) is None
+    assert solve_sdp(sys) is None
 
 
 def test_equation_form_certifies_random_cubic_squares(monkeypatch):
@@ -898,7 +899,7 @@ def test_equation_form_decides_what_the_nullspace_form_does(monkeypatch):
     basis = [Polynomial.monomial(3, m) for m in monomials_of_degree(3, 1)]
     sys = GramSystem(mod_f[0], basis, modulus=f, mult_monos=monomials_of_degree(3, 0))
     steps.clear()
-    x = solve_sdp(sys, SdpSettings())
+    x = solve_sdp(sys)
     residual = sys.residual([Fraction(v) for v in x])
     assert steps and max(map(abs, residual.terms.values()), default=0) < 1e-9
 
@@ -957,6 +958,35 @@ def test_structural_projection_matches_the_fraction_reference():
         assert got == naive_structural_projection(sys, vec)
         assert sys.residual(got).is_zero()
         assert sys.project_exact(got) == got
+
+
+def test_general_projection_keeps_the_free_unknowns():
+    # over general polynomials the family comes from exact elimination; the
+    # projection keeps the RREF free unknowns and back-substitutes the pivots.
+    # Delta_13 of the Vamos polynomial takes this path over its face-reduced
+    # basis of 13 cubics, and its certificate comes out of it
+    d13 = delta_ij(gen_vamos(), 0, 2)
+    zeros, _ = scan_small_points(d13)
+    families = [
+        GramSystem(P("x^2 + y^2 + z^2"), [P("x + y"), P("y + z"), P("x + z"), P("x - y")]),
+        GramSystem(d13, constrain_basis_to_zeros(_auto_basis(d13), zeros, d13)),
+    ]
+    rng = random.Random(1919)
+    for sys in families:
+        assert sys._eqs is None and sys.nullspace_dim > 0
+        free = [max(v) for v in sys.nullspace_vectors()]
+        for _ in range(4):
+            vec = [Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 997)) for _ in range(sys.nunknowns)]
+            got = sys.project_exact(vec)
+            assert sys.residual(got).is_zero()
+            assert sys.project_exact(got) == got
+            assert [got[f] for f in free] == [vec[f] for f in free]
+            G = sys.matrix_from_vector(got)
+            assert sys.contains(G)
+            G[0][0] += Fraction(1, 3)
+            assert not sys.contains(G)
+    v = certify_sos(d13, 0)
+    assert v.is_yes and v.witness.verify() and len(v.witness.basis) == families[1].size == 13
 
 
 def random_unknowns(rng, count):
@@ -1037,7 +1067,7 @@ def test_certify_sos_mod_f_makes_no_exact_elimination(monkeypatch):
         raise AssertionError("exact elimination in a modulo-f family")
 
     monkeypatch.setattr(soscert, "solve_affine_family", eliminate)
-    monkeypatch.setattr(soscert, "solve_linear", eliminate)
+    assert not hasattr(soscert, "solve_linear")
     for F, f in modulo_f_cases():
         v = certify_sos_mod_f(F, f)
         assert v.is_yes and v.witness.verify()
@@ -1088,8 +1118,6 @@ def test_certify_sos_with_an_empty_basis_is_refuted():
     F = P("x^2*y^2 + z^4")
     zeros, _ = scan_small_points(F)
     assert zeros and constrain_basis_to_zeros([], zeros, F) == []
-    v = certify_sos(F, 0, basis=[])
-    assert v.is_no and v.detail.startswith("no candidate square")
 
 
 def test_hessian_refutation_reads_its_reason_from_the_exact_hessian():
