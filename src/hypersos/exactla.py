@@ -8,19 +8,19 @@ built only for the solution.  solve_linear is a square, nonsingular call of
 it, and mat_det is polycore.poly_determinant on the constant matrix.  The
 LDL^T factorization with symmetric pivoting is fraction-free too: the
 symmetry check and symmetric Bareiss elimination both run on the
-lcm-scaled ints, and only its L and D are built as Fractions.  It is the
-positive-semidefiniteness oracle used by the certificate checkers: a
-completed factorization with nonnegative pivots proves PSD, and a negative
-pivot or a zero diagonal with a nonzero residual row disproves it.  A
-refutation's reason names the offending row, never the pivot's value, which
-can run to thousands of digits.  Scaling a matrix by a positive constant
-keeps its PSD decision, its reason and the reduced row echelon form of its
-kernel, so callers that hold one as scaled ints pass the ints.
+lcm-scaled ints; its D is built as Fractions, and its L only when read.
+It is the positive-semidefiniteness oracle used by the certificate
+checkers: a completed factorization with nonnegative pivots proves PSD, and
+a negative pivot or a zero diagonal with a nonzero residual row disproves
+it.  A refutation's reason names the offending row, never the pivot's
+value, which can run to thousands of digits.  Scaling a matrix by a
+positive constant keeps its PSD decision, its reason and the reduced row
+echelon form of its kernel, so callers that hold one as scaled ints pass
+the ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,10 +37,19 @@ def solve_affine_family(
     None means the system is inconsistent.  The particular solution sets all
     free variables to zero; the nullspace basis has one vector per free
     variable (reduced row echelon form).  Gauss-Jordan elimination runs on
-    integer rows; the reduced row echelon form is unique, so the result is
-    the same as over Fraction.
+    integer rows, after dropping zero rows and rows that repeat another up to
+    a nonzero factor; the reduced row echelon form is unique, so the result
+    is the same as over Fraction.
     """
-    aug = [_primitive(_common_denominator(_rationals([*row, b]))[1]) for row, b in zip(rows, rhs)]
+    # zero rows, and rows whose primitive ints repeat another's up to sign,
+    # leave the row space, hence the RREF, unchanged
+    unique: dict[tuple, None] = {}
+    for row, b in zip(rows, rhs):
+        if b or any(row):
+            ints = _primitive(_common_denominator(_rationals([*row, b]))[1])
+            lead = next(x for x in ints if x)
+            unique[tuple(ints) if lead > 0 else tuple(-x for x in ints)] = None
+    aug: list = list(unique)
     m = len(aug)
     pivot_cols: list[int] = []
     r = 0
@@ -95,20 +104,37 @@ def mat_det(A: Mat) -> Fraction:
     return poly_determinant([[Polynomial.const(0, x) for x in row] for row in A]).coefficient(())
 
 
-@dataclass
 class LdlResult:
     """Outcome of pivoted LDL^T on a symmetric rational matrix.
 
     When `is_psd`, the factorization satisfies, exactly,
         A[perm[r]][perm[c]] == (L D L^T)[r][c]
-    with L unit lower triangular and D the nonnegative pivot list.
+    with L unit lower triangular and D the nonnegative pivot list.  L may be
+    given as a function that builds it: ldl_psd does so, because a PSD
+    decision, a rank or a reason never reads L's n^2 Fractions.
     """
 
-    is_psd: bool
-    perm: list[int]
-    L: Mat
-    D: list[Fraction]
-    reason: str = ""
+    def __init__(self, is_psd: bool, perm: list[int], L, D: list[Fraction], reason: str = ""):
+        self.is_psd, self.perm, self._L, self.D, self.reason = is_psd, perm, L, D, reason
+
+    @property
+    def L(self) -> Mat:
+        if callable(self._L):
+            self._L = self._L()
+        return self._L
+
+    def _fields(self) -> tuple:
+        return self.is_psd, self.perm, self.L, self.D, self.reason
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LdlResult):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "LdlResult(is_psd={!r}, perm={!r}, L={!r}, D={!r}, reason={!r})".format(*self._fields())
 
     @property
     def is_pd(self) -> bool:
@@ -148,11 +174,14 @@ def ldl_psd(A: Mat) -> LdlResult:
     D: list[Fraction] = []
 
     def result(is_psd: bool, reason: str = "") -> LdlResult:
-        # below pivot p_j = M[j][j], column j holds the numerators of L; row swaps moved them along
-        zero, one = Fraction(0), Fraction(1)
-        L = [[Fraction(M[i][j], M[j][j]) if j < min(i, len(D)) else one if i == j else zero
-              for j in range(n)] for i in range(n)]
-        return LdlResult(is_psd, perm, L, D + [zero] * (n - len(D)), reason)
+        zero, one, pivots = Fraction(0), Fraction(1), len(D)
+
+        def build_L() -> Mat:
+            # below pivot p_j = M[j][j], column j holds the numerators of L; row swaps moved them along
+            return [[Fraction(M[i][j], M[j][j]) if j < min(i, pivots) else one if i == j else zero
+                     for j in range(n)] for i in range(n)]
+
+        return LdlResult(is_psd, perm, build_L, D + [zero] * (n - pivots), reason)
 
     prev = 1
     for k in range(n):

@@ -26,7 +26,12 @@ Exact real zeros of the target (scanned on a small integer grid) drive a
 face reduction before step 1: every candidate square must vanish at each
 zero, and along flat Hessian directions it must vanish to half the order of
 the target's line restriction.  This frequently collapses boundary
-instances to a unique Gram point decided outright.  CERTIFIED_NO is issued
+instances to a unique Gram point decided outright.  That local geometry is
+decided once per orbit of the zeros under the target's symmetries
+(Gatermann-Parrilo): the coordinate permutations that map its terms onto
+its terms, found as generators, never as a listed group.  The other zeros
+of an orbit take their representative's flat lines and constraint rows,
+moved by the permutation.  CERTIFIED_NO is issued
 only from an exact decision: a negative value or a local obstruction at a
 zero, a single non-PSD Gram point, or no Gram matrix at all over a complete
 basis.  Denominator powers upgrade the relaxation: (sum x_i^2)^N * F is
@@ -392,6 +397,126 @@ def scan_small_points(F: Polynomial, coord: int = 1):
     return ([], neg) if neg is not None else (zeros, None)
 
 
+def _symmetry_generators(F: Polynomial) -> list[tuple[int, ...]]:
+    """Generators of the group of coordinate permutations that map F's terms onto F's terms.
+
+    A permutation sigma moves a point or an exponent tuple x to sigma.x, with
+    (sigma.x)[sigma[i]] = x[i]; it fixes F when every term c x^m of F has
+    its image c x^(sigma.m) in F, and then F(sigma.x) = F(x).  The levels
+    i = n-1, ..., 0 are searched in turn.  Every generator found so far
+    fixes 0..i-1, and for each j > i outside the orbit of i under them, a
+    backtracking search looks for one permutation that fixes 0..i-1 and
+    sends i to j: it places coordinates in order, each onto a free
+    coordinate with the same (exponent, coefficient) profile in F, and
+    checks every term once its last coordinate is placed.  The generators
+    of all levels generate the whole group (they contain a generating set of
+    each stabilizer in its chain), and there are at most n(n-1)/2 of them;
+    the group itself is never listed.
+    """
+    n = F.nvars
+    terms = dict(zip(F.terms, _common_denominator(F.terms.values())[1]))  # ints compare fast
+    profiles: dict[tuple, int] = {}
+    profile = [profiles.setdefault(tuple(sorted((m[i], c) for m, c in terms.items() if m[i])), len(profiles))
+               for i in range(n)]
+    ending: list[list] = [[] for _ in range(n)]  # the terms whose last variable is k
+    for m, c in terms.items():
+        support = [i for i, e in enumerate(m) if e]
+        if support:
+            ending[support[-1]].append((support, m, c))
+    sigma, used = list(range(n)), [False] * n
+
+    def fits(k: int) -> bool:
+        for support, m, c in ending[k]:
+            image = [0] * n
+            for i in support:
+                image[sigma[i]] = m[i]
+            if terms.get(tuple(image)) != c:
+                return False
+        return True
+
+    def place(k: int) -> bool:
+        if k == n:
+            return True
+        for j in range(n):
+            if not used[j] and profile[j] == profile[k]:
+                sigma[k], used[j] = j, True
+                if fits(k) and place(k + 1):
+                    return True
+                used[j] = False
+        return False
+
+    gens: list[tuple[int, ...]] = []
+    for i in reversed(range(n)):
+        orbit = [i]
+        for j in range(i + 1, n):
+            if j in orbit or profile[j] != profile[i]:
+                continue
+            sigma[:], used[:] = range(n), [k < i or k == j for k in range(n)]
+            sigma[i] = j
+            if fits(i) and place(i + 1):
+                gens.append(tuple(sigma))
+                for x in orbit:  # grows while it is read
+                    for g in gens:
+                        if g[x] not in orbit:
+                            orbit.append(g[x])
+    return gens
+
+
+def _move(sigma: Sequence[int], x: Sequence) -> list:
+    """sigma.x, with (sigma.x)[sigma[i]] = x[i]."""
+    out = [None] * len(x)
+    for i, v in zip(sigma, x):
+        out[i] = v
+    return out
+
+
+def _point_key(p) -> tuple[int, ...]:
+    """(q, *P) for p = P/q with q the lcm of p's denominators: ints that identify p exactly."""
+    q, P = _common_denominator(p)
+    return (q, *P)
+
+
+def _zero_orbits(F: Polynomial, zeros: list, keys: dict) -> dict[tuple, tuple[list, tuple[int, ...], int]]:
+    """{key of p: (r, sigma, sign)} with p = sign * sigma.r, for each zero p after the first r of its orbit.
+
+    keys maps id(p) to _point_key(p).  Only primitive integer zeros with a
+    positive first nonzero coordinate, the grid scan's projective points,
+    join orbits.  A breadth-first search from the first zero of each orbit,
+    in list order, applies every generator of F's symmetries to each zero
+    reached, negates the image when its first nonzero coordinate is negative
+    (F must then be even), and records the composed permutation and sign of
+    each new zero.  With no symmetry the result is empty.
+    """
+    index: dict[tuple, list] = {}
+    for p in zeros:
+        key = keys[id(p)]
+        if key[0] == 1 and math.gcd(*key[1:]) == 1 and next(x for x in key[1:] if x) > 0:
+            index.setdefault(key, p)
+    gens = _symmetry_generators(F) if len(index) > 1 else []
+    even = all(sum(m) % 2 == 0 for m in F.terms)
+    moved: dict[tuple, tuple[list, tuple[int, ...], int]] = {}
+    reached: set[tuple] = set()
+    for key, r in index.items():
+        if key in reached:
+            continue
+        reached.add(key)
+        queue = [(key, tuple(range(F.nvars)), 1)]
+        for reached_key, sigma, sign in queue:  # grows while it is read
+            for g in gens:
+                image, s = _move(g, reached_key[1:]), sign
+                if next(x for x in image if x) < 0:
+                    if not even:
+                        continue
+                    image, s = [-x for x in image], -s
+                image = (1, *image)
+                if image in index and image not in reached:
+                    reached.add(image)
+                    composed = tuple(g[k] for k in sigma)
+                    moved[image] = (r, composed, s)
+                    queue.append((image, composed, s))
+    return moved
+
+
 class _ZeroGeometry:
     """The local structure of F at its exact zeros, shared within one decision.
 
@@ -403,9 +528,18 @@ class _ZeroGeometry:
     vanishing on the plane span{p, u}, so every other line in that plane
     vanishes too.  F is therefore restricted once per zero plane, and a later
     line in a known zero plane gets the zero restriction without a call.
+
+    The given zeros are split into orbits of F's symmetries (_zero_orbits):
+    coordinate permutations sigma, and the sign when F is even.  The first
+    zero r of each orbit is its representative, and only representatives
+    get derivatives, a Hessian kernel and restrictions of F.  Any other zero
+    p = sign * sigma.r takes r's flat lines moved, v = sign * sigma.u, with
+    r's restriction polynomials, since F(p + t v) = F(r + t u).  With no
+    symmetry every zero is its own representative.  Points are keyed by the
+    ints of _point_key, never by Fractions.
     """
 
-    def __init__(self, F: Polynomial):
+    def __init__(self, F: Polynomial, zeros: Sequence = ()):
         self.nvars = F.nvars
         self._F = _IntForm(F.nvars, [F])
         self._supports = [[i for i, e in enumerate(m) if e] for m in F.terms]
@@ -414,6 +548,19 @@ class _ZeroGeometry:
         # vanishes on a whole plane when it vanishes on one line of it
         self._homogeneous = F.is_homogeneous()
         self._zero_planes: set[tuple] = set()
+        # each zero is keyed once; holding the list keeps its ids apart
+        self._zeros = list(zeros)
+        self._keys = {id(p): _point_key(p) for p in self._zeros}
+        self._moved = _zero_orbits(F, self._zeros, self._keys)
+
+    def key(self, p) -> tuple[int, ...]:
+        """_point_key(p), read from the zeros' keys when p is one of them."""
+        key = self._keys.get(id(p))
+        return key if key is not None else _point_key(p)
+
+    def moved(self, p) -> Optional[tuple[list, tuple[int, ...], int]]:
+        """(r, sigma, sign) when p = sign * sigma.r for an earlier zero r of its orbit, else None."""
+        return self._moved.get(self.key(p))
 
     def int_derivatives(self, p) -> tuple[list[int], list[list[int]], int, int]:
         """(g, H, q, den): F's gradient at p is g q / den, its Hessian H q^2 / den.
@@ -468,28 +615,35 @@ class _ZeroGeometry:
     def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly, tuple]]:
         """(u, t -> F(p + t u), plane key) for each kernel basis vector u of the Hessian at p.
 
-        H, when given, is the Hessian at p or a positive multiple of it.
+        H, when given, is the Hessian at p or a positive multiple of it.  At
+        a zero p = sign * sigma.r the vectors u are r's kernel basis, moved.
         """
-        key = tuple(p)
-        if key not in self._lines:
+        key = self.key(p)
+        lines = self._lines.get(key)
+        if lines is not None:
+            return lines
+        P = key[1:]
+        moved = self._moved.get(key)
+        if moved is not None:
+            r, sigma, sign = moved
+            kernel = [(_move(sigma, u if sign > 0 else [-x for x in u]), line) for u, line, _ in self.flat_lines(r)]
+        else:
             n = self.nvars
             if H is None:
                 H = self.int_derivatives(p)[1]
             sol = solve_affine_family(H, [Fraction(0)] * n, n)
             assert sol is not None
-            P = _common_denominator(p)[1]
-            lines = []
-            for u in sol[1]:
-                plane = _plane_key(P, _common_denominator(u)[1])
-                if plane in self._zero_planes:
-                    line = UniPoly.zero()
-                else:
-                    line = self._F.restrictions(u, p)[0]
-                    if line.is_zero() and self._homogeneous:
-                        self._zero_planes.add(plane)
-                lines.append((u, line, plane))
-            self._lines[key] = lines
-        return self._lines[key]
+            kernel = [(u, None) for u in sol[1]]
+        lines = []
+        for u, line in kernel:
+            plane = _plane_key(P, _common_denominator(u)[1])
+            if line is None:
+                line = UniPoly.zero() if plane in self._zero_planes else self._F.restrictions(u, p)[0]
+            if line.is_zero() and self._homogeneous:
+                self._zero_planes.add(plane)
+            lines.append((u, line, plane))
+        self._lines[key] = lines
+        return lines
 
 
 def _plane_key(P: list[int], U: list[int]) -> tuple[int, ...]:
@@ -517,11 +671,18 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
     along every flat direction u the restriction F(p + t u) has even vanishing
     order with a positive leading coefficient.  Each failure is an exact
     refutation, and it survives multiplication by powers of the square sum.
+    Only the representative of each orbit of zeros under F's symmetries is
+    checked: at p = sign * sigma.r the gradient and the Hessian are r's,
+    moved, and so are the flat lines, with the same restrictions.  The
+    representative comes first in the list, so the first failing zero and
+    its witness are those of the zero-by-zero check.
     """
     if not zeros:
         return None
-    geometry = _geometry or _ZeroGeometry(F)
+    geometry = _geometry or _ZeroGeometry(F, zeros)
     for p in zeros:
+        if geometry.moved(p) is not None:
+            continue
         grad, H, _, _ = geometry.int_derivatives(p)
         if any(grad):
             grad = geometry.derivatives_at(p)[0]
@@ -546,6 +707,22 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
     return None
 
 
+def _basis_columns(basis: list[Polynomial], index: dict, sigma: tuple[int, ...]) -> Optional[list[int]]:
+    """cols with sigma.basis[cols[k]] == basis[k] for every k, or None when sigma does not permute the basis.
+
+    index maps the support of each basis element to its position.  A row
+    over the basis at r becomes the row at sigma.r read in the order cols.
+    """
+    cols: list = [None] * len(basis)
+    for j, b in enumerate(basis):
+        image = {tuple(_move(sigma, m)): c for m, c in b.terms.items()}
+        k = index.get(frozenset(image))
+        if k is None or basis[k].terms != image:
+            return None
+        cols[k] = j
+    return None if None in cols else cols
+
+
 def constrain_basis_to_zeros(
     basis: list[Polynomial],
     zeros,
@@ -566,7 +743,11 @@ def constrain_basis_to_zeros(
     t^0..t^k coefficients of h(p + t u) say that h vanishes on the plane
     span{p, u}, whichever line of the plane gives them.  So an identically
     zero line adds rows only when it is the first line of its plane; other
-    lines keep their rows, since their vanishing order is local at p.
+    lines keep their rows, since their vanishing order is local at p.  At a
+    zero p = sign * sigma.r of the orbit of r under F's symmetries, whose
+    flat lines are r's moved, a line copies the rows of r's line when sigma
+    permutes the basis (and the sign is 1, or the basis consists of forms of
+    one degree, so the sign scales whole rows), with the columns permuted.
     Returns the original basis when nothing binds.
     """
     if not zeros or not basis:
@@ -578,30 +759,51 @@ def constrain_basis_to_zeros(
         return basis
     nvars = basis[0].nvars
     form = _IntForm(nvars, basis)
-    rows = [form.values_at(p) for p in zeros]
-    if F is not None:
-        geometry = _geometry or _ZeroGeometry(F)
-        # with the value row at p, a line's rows stand for its whole plane
-        # only when the basis consists of forms of one degree
-        forms = len({b.total_degree() for b in basis}) == 1 and all(b.is_homogeneous() for b in basis)
-        planes: set[tuple] = set()
-        for p in zeros:
-            for u, line, plane in geometry.flat_lines(p):
-                if line.is_zero():
-                    if forms and plane in planes:
-                        continue
-                    planes.add(plane)
-                    half = form.degree + 1
-                else:
-                    order = next(i for i, c in enumerate(line.coeffs) if c)
-                    half = (order + 1) // 2
-                # the t^0 coefficients are the basis values at p, already a row
-                if half <= 1:
+    geometry = None if F is None else _geometry or _ZeroGeometry(F, zeros)
+    # with the value row at p, a line's rows stand for its whole plane
+    # only when the basis consists of forms of one degree
+    forms = len({b.total_degree() for b in basis}) == 1 and all(b.is_homogeneous() for b in basis)
+    index = {frozenset(b.terms): k for k, b in enumerate(basis)}
+    columns: dict[tuple, Optional[list[int]]] = {}  # sigma -> cols, see _basis_columns
+    # (representative's key, line index, or -1 for the values) -> its rows
+    cached: dict[tuple, list[list]] = {}
+    planes: set[tuple] = set()
+    rows: list[list] = []
+    for p in zeros:
+        key = moved = cols = None
+        if geometry is not None:
+            key, moved = geometry.key(p), geometry.moved(p)
+            if moved is not None and (moved[2] > 0 or forms):
+                r, sigma, _ = moved
+                key = geometry.key(r)
+                if sigma not in columns:
+                    columns[sigma] = _basis_columns(basis, index, sigma)
+                cols = columns[sigma]
+        # the t^0 coefficients (the basis values at p), then t^1..t^(half-1) along each flat line
+        needed = [(-1, None, 1)]
+        for idx, (u, line, plane) in enumerate(() if geometry is None else geometry.flat_lines(p)):
+            if line.is_zero():
+                if forms and plane in planes:
                     continue
+                planes.add(plane)
+                half = form.degree + 1
+            else:
+                half = (next(i for i, c in enumerate(line.coeffs) if c) + 1) // 2
+            if half > 1:
+                needed.append((idx, u, half))
+        for idx, u, half in needed:
+            if cols is not None and (key, idx) in cached:
+                rows.extend([row[j] for j in cols] for row in cached[key, idx])
+                continue
+            if u is None:
+                new = [form.values_at(p)]
+            else:
                 blines = form.line_numerators(u, p)
                 scale = math.lcm(*(den for den, _ in blines))
-                for s in range(1, half):
-                    rows.append([c[s] * (scale // den) if s < len(c) else 0 for den, c in blines])
+                new = [[c[s] * (scale // den) if s < len(c) else 0 for den, c in blines] for s in range(1, half)]
+            if geometry is not None and moved is None:
+                cached[key, idx] = new
+            rows.extend(new)
     sol = solve_affine_family(rows, [Fraction(0)] * len(rows), len(basis))
     assert sol is not None  # homogeneous system is always consistent
     _, null = sol
@@ -979,7 +1181,7 @@ def certify_sos(F: Polynomial, max_denominator_power: int = 0) -> Verdict:
             witness={"point": neg, "value": F.evaluate(neg)},
             detail="target is negative at an integer point, hence not a sum of squares",
         )
-    geometry = _ZeroGeometry(F) if zeros else None
+    geometry = _ZeroGeometry(F, zeros) if zeros else None
     obstruction = second_order_obstruction(F, zeros, _geometry=geometry)
     if obstruction is not None:
         return certified_no(

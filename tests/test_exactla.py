@@ -184,6 +184,20 @@ def test_affine_family_matches_naive_reference():
             assert all(type(x) is Fraction for v in [particular, *null] for x in v)
 
 
+def test_affine_family_ignores_zero_and_repeated_rows():
+    # zero rows and rows that repeat another up to a nonzero factor are
+    # dropped before the elimination; the row space, hence the result, is the same
+    rng = random.Random(2110)
+    for rows, rhs, n in _cases():
+        factors = [rng.choice([-3, -1, 2, Fraction(5, 7)]) for _ in rows]
+        padded = list(zip(rows, rhs)) + [([0] * n, 0)] + [
+            ([k * x for x in row], k * b) for k, row, b in zip(factors, rows, rhs)
+        ]
+        rng.shuffle(padded)
+        got = solve_affine_family([r for r, _ in padded], [b for _, b in padded], n)
+        assert got == solve_affine_family(rows, rhs, n), (rows, rhs)
+
+
 def test_affine_family_cases_cover_every_shape_and_outcome():
     cases = _cases()
     assert len(cases) >= 100
@@ -343,6 +357,15 @@ def test_ldl_psd_matches_naive_reference():
             naive_ldl_psd(bad)
         with pytest.raises(ValueError, match=f"^matrix must be {message}$"):
             ldl_psd(bad)
+
+
+def test_ldl_psd_builds_L_only_when_read():
+    # a PSD decision, the rank and the reason never build L's n^2 Fractions
+    for A in ([[4, 2, 0], [2, 5, 1], [0, 1, 3]], [[1, 1], [1, 1]], [[1, 2], [2, 1]]):
+        res, want = ldl_psd(A), naive_ldl_psd(A)
+        assert (res.is_psd, res.rank, res.reason) == (want.is_psd, want.rank, want.reason)
+        assert callable(res._L)
+        assert res == want and not callable(res._L)
 
 
 def test_ldl_psd_names_a_huge_pivot_by_its_row():

@@ -21,6 +21,8 @@ from hypersos import soscert
 from hypersos.soscert import SosCertificate, certify_sos, certify_sos_mod_f, monomials_of_degree
 from hypersos.verdicts import Verdict
 
+VAMOS_REFUTED_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7)]
+
 slow = pytest.mark.skipif(
     os.environ.get("HYPERSOS_RUN_SLOW") != "1",
     reason="set HYPERSOS_RUN_SLOW=1 to run the full-scale Vamos checks",
@@ -61,9 +63,11 @@ def test_vamos_stability_pairs():
     h = gen_vamos()
     v = check_multiaffine_stable(h, SampleConfig(trials=24, seed=31), sos_budget=0)
     # stability itself is true; the (7,8) pair is not SOS-certifiable, so the
-    # aggregate verdict stays UNKNOWN with that pair among the uncertified
+    # aggregate verdict stays UNKNOWN.  Exactly the four pairs that
+    # test_soscert's budget-0 sweep refutes are uncertified; the other 24
+    # are certified there, each certificate verified
     assert v.is_unknown
-    assert (6, 7) in v.witness["uncertified_pairs"]
+    assert v.witness["uncertified_pairs"] == VAMOS_REFUTED_PAIRS
 
 
 @slow
@@ -72,7 +76,7 @@ def test_vamos_stability_pairs_at_budget_one():
     # Newton system and get no SDP, so the verdict is the budget-0 one
     v = check_multiaffine_stable(gen_vamos())
     assert v.is_unknown
-    assert (6, 7) in v.witness["uncertified_pairs"]
+    assert v.witness["uncertified_pairs"] == VAMOS_REFUTED_PAIRS
 
 
 @slow

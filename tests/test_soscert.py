@@ -1,5 +1,6 @@
 """Gram assembly, the numeric-to-exact pipeline, and certificate soundness."""
 
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersos.corpus import gen_elementary_symmetric, gen_lorentz, gen_product, gen_vamos
+from hypersos.corpus import gen_cubic_example, gen_elementary_symmetric, gen_lorentz, gen_product, gen_vamos
 from hypersos.exactla import ldl_psd, mat_det, solve_affine_family
 from hypersos.hypercone import HyperbolicityInstance, delta_ij, wronskian_delta
 from hypersos.polycore import (
@@ -26,6 +27,7 @@ from hypersos.soscert import (
     SosCertificate,
     _ZeroGeometry,
     _auto_basis,
+    _symmetry_generators,
     assemble_gram_system,
     box_reduced_support,
     certify_sos,
@@ -684,6 +686,8 @@ def test_flat_lines_and_constraints_match_the_per_line_reference():
         basis = _auto_basis(F)
         expected = naive_constrain(basis, flat)
         assert 0 < len(expected) < len(basis)
+        # the zero-by-zero basis, though each zero outside its orbit's first
+        # takes that zero's lines and rows, moved by a symmetry of F
         assert constrain_basis_to_zeros(basis, zeros, F) == expected
         # an inhomogeneous basis keeps the rows of every line
         shifted = [b + x[k % 8] for k, b in enumerate(basis)]
@@ -757,6 +761,151 @@ def test_vamos_sweep_at_budget_zero():
                 assert v.is_yes and v.witness.verify(), (i, j)
                 assert SosCertificate.from_json(v.witness.to_json()).verify(), (i, j)
                 assert (i, j) != (0, 2) or len(v.witness.basis) == 13
+
+
+# -- symmetry: one decision per orbit of zeros ---------------------------------------
+
+
+def fixes(F, sigma):
+    """Whether the coordinate permutation sigma maps every term of F onto a term of F."""
+    for m, c in F.terms.items():
+        image = [0] * F.nvars
+        for i, e in enumerate(m):
+            image[sigma[i]] = e
+        if F.terms.get(tuple(image)) != c:
+            return False
+    return True
+
+
+def generated_group(gens, n):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        sigma = frontier.pop()
+        for g in gens:
+            composed = tuple(g[k] for k in sigma)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return group
+
+
+def test_symmetry_generators_generate_the_brute_force_group():
+    rng = random.Random(2104)
+    random_form = Polynomial(4, {m: rng.randint(-9, 9) or 1 for m in monomials_of_degree(4, 4)})
+    cases = [
+        (gen_lorentz(4), 6),  # the permutations of x2, x3, x4
+        (gen_elementary_symmetric(5, 2), 120),
+        (gen_cubic_example(), 1),
+        (random_form, 1),
+        (delta_ij(gen_vamos(), 0, 2), 32),
+    ]
+    for F, order in cases:
+        gens = _symmetry_generators(F)
+        n = F.nvars
+        assert len(gens) <= n * (n - 1) // 2
+        assert all(fixes(F, g) for g in gens)
+        brute = {s for s in itertools.permutations(range(n)) if fixes(F, s)}
+        assert generated_group(gens, n) == brute and len(brute) == order
+    assert _symmetry_generators(random_form) == []
+
+
+def _permuted(sigma, x):
+    """sigma.x, with (sigma.x)[sigma[i]] = x[i]."""
+    out = [None] * len(x)
+    for i, v in zip(sigma, x):
+        out[i] = v
+    return out
+
+
+def test_zero_orbits_start_at_their_first_zero_and_move_its_lines():
+    # Delta_12, Delta_13 and Delta_78 of the Vamos polynomial: 48, 60 and 49
+    # grid zeros in 14, 15 and 15 orbits of their 32 symmetries
+    vamos = gen_vamos()
+    for (i, j), norbits in [((0, 1), 14), ((0, 2), 15), ((6, 7), 15)]:
+        F = delta_ij(vamos, i, j)
+        zeros, _ = scan_small_points(F)
+        geometry = _ZeroGeometry(F, zeros)
+        alone = _ZeroGeometry(F)  # every zero its own representative
+        assert sum(geometry.moved(p) is None for p in zeros) == norbits
+        assert any(geometry.moved(p) is not None and geometry.moved(p)[2] < 0 for p in zeros)
+        for k, p in enumerate(zeros):
+            moved = geometry.moved(p)
+            if moved is None:
+                assert geometry.flat_lines(p) == alone.flat_lines(p)
+                continue
+            r, sigma, sign = moved
+            assert geometry.moved(r) is None and zeros.index(r) < k
+            assert fixes(F, sigma) and p == [sign * x for x in _permuted(sigma, r)]
+            lines = geometry.flat_lines(p)
+            assert len(lines) == len(alone.flat_lines(p))  # the kernel's dimension
+            H = alone.derivatives_at(p)[1]
+            for (v, line, _), (u, _, _) in zip(lines, geometry.flat_lines(r)):
+                assert v == [sign * x for x in _permuted(sigma, u)]
+                assert all(sum(h * x for h, x in zip(row, v)) == 0 for row in H)
+                assert line == restrict_to_line(F, v, p)
+
+
+def record_derivative_points(monkeypatch):
+    """The list of points at which _ZeroGeometry.int_derivatives is called from now on."""
+    calls = []
+    original = _ZeroGeometry.int_derivatives
+
+    def recording(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(_ZeroGeometry, "int_derivatives", recording)
+    return calls
+
+
+def test_obstruction_checks_one_zero_per_orbit(monkeypatch):
+    # both targets are fixed by every permutation of x, y, z, and their
+    # grid zeros form two orbits.  In the first, the orbit of (0, 0, 1)
+    # passes and the gradient at (0, 1, 1) is (2, 0, 0); the moved zero
+    # (0, 1, 0) before it is skipped.  In the second, the Hessian at
+    # (0, 1, -1) is not PSD
+    first = P("x^4*y^2 + x^4*z^2 + y^4*x^2 + y^4*z^2 + z^4*x^2 + z^4*y^2 - 2*x^3*y^3 - 2*x^3*z^3"
+              " - 2*y^3*z^3 + x^3*y^2*z + x^3*z^2*y + y^3*x^2*z + y^3*z^2*x + z^3*x^2*y + z^3*y^2*x"
+              " + x^2*y^2*z^2")
+    second = P("x^4*y^2 + x^4*z^2 + y^4*x^2 + y^4*z^2 + z^4*x^2 + z^4*y^2 - x^4*y*z - y^4*x*z"
+               " - z^4*x*y + 2*x^3*y^3 + 2*x^3*z^3 + 2*y^3*z^3")
+    calls = record_derivative_points(monkeypatch)
+    for F, failing, kind in [(first, [0, 1, 1], "nonzero gradient"), (second, [0, 1, -1], "Hessian not PSD")]:
+        zeros, neg = scan_small_points(F)
+        assert neg is None and len(zeros) == 6
+        reference = next(w for w in (second_order_obstruction(F, [p]) for p in zeros) if w is not None)
+        assert reference["point"] == failing and reference["kind"].startswith(kind)
+        del calls[:]
+        assert second_order_obstruction(F, zeros) == reference
+        # the two representatives, and the failing one's exact derivatives for the witness
+        assert calls == [zeros[0], failing, failing]
+
+
+def test_certify_sos_decides_each_zero_orbit_once(monkeypatch):
+    calls = record_derivative_points(monkeypatch)
+    vamos = gen_vamos()
+    for (i, j), norbits, yes in [((0, 1), 14, False), ((0, 2), 15, True), ((6, 7), 15, False)]:
+        del calls[:]
+        v = certify_sos(delta_ij(vamos, i, j), 0)
+        assert v.is_yes == yes and v.is_no != yes
+        assert len(calls) == norbits
+
+
+def test_full_symmetry_takes_few_generators():
+    # W = (D_e f)^2 - f D_e^2 f of e_{8,4} at e = 1 is fixed by all 40,320
+    # permutations; the search never lists them
+    n = 8
+    W = wronskian_delta(gen_elementary_symmetric(n, 4), [1] * n, [1] * n)
+    gens = _symmetry_generators(W)
+    assert 0 < len(gens) <= n * (n - 1) // 2
+    assert all(fixes(W, g) for g in gens)
+    orbit = {0}
+    for _ in range(n):
+        orbit |= {g[k] for g in gens for k in orbit}
+    assert orbit == set(range(n))
+    v = certify_sos(W, 0)
+    assert v.is_yes and v.witness.verify()
 
 
 # -- the float SDP step -------------------------------------------------------------
