@@ -213,7 +213,7 @@ def vamos_reproduction() -> VamosReport:
     monos = monomials_of_degree(3, 3)
     cubics = _IntForm(3, [Polynomial(3, {m: Fraction(1)}) for m in monos])
     rows = [cubics.values_at(p) for p in VAMOS_VANISHING_POINTS]
-    sol = solve_affine_family(rows, [Fraction(0)] * 6, 10)
+    sol = solve_affine_family([dict(enumerate(row)) for row in rows], [Fraction(0)] * 6, 10)
     assert sol is not None
     _, null_basis = sol
     if len(null_basis) != 4:
@@ -222,9 +222,7 @@ def vamos_reproduction() -> VamosReport:
     if any(any(vals[1:]) for vals in values):
         raise AssertionError("claimed basis cubic does not vanish at all six points")
     coeff_rows = [[b.coefficient(m) for m in monos] for b in cubic_basis]
-    indep = solve_affine_family(
-        [list(col) for col in zip(*coeff_rows)], [Fraction(0)] * 10, 4
-    )
+    indep = solve_affine_family([dict(enumerate(col)) for col in zip(*coeff_rows)], [Fraction(0)] * 10, 4)
     assert indep is not None
     if indep[1]:
         raise AssertionError("claimed basis cubics are linearly dependent")

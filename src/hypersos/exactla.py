@@ -1,9 +1,10 @@
 """Exact rational linear algebra: affine solution families, LDL^T, determinants.
 
-There is one elimination kernel for linear systems, solve_affine_family,
-and it runs fraction-free: each row of [A | b] is scaled to Python ints by
-the lcm of its denominators, rows are combined by cross-multiplication and
-kept primitive (divided by the gcd of their entries), and Fractions are
+There is one elimination kernel for linear systems, solve_affine_family.
+It is sparse, {column: value} rows in and {column: Fraction} nullspace
+vectors out, and fraction-free: each row of [A | b] is scaled to Python ints
+by the lcm of its denominators, rows are combined by cross-multiplication
+and kept primitive (divided by the gcd of their entries), and Fractions are
 built only for the solution.  solve_linear is a square, nonsingular call of
 it, and mat_det is polycore.poly_determinant on the constant matrix.  The
 LDL^T factorization with symmetric pivoting is fraction-free too: the
@@ -21,6 +22,8 @@ the ints.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Optional
 
@@ -30,66 +33,75 @@ Mat = list  # list[list[Fraction]]
 
 
 def solve_affine_family(
-    rows: list[list[Fraction]], rhs: list[Fraction], nunknowns: int
-) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
+    rows: list[dict[int, Fraction]], rhs: list[Fraction], nunknowns: int
+) -> Optional[tuple[list[Fraction], list[dict[int, Fraction]]]]:
     """Solve A x = b exactly; return (particular, nullspace basis) or None.
 
-    None means the system is inconsistent.  The particular solution sets all
+    Each row of A is a dict {column: value}, absent columns zero.  None means
+    the system is inconsistent.  The particular solution, a list, sets all
     free variables to zero; the nullspace basis has one vector per free
-    variable (reduced row echelon form).  Gauss-Jordan elimination runs on
-    integer rows, after dropping zero rows and rows that repeat another up to
-    a nonzero factor; the reduced row echelon form is unique, so the result
-    is the same as over Fraction.
+    variable f (reduced row echelon form), as a dict of its nonzero entries
+    in column order, so f, where it is 1, is its last column.  Gauss-Jordan
+    elimination takes the columns in order, picks the shortest row holding
+    each as its pivot row, and runs on primitive integer rows, after dropping
+    zero rows and rows that repeat another up to a nonzero factor; the
+    reduced row echelon form is unique, so the result is the same as over
+    Fraction.
     """
-    # zero rows, and rows whose primitive ints repeat another's up to sign,
-    # leave the row space, hence the RREF, unchanged
+    # column nunknowns holds the right-hand side; zero rows, and rows whose
+    # primitive ints repeat another's up to sign, leave the RREF unchanged
     unique: dict[tuple, None] = {}
     for row, b in zip(rows, rhs):
-        if b or any(row):
-            ints = _primitive(_common_denominator(_rationals([*row, b]))[1])
-            lead = next(x for x in ints if x)
-            unique[tuple(ints) if lead > 0 else tuple(-x for x in ints)] = None
-    aug: list = list(unique)
-    m = len(aug)
-    pivot_cols: list[int] = []
-    r = 0
+        entries = {c: x for c, x in [*row.items(), (nunknowns, b)] if x}
+        if entries:
+            ints = _primitive(_common_denominator(_rationals(entries.values()))[1])
+            unique[tuple(zip(entries, ints if ints[0] > 0 else [-x for x in ints]))] = None
+    aug = [dict(key) for key in unique]
+    # column -> the rows that held an entry there; a row may have lost it since
+    holding: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(aug):
+        for c in row:
+            holding[c].add(i)
+    waiting = set(range(len(aug)))  # the rows that are not pivot rows yet
+    pivots: dict[int, int] = {}  # pivot column -> its row
     for c in range(nunknowns):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
+        rows_c = [i for i in holding.get(c, ()) if c in aug[i]]
+        candidates = [i for i in rows_c if i in waiting]
+        if not candidates:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        prow = aug[r]
-        pv = prow[c]
-        for i in range(m):
-            factor = aug[i][c]
-            if i != r and factor:
-                aug[i] = _primitive([pv * x - factor * y for x, y in zip(aug[i], prow)])
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][nunknowns] != 0:
-            return None
+        p = min(candidates, key=lambda i: len(aug[i]))
+        waiting.remove(p)
+        rows_c.remove(p)
+        prow, pv = aug[p], aug[p][c]
+        for i in rows_c:
+            row, factor = aug[i], aug[i][c]
+            new = {k: y for k, x in row.items() if (y := pv * x - factor * prow.get(k, 0))}
+            for k in prow.keys() - row.keys():
+                new[k] = -factor * prow[k]
+                holding[k].add(i)
+            g = math.gcd(*new.values())
+            aug[i] = {k: x // g for k, x in new.items()} if g > 1 else new
+        pivots[c] = p
+    # a row left without a pivot holds at most the right-hand side: 0 = b
+    if any(aug[i] for i in waiting):
+        return None
     particular = [Fraction(0)] * nunknowns
-    for row, c in enumerate(pivot_cols):
-        particular[c] = Fraction(aug[row][nunknowns], aug[row][c])
-    pivot_set = set(pivot_cols)
-    null_basis: list[list[Fraction]] = []
-    for fc in range(nunknowns):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * nunknowns
-        v[fc] = Fraction(1)
-        for row, c in enumerate(pivot_cols):
-            v[c] = Fraction(-aug[row][fc], aug[row][c])
-        null_basis.append(v)
-    return particular, null_basis
+    null: dict[int, dict[int, Fraction]] = {f: {} for f in range(nunknowns) if f not in pivots}
+    # scatter each pivot row into the vectors of the free columns it holds
+    for c, p in pivots.items():
+        row = aug[p]
+        pv = row.pop(c)
+        particular[c] = Fraction(row.pop(nunknowns, 0), pv)
+        for f, x in row.items():
+            null[f][c] = Fraction(-x, pv)
+    for f, v in null.items():
+        v[f] = Fraction(1)
+    return particular, list(null.values())
 
 
 def solve_linear(A: Mat, b: list[Fraction]) -> list[Fraction]:
     """Exact solve of a square nonsingular system."""
-    sol = solve_affine_family(A, b, len(A))
+    sol = solve_affine_family([dict(enumerate(row)) for row in A], b, len(A))
     if sol is None or sol[1]:
         raise ArithmeticError("singular system")
     return sol[0]

@@ -6,7 +6,8 @@ The pipeline for a target form F of even degree:
      over a basis of unit monomials, modulo-f families included, a table
      with one coefficient equation per monomial, each Gram pair in exactly
      one equation; over a general basis, particular solution + nullspace
-     basis over Q by exact elimination;
+     basis over Q by one sparse exact elimination, whose rows come straight
+     from the lcm-scaled int terms of the basis;
   2. find a numerically PSD member by a log-barrier interior-point method
      that maximises the smallest eigenvalue over the family, with one Newton
      unknown per nullspace direction, or per equation when the nullspace is
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,12 +69,13 @@ from .verdicts import Verdict, certified_no, certified_yes, frac_from_json, frac
 
 
 # The barrier's Newton system in the nullspace form takes (m+1)^2 + (m+1) n^2
-# doubles for m nullspace directions over a basis of n, which stays under
-# 2^19 for every face-reduced basis (at most 28 elements, m <= 406).  A
-# larger family takes the equation form, (K+1+extra)^2 doubles for K
-# equations, when that fits: 120 cubic monomials in 8 variables give
-# m = 5,544 but K = 1,716.  The denominator-power-1 Vamos family (n = 211,
-# m = 18,187, K = 4,179) fits neither and gets no SDP.
+# doubles for m nullspace directions over a basis of n: 408,012 for the
+# face-reduced basis of the Vamos hyperbolicity Wronskian (n = 38, m = 241).
+# A larger monomial-basis family takes the equation form, (K+1+extra)^2
+# doubles for K equations, when that fits: 120 cubic monomials in 8
+# variables give m = 5,544 but K = 1,716.  The denominator-power-1 Vamos
+# family of Delta_12, face-reduced from 211 to 82 elements, keeps m = 1,819
+# and has no equation table, so it gets no SDP.
 BARRIER_MAX_DOUBLES = 2**22
 # Newton steps per barrier solve; a boundary family needs about 100
 BARRIER_MAX_STEPS = 400
@@ -166,7 +169,7 @@ class GramSystem:
         # structural form: (pair unknowns, rhs, {multiplier t: coefficient})
         # per equation, each pair unknown k weighted by weights[k]
         self._eqs: Optional[list[tuple[list[int], Fraction, dict[int, Fraction]]]] = None
-        self._null: Optional[list[list[Fraction]]] = None
+        self._null: Optional[list[dict[int, Fraction]]] = None
         if monomial_basis:
             self._assemble_structural()
         elif modulus is not None:
@@ -203,15 +206,17 @@ class GramSystem:
         self._particular = vec
 
     def _assemble_general(self):
-        products = [self.basis[i] * self.basis[j] * w for (i, j), w in zip(self.pairs, self.weights)]
-        all_monos: set[Mono] = set(self.target.terms)
-        for p in products:
-            all_monos.update(p.terms)
-        mono_list = sorted(all_monos, key=grlex_key, reverse=True)
-        zero = Fraction(0)
-        rows = [[p.terms.get(m, zero) for p in products] for m in mono_list]
-        rhs = [self.target.terms.get(m, zero) for m in mono_list]
-        sol = solve_affine_family(rows, rhs, self.nunknowns)
+        # each basis element times the lcm D of all their denominators has
+        # int terms, so the equation of monomial m is D^2 times its match
+        D = math.lcm(*(c.denominator for b in self.basis for c in b.terms.values()))
+        terms = [[(m, int(c * D)) for m, c in b.terms.items()] for b in self.basis]
+        rows: defaultdict[Mono, Counter] = defaultdict(Counter, {m: Counter() for m in self.target.terms})
+        for k, ((i, j), w) in enumerate(zip(self.pairs, self.weights)):
+            for mi, ci in terms[i]:
+                for mj, cj in terms[j]:
+                    rows[tuple(a + b for a, b in zip(mi, mj))][k] += w * ci * cj
+        rhs = [self.target.terms.get(m, 0) * D * D for m in rows]
+        sol = solve_affine_family(list(rows.values()), rhs, self.nunknowns)
         if sol is None:
             raise GramInfeasibleError("coefficient-matching equations are inconsistent")
         self._particular, self._null = sol
@@ -250,7 +255,7 @@ class GramSystem:
         e_lead for each multiplier unknown t, over the equations E it enters.
         """
         if self._null is not None:
-            return [{k: v for k, v in enumerate(vec) if v} for vec in self._null]
+            return self._null
         w, one, npairs = self.weights, Fraction(1), len(self.pairs)
         ratio = {(a, b): Fraction(-a, b) for a in (1, 2) for b in (1, 2)}
         pair_dirs = [{k: one, pair_idxs[0]: ratio[w[k], w[pair_idxs[0]]]}
@@ -631,9 +636,9 @@ class _ZeroGeometry:
             n = self.nvars
             if H is None:
                 H = self.int_derivatives(p)[1]
-            sol = solve_affine_family(H, [Fraction(0)] * n, n)
+            sol = solve_affine_family([dict(enumerate(row)) for row in H], [Fraction(0)] * n, n)
             assert sol is not None
-            kernel = [(u, None) for u in sol[1]]
+            kernel = [([v.get(k, Fraction(0)) for k in range(n)], None) for v in sol[1]]
         lines = []
         for u, line in kernel:
             plane = _plane_key(P, _common_denominator(u)[1])
@@ -748,14 +753,10 @@ def constrain_basis_to_zeros(
     flat lines are r's moved, a line copies the rows of r's line when sigma
     permutes the basis (and the sign is 1, or the basis consists of forms of
     one degree, so the sign scales whole rows), with the columns permuted.
-    Returns the original basis when nothing binds.
+    A basis of any size is reduced.  Returns the original basis when nothing
+    binds.
     """
     if not zeros or not basis:
-        return basis
-    # constrained bases leave the cheap structural assembly for exact
-    # elimination, which grows fast; beyond this size the constraints cost
-    # more than they decide, and dropping them never affects soundness
-    if len(basis) > 28:
         return basis
     nvars = basis[0].nvars
     form = _IntForm(nvars, basis)
@@ -804,19 +805,12 @@ def constrain_basis_to_zeros(
             if geometry is not None and moved is None:
                 cached[key, idx] = new
             rows.extend(new)
-    sol = solve_affine_family(rows, [Fraction(0)] * len(rows), len(basis))
+    sol = solve_affine_family([dict(enumerate(row)) for row in rows], [Fraction(0)] * len(rows), len(basis))
     assert sol is not None  # homogeneous system is always consistent
     _, null = sol
     if len(null) == len(basis):
         return basis
-    out = []
-    for v in null:
-        acc = Polynomial.zero(nvars)
-        for k, c in enumerate(v):
-            if c:
-                acc = acc + basis[k] * c
-        out.append(acc)
-    return out
+    return [sum((basis[k] * c for k, c in v.items()), Polynomial.zero(nvars)) for v in null]
 
 
 # -- numeric feasibility -------------------------------------------------------
@@ -1119,12 +1113,7 @@ def _certify_from_vector(
     multiplier = None
     if sys.modulus is not None:
         # the family solves v^T G v + p*f = F, i.e. F - p*f is the square sum
-        terms = {}
-        for t, m in enumerate(sys.mult_monos):
-            c = vec[len(sys.pairs) + t]
-            if c:
-                terms[m] = c
-        multiplier = Polynomial(target.nvars, terms)
+        multiplier = Polynomial(target.nvars, dict(zip(sys.mult_monos, vec[len(sys.pairs):])))
     return SosCertificate(
         basis=list(sys.basis),
         gram=G,

@@ -111,7 +111,7 @@ def test_product_partials_span_dimension():
     partials = [f.partial(i) for i in range(n)]
     monos = sorted({m for p in partials for m in p.terms})
     rows = [[p.coefficient(m) for p in partials] for m in monos]
-    sol = solve_affine_family(rows, [Fraction(0)] * len(rows), n)
+    sol = solve_affine_family([dict(enumerate(row)) for row in rows], [Fraction(0)] * len(rows), n)
     assert sol is not None
     _, null = sol
     assert len(null) == 0  # independent, so the span has dimension n

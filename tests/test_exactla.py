@@ -1,9 +1,9 @@
 """Exact linear algebra against naive Fraction references.
 
-`solve_affine_family` eliminates fraction-free, on integer rows.  The
-reference below is the plain Fraction Gauss-Jordan elimination it replaced;
-the reduced row echelon form is unique, so (particular, nullspace basis) must
-agree exactly.  `ldl_psd` runs symmetric Bareiss elimination on integers; its
+`solve_affine_family` eliminates fraction-free, on sparse integer rows.  The
+reference below is the plain dense Fraction Gauss-Jordan elimination it
+replaced; the reduced row echelon form is unique, so (particular, nullspace
+basis) must agree exactly once the sparse nullspace vectors are densified.  `ldl_psd` runs symmetric Bareiss elimination on integers; its
 reference is the pivoted LDL^T over Fraction it replaced, and the whole
 result (verdict, permutation, L, D, reason) must agree; every PSD result must
 also reassemble to the permuted input.  `mat_det` is checked against the
@@ -175,13 +175,22 @@ def _cases():
     return EDGE_SYSTEMS + [_system(rng, i) for i in range(150)]
 
 
+def densified(result, n):
+    """A solve_affine_family result with each nullspace dict as a dense list."""
+    if result is None:
+        return None
+    particular, null = result
+    return particular, [[v.get(k, Fraction(0)) for k in range(n)] for v in null]
+
+
 def test_affine_family_matches_naive_reference():
     for rows, rhs, n in _cases():
-        got = solve_affine_family(rows, rhs, n)
-        assert got == naive_affine_family(rows, rhs, n), (rows, rhs)
+        got = solve_affine_family([dict(enumerate(row)) for row in rows], rhs, n)
+        assert densified(got, n) == naive_affine_family(rows, rhs, n), (rows, rhs)
         if got is not None:
             particular, null = got
-            assert all(type(x) is Fraction for v in [particular, *null] for x in v)
+            assert all(type(x) is Fraction for x in particular)
+            assert all(type(x) is Fraction for v in null for x in v.values())
 
 
 def test_affine_family_ignores_zero_and_repeated_rows():
@@ -194,8 +203,56 @@ def test_affine_family_ignores_zero_and_repeated_rows():
             ([k * x for x in row], k * b) for k, row, b in zip(factors, rows, rhs)
         ]
         rng.shuffle(padded)
-        got = solve_affine_family([r for r, _ in padded], [b for _, b in padded], n)
-        assert got == solve_affine_family(rows, rhs, n), (rows, rhs)
+        got = solve_affine_family([dict(enumerate(r)) for r, _ in padded], [b for _, b in padded], n)
+        assert got == solve_affine_family([dict(enumerate(row)) for row in rows], rhs, n), (rows, rhs)
+
+
+def _wide_system(rng, i):
+    """A seeded system of Gram shape: a few rows of 1-4 entries over 30-80 columns.
+
+    It carries a row with only explicit zero entries, a multiple of another
+    row, the sum of two rows, and sometimes a zero entry inside a row; every
+    third system gives the multiple a perturbed right-hand side, so it is
+    inconsistent.
+    """
+    m, n = rng.randint(2, 12), rng.randint(30, 80)
+    kind = ("int", "small", "large", "mixed")[i % 4]
+    rows = [{c: _entry(rng, kind) or 1 for c in rng.sample(range(n), rng.randint(1, 4))} for _ in range(m)]
+    x = [_entry(rng, "small") for _ in range(n)]
+    rhs = [sum(Fraction(v) * x[c] for c, v in row.items()) for row in rows]
+    a, b = rng.sample(range(m), 2)
+    factor = rng.choice([-3, -1, 2, Fraction(5, 7)])
+    rows += [{c: 0 for c in rng.sample(range(n), 3)}, {c: factor * v for c, v in rows[a].items()},
+             {c: rows[a].get(c, 0) + rows[b].get(c, 0) for c in {*rows[a], *rows[b]}}]
+    rhs += [0, factor * rhs[a] + (i % 3 == 0), rhs[a] + rhs[b]]
+    if i % 2:
+        rows[b].setdefault(rng.randrange(n), 0)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [rows[k] for k in order], [rhs[k] for k in order], n
+
+
+def test_affine_family_of_gram_shape_matches_naive_reference():
+    rng = random.Random(2211)
+    outcomes = []
+    for i in range(90):
+        rows, rhs, n = _wide_system(rng, i)
+        got = solve_affine_family(rows, rhs, n)
+        assert densified(got, n) == naive_affine_family([[row.get(c, 0) for c in range(n)] for row in rows], rhs, n)
+        outcomes.append(got is not None)
+        if got is None:
+            continue
+        particular, null = got
+        assert len(null) > n - len(rows)
+        free = [max(v) for v in null]
+        assert free == sorted(set(free))
+        for f, v in zip(free, null):
+            # nonzero entries in column order, 1 at the free column, which is the
+            # last one, and no other free column
+            assert list(v) == sorted(v) and all(v.values())
+            assert v[f] == 1 and not set(v) & set(free) - {f}
+            assert particular[f] == 0
+    assert outcomes.count(False) == 30  # every third system, and no other
 
 
 def test_affine_family_cases_cover_every_shape_and_outcome():

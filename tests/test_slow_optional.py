@@ -2,9 +2,8 @@
 
 Enable with HYPERSOS_RUN_SLOW=1.  These exercise the 8-variable Vamos
 polynomial at full scale: the stability certification of its coordinate
-Wronskians (including the non-SOS pair) at SOS budgets 0 and 1, the SOS
-relaxation of its hyperbolicity Wronskian, and the modulo-h relaxation on
-the 4-variable restriction; and a modulo-e_{6,4} family whose Gram system
+Wronskians (including the non-SOS pair) at SOS budgets 0 and 1, and the
+modulo-h relaxation on the 4-variable restriction; and a modulo-e_{6,4} family whose Gram system
 only fits the barrier's equation form.
 """
 
@@ -15,11 +14,10 @@ import pytest
 
 from hypersos.corpus import gen_elementary_symmetric, gen_vamos
 from hypersos.detrep import check_multiaffine_stable
-from hypersos.hypercone import SampleConfig, delta_ij, wronskian_delta
+from hypersos.hypercone import SampleConfig, delta_ij
 from hypersos.polycore import Polynomial, drop_trailing_variables, exact_divide, identify_variables
 from hypersos import soscert
 from hypersos.soscert import SosCertificate, certify_sos, certify_sos_mod_f, monomials_of_degree
-from hypersos.verdicts import Verdict
 
 VAMOS_REFUTED_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7)]
 
@@ -41,24 +39,6 @@ def test_vamos_delta13_certification_attempt():
 
 
 @slow
-def test_vamos_hyperbolicity_wronskian_gives_a_verdict():
-    # W = (D_e h)^2 - h D_e^2 h for e = (1, ..., 1) has 784 terms and a
-    # 56-element basis, beyond the face-reduction cap of 28, so the family
-    # keeps 812 nullspace directions.  Rounding each Gram entry to its own
-    # denominator once made ldl_psd carry a 444-digit lcm into pivots of more
-    # than 4,300 digits, and the refutation reason raised while printing one
-    h = gen_vamos()
-    ones = [1] * h.nvars
-    v = certify_sos(wronskian_delta(h, ones, ones), 0)
-    assert isinstance(v, Verdict)
-    if v.is_yes:
-        assert v.witness.verify()
-        assert SosCertificate.from_json(v.witness.to_json()).verify()
-    else:
-        assert v.is_unknown
-
-
-@slow
 def test_vamos_stability_pairs():
     h = gen_vamos()
     v = check_multiaffine_stable(h, SampleConfig(trials=24, seed=31), sos_budget=0)
@@ -72,8 +52,9 @@ def test_vamos_stability_pairs():
 
 @slow
 def test_vamos_stability_pairs_at_budget_one():
-    # the four N = 1 families left undecided at budget 0 fit neither barrier
-    # Newton system and get no SDP, so the verdict is the budget-0 one
+    # the four N = 1 families left undecided at budget 0 are face-reduced
+    # (Delta_12: 211 -> 82 elements) but fit neither barrier Newton system
+    # and get no SDP, so the verdict is the budget-0 one
     v = check_multiaffine_stable(gen_vamos())
     assert v.is_unknown
     assert v.witness["uncertified_pairs"] == VAMOS_REFUTED_PAIRS

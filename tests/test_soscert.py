@@ -636,7 +636,8 @@ def naive_flat_lines(F, p):
     """_ZeroGeometry.flat_lines without planes: restrict F along every kernel vector."""
     n = F.nvars
     H = _ZeroGeometry(F).derivatives_at(p)[1]
-    _, kernel = solve_affine_family(H, [Fraction(0)] * n, n)
+    _, kernel = solve_affine_family([dict(enumerate(row)) for row in H], [Fraction(0)] * n, n)
+    kernel = [[v.get(k, Fraction(0)) for k in range(n)] for v in kernel]
     return [(u, restrict_to_line(F, u, p)) for u in kernel]
 
 
@@ -663,7 +664,8 @@ def naive_constrain(basis, flat, plane_of=None):
             restricted = [restrict_to_line(b, u, p).coeffs for b in basis]
             for s in range(1, half):
                 rows.append([c[s] if s < len(c) else 0 for c in restricted])
-    _, null = solve_affine_family(rows, [Fraction(0)] * len(rows), len(basis))
+    _, null = solve_affine_family([dict(enumerate(row)) for row in rows], [Fraction(0)] * len(rows), len(basis))
+    null = [[v.get(k, Fraction(0)) for k in range(len(basis))] for v in null]
     if len(null) == len(basis):
         return basis
     return [sum((b * c for b, c in zip(basis, v) if c), Polynomial.zero(basis[0].nvars)) for v in null]
@@ -761,6 +763,23 @@ def test_vamos_sweep_at_budget_zero():
                 assert v.is_yes and v.witness.verify(), (i, j)
                 assert SosCertificate.from_json(v.witness.to_json()).verify(), (i, j)
                 assert (i, j) != (0, 2) or len(v.witness.basis) == 13
+
+
+def test_vamos_wronskians_over_38_elements_are_certified():
+    # face reduction applies at every basis size.  The hyperbolicity
+    # Wronskian W = (D_e h)^2 - h D_e^2 h at e = 1, and Delta_{1,a} at
+    # a = 1 - e_8 and a = 1 - (325/176) e_8, reduce their 56-element bases to
+    # 38 and are certified there; each certificate checks again after a JSON
+    # round trip
+    h = gen_vamos()
+    ones = [1] * 8
+    for last in (1, 0, 1 - Fraction(325, 176)):
+        F = wronskian_delta(h, ones, ones[:7] + [last])
+        assert len(_auto_basis(F)) == 56
+        v = certify_sos(F, 0)
+        assert v.is_yes and len(v.witness.basis) == 38, last
+        assert v.witness.verify()
+        assert SosCertificate.from_json(v.witness.to_json()).verify(), last
 
 
 # -- symmetry: one decision per orbit of zeros ---------------------------------------
@@ -1138,6 +1157,47 @@ def test_general_projection_keeps_the_free_unknowns():
     assert v.is_yes and v.witness.verify() and len(v.witness.basis) == families[1].size == 13
 
 
+def test_general_gram_rows_are_the_coefficients_of_the_basis_products(monkeypatch):
+    # over a general basis the equations are built from the lcm-scaled int
+    # terms of the basis; divided by the square of that lcm D, they are the
+    # coefficient rows of the Fraction products b_i * b_j * w, one per
+    # monomial, with the target's coefficients on the right.  Delta_13's
+    # face-reduced basis holds sums of monomials with coefficients 1; the
+    # second basis spans the same space with denominators
+    from hypersos import soscert
+
+    d13 = delta_ij(gen_vamos(), 0, 2)
+    zeros, _ = scan_small_points(d13)
+    reduced = constrain_basis_to_zeros(_auto_basis(d13), zeros, d13)
+    assert any(b.num_terms() > 1 for b in reduced)
+    mixed = [(b + reduced[k + 1] * Fraction(1, k + 2) if k + 1 < len(reduced) else b) * Fraction(k + 2, 2 * k + 3)
+             for k, b in enumerate(reduced)]
+    calls = []
+
+    def recording(rows, rhs, n):
+        calls.append((rows, rhs))
+        return solve_affine_family(rows, rhs, n)
+
+    monkeypatch.setattr(soscert, "solve_affine_family", recording)
+    for basis in (reduced, mixed):
+        sys = GramSystem(d13, basis)
+        assert sys._eqs is None
+        rows, rhs = calls.pop()
+        D = math.lcm(*(c.denominator for b in basis for c in b.terms.values()))
+        got = sorted((tuple(sorted((k, Fraction(x, D * D)) for k, x in row.items() if x)), Fraction(b) / (D * D))
+                     for row, b in zip(rows, rhs))
+        products = [basis[i] * basis[j] * w for (i, j), w in zip(sys.pairs, sys.weights)]
+        monos = set(d13.terms).union(*(p.terms for p in products))
+        want = sorted((tuple((k, p.terms[m]) for k, p in enumerate(products) if m in p.terms), d13.coefficient(m))
+                      for m in monos)
+        assert [r for r in got if r != ((), 0)] == want
+        base = sys.particular_vector()
+        assert sys.nullspace_dim > 0 and sys.residual(base).is_zero()
+        for v in sys.nullspace_vectors():
+            assert sys.residual([x + v.get(k, 0) for k, x in enumerate(base)]).is_zero()
+    assert D > 1
+
+
 def random_unknowns(rng, count):
     """count ints, floats and Fractions with large denominators, mixed."""
     vec = []
@@ -1198,14 +1258,16 @@ def test_modulo_f_directions_span_the_family():
             assert sys.residual([v + d.get(k, 0) for k, v in enumerate(base)]) == sys.residual(base)
         dense = [[d.get(k, Fraction(0)) for k in range(sys.nunknowns)] for d in directions]
         # the directions are independent ...
-        _, kernel = solve_affine_family(dense, [Fraction(0)] * len(dense), sys.nunknowns)
+        _, kernel = solve_affine_family([dict(enumerate(row)) for row in dense], [Fraction(0)] * len(dense),
+                                        sys.nunknowns)
         assert len(kernel) == sys.nunknowns - len(directions)
         # ... and as many as exact elimination finds on the dense coefficient rows
         polys = [sys.basis[i] * sys.basis[j] * w for (i, j), w in zip(sys.pairs, sys.weights)]
         polys += [Polynomial.monomial(f.nvars, m) * f for m in sys.mult_monos]
         monos = sorted({m for p in polys for m in p.terms} | set(F.terms))
         rows = [[p.terms.get(m, Fraction(0)) for p in polys] for m in monos]
-        _, null = solve_affine_family(rows, [F.terms.get(m, Fraction(0)) for m in monos], sys.nunknowns)
+        _, null = solve_affine_family([dict(enumerate(row)) for row in rows], [F.terms.get(m, Fraction(0)) for m in monos],
+                                      sys.nunknowns)
         assert len(null) == sys.nullspace_dim
 
 
