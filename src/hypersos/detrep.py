@@ -8,10 +8,11 @@ fixed by divisibility of 2x2 minors.  When A is rank one modulo f, det A =
 kappa * f^(d-1) with kappa a constant, so the linear pencil M = adj(A) /
 f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) * f.  M is never expanded
 symbolically: kappa comes from det A(e), M is read at e and at e + s*e_k
-(k = 1..n) with one solve per column of A(p), and its coefficient matrices
-are the difference quotients.  Nothing checks beforehand that A is rank one
-modulo f: verify_detrep (det M = gamma * f exactly, gamma != 0, M(e) > 0 by
-exact LDL^T) is the one proof that the result is a representation.
+(k = 1..n), each from one elimination of [A(p) | -I], and its
+coefficient matrices are the difference quotients.  Nothing checks
+beforehand that A is rank one modulo f: verify_detrep (det M = gamma * f
+exactly, gamma != 0, M(e) > 0 by exact LDL^T) is the one proof that the
+result is a representation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import soscert
-from .exactla import ldl_psd, mat_det, solve_linear
+from .exactla import ldl_psd, mat_det, solve_affine_family
 from .hypercone import SampleConfig, delta_ij
 from .polycore import (
     Polynomial,
@@ -137,9 +138,11 @@ def check_multiaffine_stable(
 
     f is stable iff every Delta_ij f is nonnegative on R^n.  Only the pairs
     i < j are tested: for multiaffine f, Delta_ii f = (d_i f)^2 is a square.
-    Sampling a negative value refutes exactly; certifying every pair as a sum
-    of squares (perfect squares short-circuit) proves stability; anything
-    else is UNKNOWN, with the uncertified pairs recorded in the detail.
+    Sampling a negative value refutes exactly; the witness is the first
+    negative (pair, point) in pair-major order, and every pair is sampled
+    before any is certified.  Certifying every pair as a sum of squares
+    (perfect squares short-circuit) proves stability; anything else is
+    UNKNOWN, with the uncertified pairs recorded in the detail.
     """
     cfg = cfg or SampleConfig()
     if not f.is_multiaffine():
@@ -147,26 +150,26 @@ def check_multiaffine_stable(
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")
     n = f.nvars
-    points = cfg.vectors(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    deltas = [(pair, d) for pair in pairs if not (d := delta_ij(f, *pair)).is_zero()]
+    # every pair is evaluated at once per point; keep each pair's first negative point
+    negative: dict[int, tuple] = {}
+    form = _IntForm(n, [d for _, d in deltas])
+    for p in cfg.vectors(n):
+        for k, val in enumerate(form.values_at(p)):
+            if val < 0:
+                negative.setdefault(k, (p, val))
+    if negative:
+        k = min(negative)
+        (i, j), (p, val) = deltas[k][0], negative[k]
+        return certified_no(
+            witness={"pair": (i, j), "point": p, "value": val},
+            detail=f"Delta_{i}{j} f is negative at the witness point",
+        )
     uncertified: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = delta_ij(f, i, j)
-            if d.is_zero():
-                continue
-            form = _IntForm(n, [d])
-            for p in points:
-                val = form.values_at(p)[0]
-                if val < 0:
-                    return certified_no(
-                        witness={"pair": (i, j), "point": p, "value": val},
-                        detail=f"Delta_{i}{j} f is negative at the witness point",
-                    )
-            if perfect_square_root(d) is not None:
-                continue
-            v = soscert.certify_sos(d, sos_budget)
-            if not v.is_yes:
-                uncertified.append((i, j))
+    for pair, d in deltas:
+        if perfect_square_root(d) is None and not soscert.certify_sos(d, sos_budget).is_yes:
+            uncertified.append(pair)
     if not uncertified:
         return certified_yes(detail="every coordinate Wronskian certified as a sum of squares")
     return unknown(
@@ -271,7 +274,7 @@ def build_detrep_multiaffine(
     Otherwise the pencil is M = kappa * f * A^-1 for the rank-one-modulo-f
     matrix A, with kappa = det A(e) / f(e)^(d-1) and gamma = kappa^(d-1).  M
     is linear, so n + 1 exact values fix it: M(e) and M(e + s*e_k) for each
-    k, each from one solve per column of A(p).  Raises DetRepError if
+    k, each from one elimination of [A(p) | -I].  Raises DetRepError if
     f(e) = 0, if some A(p) is singular, if neither M(e) nor -M(e) is
     definite, or with verify_detrep's reason if it rejects the result; each
     indicates a reducible or non-stable input.
@@ -320,17 +323,22 @@ def build_detrep_multiaffine(
 
 
 def _pencil_value(A: list, scale: Fraction, point: list) -> list:
-    """scale * A^-1 at one point, a solve per column."""
+    """scale * A^-1 at one point, from one solve of [A | -I] x = 0.
+
+    The nullspace vector of free column d + c holds column c of A^-1 in its
+    first d entries; a free column below d means A is singular.  A(p) is
+    symmetric, so the columns of the result are also its rows.
+    """
     d = len(A)
-    # A(p) is symmetric, so the columns of the result are also its rows
-    columns = [[scale if r == c else Fraction(0) for r in range(d)] for c in range(d)]
-    try:
-        return [solve_linear(A, col) for col in columns]
-    except ArithmeticError:
+    rows = [{**dict(enumerate(row)), d + r: -1} for r, row in enumerate(A)]
+    _, null = solve_affine_family(rows, [0] * d, 2 * d)
+    # each vector's last column is its free column
+    if any(next(reversed(v)) < d for v in null):
         shown = ", ".join(map(str, point))
         raise DetRepError(
             f"A is singular at ({shown}), where f is not zero; no pencil fits"
-        ) from None
+        )
+    return [[scale * v.get(r, 0) for r in range(d)] for v in null]
 
 
 def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from . import soscert
 from .polycore import (
     Polynomial,
     _IntForm,
+    _common_denominator,
     _rationals,
     directional_derivative,
     restrict_to_line,
@@ -136,14 +138,52 @@ def wronskian_delta(f: Polynomial, e: Sequence, a: Sequence) -> Polynomial:
 
 
 def delta_ij(f: Polynomial, i: int, j: int) -> Polynomial:
-    """Wronskian in two coordinate directions: f_i * f_j - f * f_ij."""
+    """Wronskian in two coordinate directions: f_i * f_j - f * f_ij.
+
+    Computed from the pieces of f, with no derivatives.  Scaled to ints by
+    the lcm D of its denominators, f = sum_P x_i^P_i x_j^P_j f_P with f_P
+    free of x_i and x_j, and
+
+      Delta_ij f = sum_{P,Q} w(P,Q) x_i^(P_i+Q_i-1) x_j^(P_j+Q_j-1) f_P f_Q / D^2,
+      w(P,Q) = P_i Q_j - Q_i (Q_j - [i = j]),
+
+    where for i = j the one exponent of x_i is P_i + Q_i - 2.  Each unordered
+    pair of pieces is multiplied once, with weight w(P,Q) + w(Q,P); for
+    multiaffine f this is f_i f_j - f_0 f_ij over the four pieces.  The
+    products accumulate in Python int, and each term of the result becomes
+    one Fraction over D^2.
+    """
     n = f.nvars
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("variable index out of range")
-    fi = f.partial(i)
-    fj = f.partial(j)
-    fij = fi.partial(j)
-    return fi * fj - f * fij
+    den, ints = _common_denominator(f.terms.values())
+    pieces: dict[tuple[int, int], list] = {}
+    for m, c in zip(f.terms, ints):
+        rest = list(m)
+        rest[i] = rest[j] = 0
+        pieces.setdefault((m[i], m[j]), []).append((rest, c))
+    same = int(i == j)
+    keys = list(pieces)
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for a, P in enumerate(keys):
+        for Q in keys[a:]:
+            w = P[0] * Q[1] - Q[0] * (Q[1] - same)
+            if Q != P:
+                w += Q[0] * P[1] - P[0] * (P[1] - same)
+            if not w:
+                continue
+            ei, ej = P[0] + Q[0] - 1 - same, P[1] + Q[1] - 1
+            for mp, cp in pieces[P]:
+                wcp = w * cp
+                for mq, cq in pieces[Q]:
+                    m = list(map(add, mp, mq))
+                    m[j] = ej
+                    m[i] = ei
+                    m = tuple(m)
+                    acc[m] = get(m, 0) + wcp * cq
+    den *= den
+    return Polynomial._trusted(n, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 
 class SquareFreeSampleError(ValueError):

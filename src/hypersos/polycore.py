@@ -4,17 +4,17 @@ A multivariate polynomial is a map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial stores no terms.  All operations are exact
 (no floating point anywhere in this module), which is what makes the
 divisibility and perfect-square decisions downstream trustworthy.
-Evaluation, line restriction and polynomial multiplication run
-fraction-free: they scale the point and the coefficients to integers by the
-lcm of their denominators, work in Python int, and build Fractions only for
-the results.  Evaluation and line restriction share one compiled integer
-form, _IntForm, whose two kernels give a whole list of polynomials at one
-point or along one line; callers that reuse polynomials compile them once,
-Polynomial.evaluate keeps the form it compiles on its first call, and
-restrict_to_line compiles a one-element list per call.  The public
-constructor validates its input; the module's own arithmetic builds results
-that are clean by construction and wraps them with Polynomial._trusted
-instead of checking them again.
+Evaluation, line restriction, polynomial multiplication and the square
+root run fraction-free: they scale the point and the coefficients to
+integers by the lcm of their denominators, work in Python int, and build
+Fractions only for the results.  Evaluation and line restriction share one
+compiled integer form, _IntForm, whose two kernels give a whole list of
+polynomials at one point or along one line; callers that reuse polynomials
+compile them once, Polynomial.evaluate keeps the form it compiles on its
+first call, and restrict_to_line compiles a one-element list per call.  The
+public constructor validates its input; the module's own arithmetic builds
+results that are clean by construction and wraps them with
+Polynomial._trusted instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
@@ -761,16 +761,6 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Optional[Polynomial]:
     return Polynomial._trusted(nvars, q)
 
 
-def _sqrt_fraction(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    pn, pd = c.numerator, c.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn != pn or rd * rd != pd:
-        return None
-    return Fraction(rn, rd)
-
-
 def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:
     """Polynomial r with r*r = p and positive leading coefficient, or None.
 
@@ -778,37 +768,44 @@ def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:
     square of the root's leading term, and each following root term is
     (leading term of p - r^2) / (2 * leading term of r).  Any inexact step,
     or a step that fails to strictly decrease the order, disproves squareness.
+    The peeling runs in Python int on D^2 * p, with D the lcm of the
+    denominators of p: by Gauss's lemma a rational square root of that
+    integer polynomial has integer coefficients, so every division must be
+    exact.  The root of D^2 * p is D * r.
     """
     if p.is_zero():
         return Polynomial.zero(p.nvars)
-    nvars = p.nvars
-    lt_m, lt_c = p.leading_term()
-    if any(e % 2 for e in lt_m):
+    den, ints = _common_denominator(p.terms.values())
+    # D^2 * p - r^2, keyed by the grlex key (degree, monomial) of each term
+    rem = {(sum(m), m): den * c for m, c in zip(p.terms, ints)}
+    lt_key = max(rem)
+    if any(e % 2 for e in lt_key[1]):
         return None
-    c0 = _sqrt_fraction(lt_c)
-    if c0 is None or c0 == 0:
+    lt_c = rem.pop(lt_key)
+    c0 = math.isqrt(lt_c) if lt_c > 0 else 0
+    if c0 * c0 != lt_c:
         return None
-    lead_m = tuple(e // 2 for e in lt_m)
-    r = {lead_m: c0}
-    rem = dict(p.terms)
-    del rem[lt_m]  # p - r^2
-    last_key = grlex_key(lead_m)
+    lead_deg, lead_m = last_key = lt_key[0] // 2, tuple(e // 2 for e in lt_key[1])
+    r = {last_key: c0}
     while rem:
-        m = max(rem, key=grlex_key)
-        if not mono_divides(lead_m, m):
+        key = max(rem)
+        if not mono_divides(lead_m, key[1]):
             return None
-        tm = tuple(x - y for x, y in zip(m, lead_m))
-        key = grlex_key(tm)
-        if key >= last_key:
+        tkey = (key[0] - lead_deg, tuple(x - y for x, y in zip(key[1], lead_m)))
+        if tkey >= last_key:
             return None
-        last_key = key
-        tc = rem[m] / (2 * c0)
+        last_key = tkey
+        tc, inexact = divmod(rem[key], 2 * c0)
+        if inexact:
+            return None
         # rem for r + tc*x^tm is rem - 2*tc*x^tm*r - tc^2*x^(2tm); tm is new to r
+        tdeg, tm = tkey
         minus_2tc = -2 * tc
-        _accumulate(rem, [(mono_mul(rm, tm), minus_2tc * rc) for rm, rc in r.items()])
-        _accumulate(rem, [(mono_mul(tm, tm), -tc * tc)])
-        r[tm] = tc
-    return Polynomial._trusted(nvars, r)
+        _accumulate(rem, [((rdeg + tdeg, mono_mul(rm, tm)), minus_2tc * rc)
+                          for (rdeg, rm), rc in r.items()])
+        _accumulate(rem, [((2 * tdeg, mono_mul(tm, tm)), -tc * tc)])
+        r[tkey] = tc
+    return Polynomial._trusted(p.nvars, {m: Fraction(c, den) for (_, m), c in r.items()})
 
 
 # -- parsing and formatting ----------------------------------------------------

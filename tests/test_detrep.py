@@ -20,7 +20,7 @@ from hypersos.detrep import (
     interlacer_matrix_multiaffine,
     verify_detrep,
 )
-from hypersos.exactla import mat_det
+from hypersos.exactla import mat_det, solve_linear
 from hypersos.hypercone import (
     HyperbolicityInstance,
     SampleConfig,
@@ -172,6 +172,30 @@ def test_pencil_from_points_is_the_adjugate_quotient():
         for r in range(d):
             for c in range(d):
                 assert adj[r][c] == power * pencil[r][c]
+
+
+def test_pencil_value_matches_a_solve_per_column():
+    # the rank-one inputs of the seed-7 detrep benchmark (its rng draws the
+    # same vectors in the same order) and e_{d+1,d}, at e = 1 and e + s*e_k
+    rng = random.Random(7)
+    inputs = [(gen_elementary_symmetric(d + 1, d), d) for d in (3, 4, 5)]
+    inputs += [(rank_one_determinant(rng, n, d), d) for n, d in ((6, 3), (6, 4), (7, 3), (6, 5))]
+    checked = 0
+    for f, d in inputs:
+        built = interlacer_matrix_multiaffine(f, list(range(d)))
+        for k in range(-1, f.nvars):
+            for s in range(1, d + 2):
+                p = ones(f.nvars)
+                if k >= 0:
+                    p[k] += s
+                A, fp = built.values_at(p)
+                if fp:
+                    break
+            scale = Fraction(7, 3) * fp
+            columns = [[scale if r == c else Fraction(0) for r in range(d)] for c in range(d)]
+            assert detrep._pencil_value(A, scale, p) == [solve_linear(A, col) for col in columns]
+            checked += 1
+    assert checked == sum(f.nvars + 1 for f, _ in inputs)
 
 
 def test_build_rejects_e_on_the_hypersurface():

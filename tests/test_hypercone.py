@@ -181,6 +181,43 @@ def test_delta_ij_examples():
     assert delta_ij(e3, 0, 1) == Polynomial.monomial(4, (0, 0, 2, 2))
 
 
+def naive_delta_ij(f, i, j):
+    fi = f.partial(i)
+    return fi * f.partial(j) - f * fi.partial(j)
+
+
+def test_delta_ij_matches_the_derivative_reference():
+    # exponents up to 3 and rational coefficients, so pieces of every shape
+    # meet; every ordered (i, j), i = j and i > j included
+    rng = random.Random(2023)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            mono = tuple(rng.randint(0, 3) for _ in range(n))
+            terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        f = Polynomial(n, terms)
+        for i in range(n):
+            for j in range(n):
+                assert delta_ij(f, i, j) == naive_delta_ij(f, i, j)
+                checked += 1
+    assert checked > 800
+    for n in (1, 3):
+        for i in range(n):
+            for j in range(n):
+                assert delta_ij(Polynomial.zero(n), i, j).is_zero()
+    with pytest.raises(ValueError):
+        delta_ij(Polynomial.zero(2), 0, 2)
+
+
+def test_delta_ij_matches_the_reference_on_every_vamos_pair():
+    vamos = gen_vamos()
+    for i in range(8):
+        for j in range(i + 1, 8):
+            assert delta_ij(vamos, i, j) == naive_delta_ij(vamos, i, j)
+
+
 def test_delta_power_rule():
     rng = random.Random(47)
     for _ in range(20):

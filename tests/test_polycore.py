@@ -620,6 +620,12 @@ def test_perfect_square_root_examples():
     assert perfect_square_root(P("x^2 + 2*x*y + y^2")) == P("x + y")
     assert perfect_square_root(P("x^2 + y^2")) is None
     assert perfect_square_root(Polynomial.zero(3)) == Polynomial.zero(3)
+    # rational roots; a leading coefficient that is not a rational square, a
+    # negative one, and a step whose division leaves a remainder
+    assert perfect_square_root(P("1/4*x^2 - 1/3*x*y + 1/9*y^2")) == P("1/2*x - 1/3*y")
+    assert perfect_square_root(P("9/4*x^2*z^2 + 6*x*z + 4")) == P("3/2*x*z + 2")
+    for text in ("1/2*x^2", "-x^2 - y^2", "x^2 + x*y", "x^2 + 3*x*y + 9/4*y^2 + 1/7*z^2"):
+        assert perfect_square_root(P(text)) is None
     # coordinate Wronskian of the degree-(n-1) elementary symmetric, n = 4
     from hypersos.corpus import gen_elementary_symmetric
     from hypersos.hypercone import delta_ij
