@@ -281,10 +281,7 @@ def _cmd_detrep_build(args):
     rep_json = result.to_jsonable()
     payload = {"verdict": {"status": "CERTIFIED_YES", "detail": "representation built and verified"},
                "representation": rep_json}
-    if args.cert_out:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(rep_json, fh, sort_keys=True)
-        payload["certificate_path"] = args.cert_out
+    _write_cert_out(payload, rep_json, args)
     return payload, 0
 
 
@@ -308,11 +305,9 @@ def _cmd_stable_check(args):
 
 def _cmd_vamos_repro(args):
     report = corpus.vamos_reproduction()
-    payload = dict(report.to_jsonable())
-    if args.cert_out:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        payload["certificate_path"] = args.cert_out
+    document = report.to_jsonable()
+    payload = dict(document)
+    _write_cert_out(payload, document, args)
     return payload, _verdict_exit(report.conclusion)
 
 
@@ -343,12 +338,18 @@ def _attach_certificate(payload: dict, v: Verdict, args, names: list[str]) -> No
         return
     payload["verdict"]["witness"] = "sos-certificate"
     cert_json = cert.to_jsonable(names)
-    if args.cert_out:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(cert_json, fh, sort_keys=True)
-        payload["certificate_path"] = args.cert_out
-    else:
+    if not _write_cert_out(payload, cert_json, args):
         payload["certificate"] = cert_json
+
+
+def _write_cert_out(payload: dict, document: dict, args) -> bool:
+    """Write document as sorted JSON to --cert-out, if given, and record the path in payload."""
+    if not args.cert_out:
+        return False
+    with open(args.cert_out, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, sort_keys=True)
+    payload["certificate_path"] = args.cert_out
+    return True
 
 
 _HANDLERS = {

@@ -33,7 +33,7 @@ from .polycore import (
     poly_adjugate,
     poly_determinant,
 )
-from .verdicts import Verdict, certified_no, certified_yes, frac_from_json, frac_json, unknown
+from .verdicts import Verdict, array_from_json, certified_no, certified_yes, frac_from_json, frac_json, unknown
 
 
 class DetRepError(ValueError):
@@ -111,11 +111,10 @@ class DeterminantalRep:
     @classmethod
     def from_json(cls, text: str) -> "DeterminantalRep":
         data = json.loads(text)
-        return cls(
-            matrices=[[[frac_from_json(x) for x in row] for row in M] for M in data["matrices"]],
-            e=[frac_from_json(x) for x in data["e"]],
-            gamma=frac_from_json(data["gamma"]),
-        )
+        matrices = array_from_json(data["matrices"], 3)
+        if not matrices or not all(matrices):
+            raise ValueError("a representation needs at least one matrix, and no 0 x 0 one")
+        return cls(matrices=matrices, e=array_from_json(data["e"]), gamma=frac_from_json(data["gamma"]))
 
 
 @dataclass
@@ -350,6 +349,8 @@ def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:
 
 def verify_detrep(rep: DeterminantalRep, f: Polynomial) -> CheckResult:
     """Exact verification: symmetric pencil, det(pencil) = gamma * f, gamma != 0, M(e) > 0."""
+    if not rep.matrices or not rep.matrices[0]:
+        return CheckResult(False, "the pencil has no matrices, or 0 x 0 ones")
     if rep.nvars != f.nvars or len(rep.e) != f.nvars:
         return CheckResult(False, "variable count mismatch")
     d = rep.size

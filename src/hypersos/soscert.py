@@ -65,7 +65,7 @@ from .polycore import (
     grlex_key,
     parse_poly,
 )
-from .verdicts import Verdict, certified_no, certified_yes, frac_from_json, frac_json, unknown
+from .verdicts import Verdict, array_from_json, certified_no, certified_yes, frac_json, str_from_json, unknown
 
 
 # The barrier's Newton system in the nullspace form takes (m+1)^2 + (m+1) n^2
@@ -529,10 +529,7 @@ class _ZeroGeometry:
     zero are read from its terms in one pass, without differentiating F.
     The flat directions at a zero (the Hessian's kernel) and F's restriction
     along each flat line are computed on first use and kept for the later
-    stages.  For homogeneous F, vanishing along the whole line p + t u means
-    vanishing on the plane span{p, u}, so every other line in that plane
-    vanishes too.  F is therefore restricted once per zero plane, and a later
-    line in a known zero plane gets the zero restriction without a call.
+    stages.
 
     The given zeros are split into orbits of F's symmetries (_zero_orbits):
     coordinate permutations sigma, and the sign when F is even.  The first
@@ -548,11 +545,7 @@ class _ZeroGeometry:
         self.nvars = F.nvars
         self._F = _IntForm(F.nvars, [F])
         self._supports = [[i for i, e in enumerate(m) if e] for m in F.terms]
-        self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly, tuple]]] = {}
-        # Plücker keys of the planes on which F vanishes; only homogeneous F
-        # vanishes on a whole plane when it vanishes on one line of it
-        self._homogeneous = F.is_homogeneous()
-        self._zero_planes: set[tuple] = set()
+        self._lines: dict[tuple, list[tuple[list[Fraction], UniPoly]]] = {}
         # each zero is keyed once; holding the list keeps its ids apart
         self._zeros = list(zeros)
         self._keys = {id(p): _point_key(p) for p in self._zeros}
@@ -617,8 +610,8 @@ class _ZeroGeometry:
         grad, H, q, den = self.int_derivatives(p)
         return [Fraction(g * q, den) for g in grad], [[Fraction(h * q * q, den) for h in row] for row in H]
 
-    def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly, tuple]]:
-        """(u, t -> F(p + t u), plane key) for each kernel basis vector u of the Hessian at p.
+    def flat_lines(self, p, H=None) -> list[tuple[list[Fraction], UniPoly]]:
+        """(u, t -> F(p + t u)) for each kernel basis vector u of the Hessian at p.
 
         H, when given, is the Hessian at p or a positive multiple of it.  At
         a zero p = sign * sigma.r the vectors u are r's kernel basis, moved.
@@ -627,45 +620,20 @@ class _ZeroGeometry:
         lines = self._lines.get(key)
         if lines is not None:
             return lines
-        P = key[1:]
         moved = self._moved.get(key)
         if moved is not None:
             r, sigma, sign = moved
-            kernel = [(_move(sigma, u if sign > 0 else [-x for x in u]), line) for u, line, _ in self.flat_lines(r)]
+            lines = [(_move(sigma, u if sign > 0 else [-x for x in u]), line) for u, line in self.flat_lines(r)]
         else:
             n = self.nvars
             if H is None:
                 H = self.int_derivatives(p)[1]
             sol = solve_affine_family([dict(enumerate(row)) for row in H], [Fraction(0)] * n, n)
             assert sol is not None
-            kernel = [([v.get(k, Fraction(0)) for k in range(n)], None) for v in sol[1]]
-        lines = []
-        for u, line in kernel:
-            plane = _plane_key(P, _common_denominator(u)[1])
-            if line is None:
-                line = UniPoly.zero() if plane in self._zero_planes else self._F.restrictions(u, p)[0]
-            if line.is_zero() and self._homogeneous:
-                self._zero_planes.add(plane)
-            lines.append((u, line, plane))
+            kernel = [[v.get(k, Fraction(0)) for k in range(n)] for v in sol[1]]
+            lines = [(u, self._F.restrictions(u, p)[0]) for u in kernel]
         self._lines[key] = lines
         return lines
-
-
-def _plane_key(P: list[int], U: list[int]) -> tuple[int, ...]:
-    """span{P, U} as primitive Plücker coordinates, first nonzero one positive.
-
-    Another basis of the same plane multiplies the coordinates by the
-    determinant of the change of basis, so two lines p + t u span the same
-    plane exactly when their keys agree.  U parallel to P gives the zero key.
-    """
-    n = len(P)
-    coords = [P[i] * U[j] - P[j] * U[i] for i in range(n) for j in range(i + 1, n)]
-    g = math.gcd(*coords)
-    if not g:
-        return tuple(coords)
-    if next(c for c in coords if c) < 0:
-        g = -g
-    return tuple(c // g for c in coords)
 
 
 def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroGeometry] = None):
@@ -697,7 +665,7 @@ def second_order_obstruction(F: Polynomial, zeros, *, _geometry: Optional[_ZeroG
             # H is a positive multiple of the Hessian, so the reason's row is the Hessian's
             H = geometry.derivatives_at(p)[1]
             return {"point": p, "hessian": H, "kind": f"Hessian not PSD at a zero ({res.reason})"}
-        for u, line, _ in geometry.flat_lines(p, H):
+        for u, line in geometry.flat_lines(p, H):
             if line.is_zero():
                 continue
             order = next(i for i, c in enumerate(line.coeffs) if c)
@@ -744,31 +712,26 @@ def constrain_basis_to_zeros(
     to order s on that line (identically, when F does).  All of these are
     linear rows in the h coefficients, computed exactly from F once; they
     apply unchanged to F times any power of the square sum (a positive
-    factor at p).  For a basis of forms of one degree k, the rows of the
-    t^0..t^k coefficients of h(p + t u) say that h vanishes on the plane
-    span{p, u}, whichever line of the plane gives them.  So an identically
-    zero line adds rows only when it is the first line of its plane; other
-    lines keep their rows, since their vanishing order is local at p.  At a
-    zero p = sign * sigma.r of the orbit of r under F's symmetries, whose
-    flat lines are r's moved, a line copies the rows of r's line when sigma
-    permutes the basis (and the sign is 1, or the basis consists of forms of
-    one degree, so the sign scales whole rows), with the columns permuted.
-    A basis of any size is reduced.  Returns the original basis when nothing
-    binds.
+    factor at p).  Every flat line adds its rows; rows in the span of earlier
+    ones leave the reduced basis as it is.  At a zero p = sign * sigma.r of
+    the orbit of r under F's symmetries, whose flat lines are r's moved, a
+    line copies the rows of r's line when sigma permutes the basis (and the
+    sign is 1, or the basis consists of forms of one degree, so the sign
+    scales whole rows), with the columns permuted.  A basis of any size is
+    reduced.  Returns the original basis when nothing binds.
     """
     if not zeros or not basis:
         return basis
     nvars = basis[0].nvars
     form = _IntForm(nvars, basis)
     geometry = None if F is None else _geometry or _ZeroGeometry(F, zeros)
-    # with the value row at p, a line's rows stand for its whole plane
-    # only when the basis consists of forms of one degree
+    # the sign of a moved zero scales whole rows when the basis consists
+    # of forms of one degree
     forms = len({b.total_degree() for b in basis}) == 1 and all(b.is_homogeneous() for b in basis)
     index = {frozenset(b.terms): k for k, b in enumerate(basis)}
     columns: dict[tuple, Optional[list[int]]] = {}  # sigma -> cols, see _basis_columns
     # (representative's key, line index, or -1 for the values) -> its rows
     cached: dict[tuple, list[list]] = {}
-    planes: set[tuple] = set()
     rows: list[list] = []
     for p in zeros:
         key = moved = cols = None
@@ -782,11 +745,8 @@ def constrain_basis_to_zeros(
                 cols = columns[sigma]
         # the t^0 coefficients (the basis values at p), then t^1..t^(half-1) along each flat line
         needed = [(-1, None, 1)]
-        for idx, (u, line, plane) in enumerate(() if geometry is None else geometry.flat_lines(p)):
+        for idx, (u, line) in enumerate(() if geometry is None else geometry.flat_lines(p)):
             if line.is_zero():
-                if forms and plane in planes:
-                    continue
-                planes.add(plane)
                 half = form.degree + 1
             else:
                 half = (next(i for i, c in enumerate(line.coeffs) if c) + 1) // 2
@@ -1084,9 +1044,9 @@ class SosCertificate:
     @classmethod
     def from_json(cls, text: str) -> "SosCertificate":
         data = json.loads(text)
-        names = data["vars"]
-        basis = [parse_poly(s, names) for s in data["basis"]]
-        gram = [[frac_from_json(x) for x in row] for row in data["gram"]]
+        names = array_from_json(data["vars"], item=str_from_json)
+        basis = [parse_poly(s, names) for s in array_from_json(data["basis"], item=str_from_json)]
+        gram = array_from_json(data["gram"], 2)
         if type(data["N"]) is not int:
             raise ValueError(f"N must be a JSON integer, got {data['N']!r}")
         mult = data.get("multiplier")
@@ -1095,9 +1055,9 @@ class SosCertificate:
             basis=basis,
             gram=gram,
             denominator_power=data["N"],
-            target=parse_poly(data["target"], names),
-            multiplier=None if mult is None else parse_poly(mult, names),
-            modulus=None if mod is None else parse_poly(mod, names),
+            target=parse_poly(str_from_json(data["target"]), names),
+            multiplier=None if mult is None else parse_poly(str_from_json(mult), names),
+            modulus=None if mod is None else parse_poly(str_from_json(mod), names),
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 
 class Status(str, Enum):
@@ -69,6 +69,26 @@ def frac_from_json(x: Any) -> Fraction:
     if type(x) is int or type(x) is str:
         return Fraction(x)
     raise ValueError(f"a rational must be a JSON integer or string, got {type(x).__name__}")
+
+
+def str_from_json(x: Any) -> str:
+    """A JSON string, such as a variable name or a polynomial; anything else raises ValueError."""
+    if type(x) is str:
+        return x
+    raise ValueError(f"expected a JSON string, got {type(x).__name__}")
+
+
+def array_from_json(x: Any, depth: int = 1, item: Callable[[Any], Any] = frac_from_json) -> list:
+    """A JSON array nested depth levels deep, each innermost entry read by item.
+
+    Every level must be a JSON array.  A string or an object in its place
+    raises ValueError, where iterating it would read its characters or keys.
+    """
+    if type(x) is not list:
+        raise ValueError(f"expected a JSON array, got {type(x).__name__}")
+    if depth > 1:
+        return [array_from_json(v, depth - 1, item) for v in x]
+    return [item(v) for v in x]
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -234,6 +234,14 @@ def test_malformed_rep_exit_3(tmp_path, capsys):
     path = tmp_path / "rep.json"
     path.write_text(missing_key)
     assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", f"@{path}"))
+    # a string where an array belongs is not split into digit rationals
+    as_strings = {"matrices": [["10", "00"], ["00", "01"]], "e": "11", "gamma": 1}
+    assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", json.dumps(as_strings)))
+    # a pencil with no matrices, or with 0 x 0 ones, has no size
+    empty = ["--poly", "1", "--vars", "", "--no-timings", "--rep", '{"matrices": [], "e": [], "gamma": 1}']
+    assert_input_error(*run(capsys, "detrep-verify", *empty))
+    zero_by_zero = {"matrices": [[], []], "e": [1, 1], "gamma": 1}
+    assert_input_error(*run(capsys, "detrep-verify", *poly, "--rep", json.dumps(zero_by_zero)))
 
 
 def test_zero_denominator_in_vector_exit_3(capsys):

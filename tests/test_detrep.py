@@ -1,6 +1,7 @@
 """Stability tests, the representation builder, and determinant identities."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -399,11 +400,25 @@ def test_verify_detrep_rejects_misshapen_matrices():
     assert not verify_detrep(ragged, f)
     short_e = DeterminantalRep(matrices=ragged.matrices[:1] * 2, e=ones(1), gamma=Fraction(1))
     assert not verify_detrep(short_e, f)
+    # a pencil with no matrices, or 0 x 0 ones, is rejected without raising,
+    # and cannot be read from JSON
+    for matrices, g in (([], Polynomial.const(0, 1)), ([[]], Polynomial.const(1, 1))):
+        res = verify_detrep(DeterminantalRep(matrices=matrices, e=ones(g.nvars), gamma=Fraction(1)), g)
+        assert not res and "no matrices" in res.reason
+        with pytest.raises(ValueError):
+            DeterminantalRep.from_json(json.dumps({"matrices": matrices, "e": [1] * g.nvars, "gamma": 1}))
+
+
+def test_detrep_from_json_reads_arrays_only():
+    good = {"matrices": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]], "e": ["1", "1"], "gamma": "1"}
+    assert verify_detrep(DeterminantalRep.from_json(json.dumps(good)), gen_product(2))
+    # each string would otherwise be read as the list of its digits
+    for field, bad in (("e", "11"), ("matrices", [["10", "00"], ["00", "01"]]), ("matrices", "1")):
+        with pytest.raises(ValueError, match="JSON array"):
+            DeterminantalRep.from_json(json.dumps(dict(good, **{field: bad})))
 
 
 def test_detrep_json_round_trip():
-    import json
-
     f = gen_elementary_symmetric(3, 2)
     rep = build_detrep_multiaffine(f, [0, 1], ones(3))
     again = DeterminantalRep.from_json(rep.to_json())

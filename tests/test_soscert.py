@@ -490,6 +490,20 @@ def test_verify_rejects_malformed_fields_without_raising():
     assert cert.ldl == ldl_psd(gram)
 
 
+def test_certificate_from_json_reads_arrays_only():
+    # each string would otherwise be read as the list of its characters, and
+    # this certificate of x^2 would verify
+    split = {"vars": "x", "basis": "x", "gram": ["1"], "N": 0, "target": "x^2"}
+    whole = {"vars": ["x"], "basis": ["x"], "gram": [["1"]], "N": 0, "target": "x^2"}
+    assert SosCertificate.from_json(json.dumps(whole)).verify()
+    for field in ("vars", "basis", "gram"):
+        with pytest.raises(ValueError, match="JSON array"):
+            SosCertificate.from_json(json.dumps(dict(whole, **{field: split[field]})))
+    for field, bad in (("vars", [1]), ("basis", [["x"]]), ("target", ["x^2"])):
+        with pytest.raises(ValueError, match="JSON string"):
+            SosCertificate.from_json(json.dumps(dict(whole, **{field: bad})))
+
+
 def test_certify_sos_never_differentiates_however_many_zeros(monkeypatch):
     names = ["a", "b", "c", "d", "e"]
     F = parse_poly("(a - b)^2*(c - d)^2 + (a - e)^2*(b - c)^2", names)
@@ -629,11 +643,11 @@ def test_vamos_delta78_not_sos_without_restriction():
     assert v.is_no
 
 
-# -- flat lines, one plane at a time ----------------------------------------------
+# -- flat lines, each with its rows ---------------------------------------------------
 
 
 def naive_flat_lines(F, p):
-    """_ZeroGeometry.flat_lines without planes: restrict F along every kernel vector."""
+    """_ZeroGeometry.flat_lines without orbits: restrict F along every kernel vector."""
     n = F.nvars
     H = _ZeroGeometry(F).derivatives_at(p)[1]
     _, kernel = solve_affine_family([dict(enumerate(row)) for row in H], [Fraction(0)] * n, n)
@@ -674,17 +688,15 @@ def naive_constrain(basis, flat, plane_of=None):
 def test_flat_lines_and_constraints_match_the_per_line_reference():
     vamos = gen_vamos()
     x = [Polynomial.variable(8, k) for k in range(8)]
-    # (pair, identically zero flat lines, distinct plane keys among them); the
-    # six lines u || p of each pair share the zero key
-    for (i, j), nzero, nplanes in [((0, 1), 233, 125), ((0, 2), 322, 172), ((6, 7), 244, 129)]:
+    # (pair, identically zero flat lines)
+    for (i, j), nzero in [((0, 1), 233), ((0, 2), 322), ((6, 7), 244)]:
         F = delta_ij(vamos, i, j)
         zeros, _ = scan_small_points(F)
         flat = [(p, naive_flat_lines(F, p)) for p in zeros]
         geometry = _ZeroGeometry(F)
         lines = [(p, *line) for p in zeros for line in geometry.flat_lines(p)]
-        assert [(u, line) for _, u, line, _ in lines] == [line for _, ls in flat for line in ls]
-        zero_lines = [plane for _, _, line, plane in lines if line.is_zero()]
-        assert (len(zero_lines), len(set(zero_lines))) == (nzero, nplanes)
+        assert [(u, line) for _, u, line in lines] == [line for _, ls in flat for line in ls]
+        assert sum(1 for _, _, line in lines if line.is_zero()) == nzero
         basis = _auto_basis(F)
         expected = naive_constrain(basis, flat)
         assert 0 < len(expected) < len(basis)
@@ -718,14 +730,14 @@ def test_basis_of_mixed_degrees_keeps_the_rows_of_every_line():
 
 def test_inhomogeneous_target_restricts_every_line():
     # F vanishes along the line through its zero e_w in the direction e_w, but
-    # not along the one through e_y in the direction e_y, though both span
-    # planes with the zero key: without homogeneity one line says nothing of
+    # not along the one through e_y in the direction e_y, though each line
+    # runs through the origin: without homogeneity one line says nothing of
     # another in its plane
     names = ["x", "y", "z", "w"]
     F = parse_poly("x^2 + z^2 + y^2*(y - 1)^4 + y^2*w^2", names)
     zeros = [[Fraction(int(k == i)) for k in range(4)] for i in (3, 1)]
     geometry = _ZeroGeometry(F)
-    lines = [[(u, line) for u, line, _ in geometry.flat_lines(p)] for p in zeros]
+    lines = [geometry.flat_lines(p) for p in zeros]
     assert lines == [naive_flat_lines(F, p) for p in zeros]
     assert lines[0][0][1].is_zero() and lines[1][0][1] == restrict_to_line(F, zeros[1], zeros[1])
     assert not lines[1][0][1].is_zero()
@@ -740,7 +752,9 @@ def test_certify_sos_restricts_each_zero_plane_once(monkeypatch):
         return original(self, e, a)
 
     monkeypatch.setattr(_IntForm, "line_numerators", counting)
-    # 322 flat lines on 172 plane keys: 652 calls line by line, 352 by plane
+    # 172 calls: the 322 flat lines at the 60 grid zeros take rows once per
+    # orbit of zeros under the symmetries of Delta_13, and the other zeros
+    # copy them; 652 calls line by line
     v = certify_sos(delta_ij(gen_vamos(), 0, 2), 0)
     assert not v.is_no
     assert len(calls) < 400
@@ -780,6 +794,21 @@ def test_vamos_wronskians_over_38_elements_are_certified():
         assert v.is_yes and len(v.witness.basis) == 38, last
         assert v.witness.verify()
         assert SosCertificate.from_json(v.witness.to_json()).verify(), last
+
+
+def test_vamos_face_reduction_at_denominator_power_one():
+    # the budget-one families of Delta_12, Delta_56 and Delta_78: the grid
+    # zeros of Delta and their flat lines cut the 211-monomial basis of
+    # Delta * (sum x_i^2) to 82, 79 and 79 elements
+    vamos = gen_vamos()
+    x = [Polynomial.variable(8, k) for k in range(8)]
+    square_sum = sum((v * v for v in x), Polynomial.zero(8))
+    for (i, j), size in [((0, 1), 82), ((4, 5), 79), ((6, 7), 79)]:
+        F = delta_ij(vamos, i, j)
+        zeros, _ = scan_small_points(F)
+        basis = _auto_basis(F * square_sum)
+        assert len(basis) == 211
+        assert len(constrain_basis_to_zeros(basis, zeros, F)) == size, (i, j)
 
 
 # -- symmetry: one decision per orbit of zeros ---------------------------------------
@@ -859,7 +888,7 @@ def test_zero_orbits_start_at_their_first_zero_and_move_its_lines():
             lines = geometry.flat_lines(p)
             assert len(lines) == len(alone.flat_lines(p))  # the kernel's dimension
             H = alone.derivatives_at(p)[1]
-            for (v, line, _), (u, _, _) in zip(lines, geometry.flat_lines(r)):
+            for (v, line), (u, _) in zip(lines, geometry.flat_lines(r)):
                 assert v == [sign * x for x in _permuted(sigma, u)]
                 assert all(sum(h * x for h, x in zip(row, v)) == 0 for row in H)
                 assert line == restrict_to_line(F, v, p)
