@@ -154,7 +154,7 @@ def check_multiaffine_stable(
     # every pair is evaluated at once per point; keep each pair's first negative point
     negative: dict[int, tuple] = {}
     form = _IntForm(n, [d for _, d in deltas])
-    for p in cfg.vectors(n):
+    for p in cfg.sample(n):
         for k, val in enumerate(form.values_at(p)):
             if val < 0:
                 negative.setdefault(k, (p, val))

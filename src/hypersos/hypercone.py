@@ -5,6 +5,13 @@ test itself is Monte Carlo (a failed line is a disproof, a clean run is
 labelled `sampled` evidence).  Interlacing verdicts run three stages:
 refute on sampled lines, refute on sampled points of the Wronskian, then
 certify the Wronskian as a sum of squares.
+
+The sampled lines all pass through one direction e, and the coefficient of
+t^j in f(te + a) is (D_e^j f / j!)(a).  So the hyperbolicity, square-free
+and interlacing tests compile these Taylor pieces of f (and g) once per
+call, in integers (_IntForm.taylor_pieces), and read each line off one
+evaluation of the pieces at a.  A cone membership test draws a single line
+and restricts f to it directly.
 """
 
 from __future__ import annotations
@@ -12,13 +19,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import soscert
 from .polycore import (
     Polynomial,
     _IntForm,
+    _LinePieces,
     _common_denominator,
     _rationals,
     directional_derivative,
@@ -45,17 +54,22 @@ class SampleConfig:
         if self.coordinate_bound < 1:
             raise ValueError(f"coordinate_bound must be at least 1, got {self.coordinate_bound}")
 
-    def vectors(self, nvars: int, count: Optional[int] = None) -> list[list[Fraction]]:
+    def sample(self, nvars: int, count: Optional[int] = None) -> Iterator[list[Fraction]]:
+        """The first count (default trials) nonzero vectors of the seeded stream, drawn one at a time."""
         if nvars < 1:
             raise ValueError(f"sampling needs at least one coordinate, got nvars={nvars}")
+        return islice(self._stream(nvars), self.trials if count is None else count)
+
+    def vectors(self, nvars: int, count: Optional[int] = None) -> list[list[Fraction]]:
+        """sample() as a list."""
+        return list(self.sample(nvars, count))
+
+    def _stream(self, nvars: int) -> Iterator[list[Fraction]]:
         rng = random.Random(self.seed)
-        out: list[list[Fraction]] = []
-        want = self.trials if count is None else count
-        while len(out) < want:
+        while True:
             v = [Fraction(rng.randint(-self.coordinate_bound, self.coordinate_bound)) for _ in range(nvars)]
             if any(v):
-                out.append(v)
-        return out
+                yield v
 
 
 class HyperbolicityInstance:
@@ -92,9 +106,9 @@ def check_hyperbolic(inst: HyperbolicityInstance, cfg: SampleConfig) -> Verdict:
     the verdict is CERTIFIED_YES with `sampled=true` recorded in detail.
     """
     f, e = inst.f, inst.e
-    form = _IntForm(f.nvars, [f])
-    for a in cfg.vectors(f.nvars):
-        (line,) = form.restrictions(e, a)
+    pieces = _IntForm(f.nvars, [f]).taylor_pieces(e)
+    for a in cfg.sample(f.nvars):
+        (line,) = pieces.restrictions(a)
         if not is_real_rooted(line):
             return certified_no(witness={"a": a}, detail="restriction to the witness line is not real-rooted")
     return certified_yes(detail=f"sampled=true trials={cfg.trials} seed={cfg.seed}")
@@ -204,13 +218,13 @@ def assert_square_free_sampled(f: Polynomial, e: Sequence, cfg: SampleConfig) ->
     single line with constant gcd proves f square-free; only when every
     sampled line fails is the instance rejected.
     """
-    _assert_first_square_free(_IntForm(f.nvars, [f]), _rationals(e), cfg)
+    _assert_first_square_free(_IntForm(f.nvars, [f]).taylor_pieces(_rationals(e)), cfg)
 
 
-def _assert_first_square_free(form: _IntForm, e: list, cfg: SampleConfig) -> None:
-    """assert_square_free_sampled for the first polynomial of a compiled form."""
-    for a in cfg.vectors(form.nvars):
-        line = form.restrictions(e, a)[0]
+def _assert_first_square_free(pieces: _LinePieces, cfg: SampleConfig) -> None:
+    """assert_square_free_sampled for the first polynomial of compiled Taylor pieces."""
+    for a in cfg.sample(pieces.form.nvars):
+        line = pieces.restrictions(a)[0]
         if line.degree() < 1:
             continue
         g = uni_gcd(line, line.derivative())
@@ -246,14 +260,15 @@ def interlaces(
     if not g.is_homogeneous() or g.total_degree() != d - 1:
         raise ValueError(f"g must be homogeneous of degree {d - 1}")
     fg = _IntForm(f.nvars, [f, g])
-    _assert_first_square_free(fg, e, cfg)
+    pieces = fg.taylor_pieces(e)
+    _assert_first_square_free(pieces, cfg)
     ge = fg.values_at(e)[1]
     if ge <= 0:
         return certified_no(witness={"g(e)": ge}, detail="interlacers must be positive at e")
 
     strict_failures = 0
-    for a in cfg.vectors(f.nvars):
-        fline, gline = fg.restrictions(e, a)
+    for a in cfg.sample(f.nvars):
+        fline, gline = pieces.restrictions(a)
         # strict interlacing implies interlacing: one call settles a strict line
         if strict and roots_interlace(fline, gline, strict=True).is_yes:
             continue
@@ -268,7 +283,7 @@ def interlaces(
 
     wg = directional_derivative(f, e) * g - f * directional_derivative(g, e)
     wform = _IntForm(f.nvars, [wg])
-    for p in cfg.vectors(f.nvars):
+    for p in cfg.sample(f.nvars):
         (val,) = wform.values_at(p)
         if val < 0:
             return certified_no(

@@ -11,7 +11,10 @@ Fractions only for the results.  Evaluation and line restriction share one
 compiled integer form, _IntForm, whose two kernels give a whole list of
 polynomials at one point or along one line; callers that reuse polynomials
 compile them once, Polynomial.evaluate keeps the form it compiles on its
-first call, and restrict_to_line compiles a one-element list per call.  The
+first call, and restrict_to_line compiles a one-element list per call.
+Many lines through one direction e are cheaper still: taylor_pieces
+compiles the pieces D_e^j f / j! once, and each line is then one
+evaluation of the pieces.  The
 public constructor validates its input; the module's own arithmetic builds
 results that are clean by construction and wraps them with
 Polynomial._trusted instead of checking them again.
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from operator import add, getitem
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Mono = tuple[int, ...]
 
@@ -233,10 +236,6 @@ class Polynomial:
             mm[i] = e - 1
             out[tuple(mm)] = c * e
         return Polynomial._trusted(self.nvars, out)
-
-    def substitute_zero(self, i: int) -> "Polynomial":
-        """Set variable i to zero (drops every term containing it)."""
-        return Polynomial._trusted(self.nvars, {m: c for m, c in self.terms.items() if m[i] == 0})
 
     def __repr__(self) -> str:
         return f"Polynomial(nvars={self.nvars}, {len(self.terms)} terms)"
@@ -511,8 +510,9 @@ def restrict_to_line(f: Polynomial, e: Sequence, a: Sequence) -> UniPoly:
 class _IntForm:
     """A list of polynomials compiled once to integer form, for batch kernels.
 
-    Each polynomial keeps its monomials, its coefficients times the lcm cden
-    of their denominators, its degree d (0 for zero) and d - |m| per term;
+    Each polynomial keeps its monomials, its coefficients times a common
+    denominator cden (the lcm of their denominators when compiled from a
+    Polynomial), its degree d (0 for zero) and d - |m| per term;
     degree and maxexp are the largest degree and exponents in the list.  A
     kernel scales its point or line (ints or Fractions) to integers by their
     lcm q, builds power tables once for the whole list, and multiplies a term
@@ -523,20 +523,26 @@ class _IntForm:
     __slots__ = ("nvars", "polys", "degree", "maxexp", "_masks")
 
     def __init__(self, nvars: int, polys: Iterable[Polynomial]):
+        scaled = []
+        for f in polys:
+            if f.nvars != nvars:
+                raise ValueError(f"variable count mismatch: {f.nvars} vs {nvars}")
+            scaled.append((*_common_denominator(f.terms.values()), f.terms))
+        self._compile(nvars, scaled)
+
+    def _compile(self, nvars: int, scaled: Iterable[tuple[int, list[int], Iterable[Mono]]]) -> None:
+        """Fill the form from (cden, int coefficients, monomials) per polynomial."""
         self.nvars = nvars
         self.polys: list = []
         self.degree = 0
         self.maxexp = [0] * nvars
         self._masks: Optional[list[list[int]]] = None
-        for f in polys:
-            if f.nvars != nvars:
-                raise ValueError(f"variable count mismatch: {f.nvars} vs {nvars}")
-            cden, coeffs = _common_denominator(f.terms.values())
-            degs = [sum(m) for m in f.terms]
+        for cden, coeffs, monos in scaled:
+            degs = [sum(m) for m in monos]
             d = max(degs, default=0)
-            self.polys.append((cden, d, f.terms, coeffs, [d - k for k in degs]))
+            self.polys.append((cden, d, monos, coeffs, [d - k for k in degs]))
             self.degree = max(self.degree, d)
-            self.maxexp = [max(col) for col in zip(self.maxexp, *f.terms)]
+            self.maxexp = [max(col) for col in zip(self.maxexp, *monos)]
 
     def values_at(self, point: Sequence) -> list[Fraction]:
         """The value of every polynomial at one point, in list order."""
@@ -557,6 +563,46 @@ class _IntForm:
     def restrictions(self, e: Sequence, a: Sequence) -> list[UniPoly]:
         """t -> f(t*e + a) for every polynomial f, in list order."""
         return [UniPoly([Fraction(v, den) for v in acc]) for den, acc in self.line_numerators(e, a)]
+
+    def taylor_pieces(self, e: Sequence) -> "_LinePieces":
+        """The pieces D_e^j f / j! (j = 0..deg f) of every f, for many lines through e.
+
+        With e = E/q scaled to ints, f(t*e + x) = sum_m c_m prod_i (E_i t/q + x_i)^m_i.
+        Expanding each factor binomially, over the coordinates where E_i != 0
+        only, gives the coefficient of t^j as int terms over cden * q^j; by
+        Taylor's theorem it is (D_e^j f / j!)(x).  So one values_at(a) over the
+        pieces gives every restriction t -> f(t*e + a) exactly.
+        """
+        n = self.nvars
+        if len(e) != n:
+            raise ValueError("direction length must equal nvars")
+        q, E = _common_denominator(e)
+        # (i, k) -> [comb(k, s) * E_i^s for s = 0..k]
+        rows: dict[tuple[int, int], list[int]] = {}
+        scaled, widths = [], []
+        for cden, d, monos, coeffs, _ in self.polys:
+            pieces: list[dict[Mono, int]] = [{} for _ in range(d + 1)]
+            for m, c in zip(monos, coeffs):
+                # (exponents left on x, power of t, coefficient) of each expanded product
+                parts = [(m, 0, c)]
+                for i, k in enumerate(m):
+                    if not k or not E[i]:
+                        continue
+                    row = rows.get((i, k))
+                    if row is None:
+                        row = rows[(i, k)] = [math.comb(k, s) * E[i] ** s for s in range(k + 1)]
+                    parts = [(x[:i] + (k - s,) + x[i + 1 :], j + s, v * r)
+                             for x, j, v in parts for s, r in enumerate(row)]
+                for x, j, v in parts:
+                    piece = pieces[j]
+                    piece[x] = piece.get(x, 0) + v
+            for j, piece in enumerate(pieces):
+                kept = {x: v for x, v in piece.items() if v}
+                scaled.append((cden * q**j, list(kept.values()), list(kept)))
+            widths.append(d + 1)
+        form = _IntForm.__new__(_IntForm)
+        form._compile(n, scaled)
+        return _LinePieces(form, widths)
 
     def line_numerators(self, e: Sequence, a: Sequence) -> list[tuple[int, list[int]]]:
         """(den, [c_0, ..., c_d]) with f(t*e + a) = sum c_j t^j / den for every f."""
@@ -593,6 +639,18 @@ class _IntForm:
                     acc[j] += v * scale
             out.append((cden * qpow[d], acc))
         return out
+
+
+class _LinePieces(NamedTuple):
+    """The Taylor pieces of a compiled form along one direction e: widths[k] of them for its k-th polynomial."""
+
+    form: _IntForm
+    widths: list[int]
+
+    def restrictions(self, a: Sequence) -> list[UniPoly]:
+        """t -> f(t*e + a) for every polynomial f, in list order."""
+        values = iter(self.form.values_at(a))
+        return [UniPoly(islice(values, w)) for w in self.widths]
 
 
 def _rationals(xs: Iterable) -> list:

@@ -87,14 +87,6 @@ def _count_changes(values: list) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def cauchy_bound(p: UniPoly) -> Fraction:
-    """1 + max |a_i / a_deg|: strictly bounds the absolute value of all roots."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    lc = abs(p.leading())
-    return 1 + max((abs(c) / lc for c in p.coeffs[:-1]), default=Fraction(0))
-
-
 def sturm_root_count(p: UniPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> int:
     """Number of distinct real roots of p in (lo, hi]; None means +-infinity."""
     if p.is_zero():

@@ -295,6 +295,35 @@ def test_zero_sampling_bound_exits_3_without_hanging():
     assert_input_error(proc.returncode, proc.stdout, proc.stderr)
 
 
+def test_huge_trial_count_refutes_on_the_first_bad_line(capsys):
+    # the sampler draws one vector at a time, so 10^8 trials refute x^2 + y^2
+    # on the line that 64 trials find, at once; a sampler that built every
+    # vector first would exhaust memory, so the child runs under an
+    # address-space limit and a timeout
+    import hypersos
+
+    argv = ["check-hyperbolic", "--poly", "x^2+y^2", "--vars", "x,y", "--e", "1,0", "--no-timings"]
+    code, out, _ = run(capsys, *argv, "--trials", "64")
+    assert code == 1
+    witness = json.loads(out)["verdict"]["witness"]
+    assert witness == {"a": ["10/1", "-7/1"]}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypersos.__file__)))
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))\n"
+        "from hypersos.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child, *argv, "--trials", str(10**8)], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["verdict"]["witness"] == witness
+    assert float(proc.stderr.split()[-1]) < 0.5
+
+
 def test_parser_built_once_and_reused_without_leaking_state(capsys, monkeypatch):
     import hypersos.cli as cli
 

@@ -342,13 +342,18 @@ def test_build_linear_polynomial(monkeypatch):
     assert built >= 20 and len(proofs) == built
 
 
+def set_to_zero(f, i):
+    """f with variable i set to zero: every term containing it dropped."""
+    return Polynomial(f.nvars, {m: c for m, c in f.terms.items() if m[i] == 0})
+
+
 def test_builder_closure_under_derivative_and_restriction():
     # if f has a representation, so do df/dx_k and f restricted to x_k = 0
     f = gen_elementary_symmetric(4, 3)
     g = f.partial(3)  # e_2 in the first three variables, lifted
     rep_g = build_detrep_multiaffine(g, [0, 1], ones(4))
     assert isinstance(rep_g, DeterminantalRep) and verify_detrep(rep_g, g)
-    h = f.substitute_zero(3)  # e_3 of the first three variables
+    h = set_to_zero(f, 3)  # e_3 of the first three variables
     rep_h = build_detrep_multiaffine(h, [0, 1, 2], ones(4))
     assert isinstance(rep_h, DeterminantalRep) and verify_detrep(rep_h, h)
 

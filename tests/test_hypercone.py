@@ -106,6 +106,72 @@ def test_check_hyperbolic_vamos():
     assert v.is_yes
 
 
+def test_sampled_lines_read_the_taylor_pieces(monkeypatch):
+    # check_hyperbolic and interlaces compile the pieces of f (and g) once per
+    # call and expand no line by line_numerators (the Wronskian's SOS stage
+    # keeps its own flat-line restrictions); cone_membership draws one line
+    # per call and keeps restrict_to_line
+    from hypersos import hypercone, soscert
+    from hypersos.polycore import _IntForm
+
+    counts = {"line_numerators": 0, "taylor_pieces": 0, "restrict_to_line": 0}
+    in_sos = [False]
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += not in_sos[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    certify = soscert.certify_sos
+
+    def certify_uncounted(*args, **kwargs):
+        in_sos[0] = True
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            in_sos[0] = False
+
+    for name in ("line_numerators", "taylor_pieces"):
+        monkeypatch.setattr(_IntForm, name, counting(name, getattr(_IntForm, name)))
+    restrict = counting("restrict_to_line", hypercone.restrict_to_line)
+    monkeypatch.setattr(hypercone, "restrict_to_line", restrict)
+    monkeypatch.setattr(soscert, "certify_sos", certify_uncounted)
+
+    def calls(run):
+        counts.update(dict.fromkeys(counts, 0))
+        status = run().status
+        return status, dict(counts)
+
+    vamos = HyperbolicityInstance(gen_vamos(), [1] * 8)
+    want = {"line_numerators": 0, "taylor_pieces": 1, "restrict_to_line": 0}
+    assert calls(lambda: check_hyperbolic(vamos, SampleConfig(trials=64))) == (Status.CERTIFIED_YES, want)
+    f = gen_elementary_symmetric(5, 3)
+    e53 = HyperbolicityInstance(f, [1] * 5)
+    cfg = SampleConfig(trials=16)
+    for a, status in (([1] * 5, Status.CERTIFIED_YES), ([1, -1, 0, 0, 0], Status.CERTIFIED_NO)):
+        g = directional_derivative(f, a)
+        assert calls(lambda: interlaces(e53, g, cfg, 0)) == (status, want)
+    one_line = {"line_numerators": 1, "taylor_pieces": 0, "restrict_to_line": 1}
+    for closure in (False, True):
+        member = calls(lambda: cone_membership(vamos, [2, 1, 1, 1, 1, 1, 1, 1], closure))
+        assert member == (Status.CERTIFIED_YES, one_line)
+
+
+def test_sample_draws_the_vectors_lazily():
+    # sample() yields vectors() one at a time, so a huge trial count costs
+    # nothing until it is drawn; a bad nvars is rejected at call time
+    cfg = SampleConfig(trials=40, seed=3, coordinate_bound=2)
+    assert list(cfg.sample(3)) == cfg.vectors(3)
+    assert list(cfg.sample(3, 7)) == cfg.vectors(3, 7) == cfg.vectors(3)[:7]
+    huge = SampleConfig(trials=10**12, seed=3, coordinate_bound=2)
+    stream = huge.sample(3)
+    assert [next(stream) for _ in range(40)] == cfg.vectors(3)
+    for bad in (huge.sample, huge.vectors):
+        with pytest.raises(ValueError):
+            bad(0)
+
+
 # -- cone membership ---------------------------------------------------------------
 
 

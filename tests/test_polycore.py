@@ -361,6 +361,55 @@ def test_batch_kernel_edge_inputs():
         _IntForm(2, [P("x")])
 
 
+def test_taylor_pieces_match_line_numerators():
+    # the pieces D_e^j f / j! of a whole list, compiled once per direction,
+    # give every line through e exactly as line_numerators expands it: mixed
+    # degrees, homogeneous and inhomogeneous, zero and constant polynomials,
+    # e rational over several denominators or with zero coordinates
+    rng = random.Random(25)
+    checked = 0
+    for trial in range(60):
+        nvars = 1 if trial % 5 == 0 else rng.randint(2, 4)
+        polys = [rand_poly(rng, nvars, max_deg=rng.randint(1, 3), terms=rng.randint(1, 6)) for _ in range(3)]
+        top = polys[0].total_degree()
+        polys[0] = Polynomial(nvars, {m: c for m, c in polys[0].terms.items() if sum(m) == top})
+        polys += [Polynomial.zero(nvars), Polynomial.const(nvars, rand_rational(rng) or 1)]
+        rng.shuffle(polys)
+        dens = [1, 2, 3, 5, 7]
+        e = [Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(nvars)]
+        if trial % 3 == 0:
+            e[rng.randrange(nvars)] = Fraction(0)
+        if trial % 20 == 1:
+            e = [Fraction(0)] * nvars
+        form = _IntForm(nvars, polys)
+        pieces = form.taylor_pieces(e)
+        assert pieces.widths == [max(f.total_degree(), 0) + 1 for f in polys]
+        for _ in range(3):
+            a = [rand_rational(rng) for _ in range(nvars)]
+            got = pieces.restrictions(a)
+            assert all(type(c) is Fraction for line in got for c in line.coeffs)
+            assert got == form.restrictions(e, a), (polys, e, a)
+            checked += 1
+        # the pieces themselves are the scaled derivatives along e
+        a = [rand_rational(rng) for _ in range(nvars)]
+        values = iter(pieces.form.values_at(a))
+        for f, width in zip(polys, pieces.widths):
+            g, want = f, []
+            for j in range(width):
+                want.append(g.evaluate(a) / math.factorial(j))
+                g = directional_derivative(g, e)
+            assert [next(values) for _ in range(width)] == want
+    assert checked == 180
+    const = _IntForm(0, [Polynomial.const(0, Fraction(-7, 3)), Polynomial.zero(0)]).taylor_pieces([])
+    assert const.restrictions([]) == [UniPoly([Fraction(-7, 3)]), UniPoly.zero()]
+    assert _IntForm(3, []).taylor_pieces([1, 0, 0]).restrictions([0, 1, 0]) == []
+    form = _IntForm(3, [P("x^2 - y*z"), P("z")])
+    with pytest.raises(ValueError):
+        form.taylor_pieces([1, 2])
+    with pytest.raises(ValueError):
+        form.taylor_pieces([1, 2, 3]).restrictions([1, 2, 3, 4])
+
+
 # -- ring arithmetic against a naive dict-of-Fraction reference ---------------------
 
 

@@ -9,7 +9,6 @@ from hypersos import realroots
 from hypersos.polycore import UniPoly, squarefree_decomposition, uni_gcd
 from hypersos.realroots import (
     SturmSequence,
-    cauchy_bound,
     is_real_rooted,
     isolate_real_roots,
     roots_interlace,
@@ -250,7 +249,10 @@ class NaiveSturmSequence:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def root_bound(self):
-        return cauchy_bound(self.chain[0])
+        # Cauchy's bound 1 + max |a_i / a_deg| strictly bounds every root
+        p = self.chain[0]
+        lc = abs(p.leading())
+        return 1 + max((abs(c) / lc for c in p.coeffs[:-1]), default=Fraction(0))
 
     def last(self):
         return self.chain[-1]
