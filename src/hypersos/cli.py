@@ -265,7 +265,18 @@ def _cmd_detrep_build(args):
         if token not in name_index:
             raise _UsageError(f"unknown dvar name {token!r}")
         dvars.append(name_index[token])
-    result = detrep.build_detrep_multiaffine(f, dvars, _parse_vector(e_text))
+    try:
+        result = detrep.build_detrep_multiaffine(f, dvars, _parse_vector(e_text))
+    except detrep.IrrationalEntry as exc:
+        payload = {
+            "verdict": {
+                "status": "UNKNOWN",
+                "witness": {"pair": [names[i] for i in exc.pair]},
+                "detail": "every coordinate Wronskian is a square over R, but the interlacer "
+                          "matrix entry of the witness pair has no rational form",
+            }
+        }
+        return payload, 2
     if isinstance(result, detrep.NoRep):
         payload = {
             "verdict": {

@@ -2,9 +2,13 @@
 
 The builder follows the square-root route: the diagonal of the candidate
 rank-one-modulo-f matrix A holds the partial derivatives of f, the
-off-diagonal entries are exact square roots of the coordinate Wronskians
-(their existence is the obstruction and the failure witness), signs are
-fixed by divisibility of 2x2 minors.  When A is rank one modulo f, det A =
+off-diagonal entries are square roots of the coordinate Wronskians, and
+signs are fixed by divisibility of 2x2 minors.  A Wronskian that is not a
+square over R is the obstruction and the failure witness.  One that is a
+square over R but not over Q, lam * s^2 with lam not a rational square,
+is taken into A under the congruence diag(sqrt(mu)), mu_a = lam_1a, which
+makes the first row rational; an entry that stays irrational leaves the
+input undecided.  When A is rank one modulo f, det A =
 kappa * f^(d-1) with kappa a constant, so the linear pencil M = adj(A) /
 f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) * f.  M is never expanded
 symbolically: kappa comes from det A(e), M is read at e and at e + s*e_k
@@ -12,12 +16,16 @@ symbolically: kappa comes from det A(e), M is read at e and at e + s*e_k
 coefficient matrices are the difference quotients.  Nothing checks
 beforehand that A is rank one modulo f: verify_detrep (det M = gamma * f
 exactly, gamma != 0, M(e) > 0 by exact LDL^T) is the one proof that the
-result is a representation.
+result is a representation.  It expands det M over ints from the
+lcm-scaled coefficient matrices, by fraction-free Bareiss elimination.
+The stability test samples every Delta_ij f at once from f and its
+partials, compiled in ints.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -27,6 +35,7 @@ from .exactla import ldl_psd, mat_det, solve_affine_family
 from .hypercone import SampleConfig, delta_ij
 from .polycore import (
     Polynomial,
+    _common_denominator,
     _IntForm,
     exact_divide,
     perfect_square_root,
@@ -40,9 +49,20 @@ class DetRepError(ValueError):
     """Internal inconsistency while building a representation (bad input)."""
 
 
+class IrrationalEntry(DetRepError):
+    """Every Delta_ij f is a square over R, but an entry of A stays irrational: undecided."""
+
+    def __init__(self, pair: tuple[int, int]):
+        super().__init__(
+            f"the ({pair[0]},{pair[1]}) entry of the interlacer matrix stays irrational under "
+            "the congruence that makes its first row rational; no representation was built"
+        )
+        self.pair = pair
+
+
 @dataclass
 class NoRep:
-    """Obstruction witness: the coordinate Wronskian of `pair` is not a square."""
+    """Obstruction witness: the coordinate Wronskian of `pair` is not a square over R."""
 
     pair: tuple[int, int]
     delta: Polynomial
@@ -140,7 +160,7 @@ def check_multiaffine_stable(
     Sampling a negative value refutes exactly; the witness is the first
     negative (pair, point) in pair-major order, and every pair is sampled
     before any is certified.  Certifying every pair as a sum of squares
-    (perfect squares short-circuit) proves stability; anything else is
+    (lam * s^2 with lam > 0 short-circuits) proves stability; anything else is
     UNKNOWN, with the uncertified pairs recorded in the detail.
     """
     cfg = cfg or SampleConfig()
@@ -151,13 +171,7 @@ def check_multiaffine_stable(
     n = f.nvars
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     deltas = [(pair, d) for pair in pairs if not (d := delta_ij(f, *pair)).is_zero()]
-    # every pair is evaluated at once per point; keep each pair's first negative point
-    negative: dict[int, tuple] = {}
-    form = _IntForm(n, [d for _, d in deltas])
-    for p in cfg.sample(n):
-        for k, val in enumerate(form.values_at(p)):
-            if val < 0:
-                negative.setdefault(k, (p, val))
+    negative = _first_negatives(f, [pair for pair, _ in deltas], cfg)
     if negative:
         k = min(negative)
         (i, j), (p, val) = deltas[k][0], negative[k]
@@ -167,7 +181,7 @@ def check_multiaffine_stable(
         )
     uncertified: list[tuple[int, int]] = []
     for pair, d in deltas:
-        if perfect_square_root(d) is None and not soscert.certify_sos(d, sos_budget).is_yes:
+        if _square_times_constant(d) is None and not soscert.certify_sos(d, sos_budget).is_yes:
             uncertified.append(pair)
     if not uncertified:
         return certified_yes(detail="every coordinate Wronskian certified as a sum of squares")
@@ -177,14 +191,51 @@ def check_multiaffine_stable(
     )
 
 
+def _first_negatives(f: Polynomial, pairs: list, cfg: SampleConfig) -> dict[int, tuple]:
+    """The first sampled (point, value) where Delta_ij f < 0, keyed by the index of (i, j) in pairs.
+
+    Delta_ij f = f_i * f_j - f * f_ij is read off one compiled form of f, its
+    first partials and the second partials of the pairs, all over f's lcm q
+    (for multiaffine f a partial keeps a subset of f's terms).  At p = P/Q
+    the homogeneous pieces give Delta_ij(p) = (F_i F_j - F F_ij) / (q Q^(d-1))^2
+    in ints, so only a negative value becomes a Fraction.
+    """
+    if not pairs:
+        return {}
+    n, d = f.nvars, f.total_degree()
+    q, ints = _common_denominator(f.terms.values())
+    terms = list(zip(f.terms, ints))
+    used = sorted({i for pair in pairs for i in pair})
+
+    def partial(*idx) -> tuple[int, list[int], list]:
+        kept = [(m, c) for m, c in terms if all(m[i] for i in idx)]
+        return q, [c for _, c in kept], [tuple(0 if i in idx else e for i, e in enumerate(m)) for m, _ in kept]
+
+    form = _IntForm._from_ints(n, [partial(), *map(partial, used), *(partial(*pair) for pair in pairs)])
+    slot = {i: k for k, i in enumerate(used, 1)}
+    # the slots of f_i, f_j and f_ij in the form, per pair
+    slots = [(slot[i], slot[j], k) for k, (i, j) in enumerate(pairs, 1 + len(used))]
+    negative: dict[int, tuple] = {}
+    for p in cfg.sample(n):
+        qpow, vals = form.numerators_at(p)
+        F = vals[0]
+        for k, (a, b, ab) in enumerate(slots):
+            num = vals[a] * vals[b] - F * vals[ab]
+            if num < 0 and k not in negative:
+                negative[k] = (p, Fraction(num, (q * qpow[d - 1]) ** 2))
+    return negative
+
+
 @dataclass
 class InterlacerMatrix:
     """Candidate rank-one-modulo-f matrix of degree-(d-1) forms: the builder's core.
 
     The diagonal holds the partial derivatives of f along the affine
     variables, off-diagonal entries are exact square roots of the coordinate
-    Wronskians with signs fixed so the leading 2x2 minors are divisible by f.
-    The entries and f are compiled once, for values_at.
+    Wronskians with signs fixed so the leading 2x2 minors are divisible by f;
+    when a Wronskian is lam * s^2 over Q, the whole matrix is taken under the
+    congruence that makes it rational.  The entries and f are compiled once,
+    for values_at.
     """
 
     entries: list  # d x d symmetric, Polynomial
@@ -208,10 +259,12 @@ def interlacer_matrix_multiaffine(
     """Assemble the rank-one-modulo-f matrix for the builder.
 
     Returns NoRep with the offending pair when some Delta_ij f is not a
-    perfect square; raises DetRepError when no sign of an off-diagonal entry
-    makes its leading 2x2 minor divisible by f (reducible or non-stable
-    input).  Whether A is rank one modulo f is not tested here: the builder
-    verifies the pencil it reads from A instead.
+    square over R.  Raises IrrationalEntry when an entry stays irrational
+    under the congruence that makes the first row rational, and DetRepError
+    when no sign of an off-diagonal entry makes its leading 2x2 minor
+    divisible by f (reducible or non-stable input).  Whether A is rank one
+    modulo f is not tested here: the builder verifies the pencil it reads
+    from A instead.
     """
     dvars = list(dvars)
     if f.is_zero():
@@ -230,18 +283,26 @@ def interlacer_matrix_multiaffine(
     if f.coefficient(product) == 0:
         raise ValueError("coefficient of the dvars product monomial must be nonzero")
 
-    # diagonal: partial derivatives; off-diagonal: square roots of Wronskians
-    A: list[list[Optional[Polynomial]]] = [[None] * d for _ in range(d)]
-    for a, i in enumerate(dvars):
-        A[a][a] = f.partial(i)
+    # Delta_ab = lam_ab * s_ab^2, lam_ab = 1 when Delta_ab is a rational square
+    split = {}
     for a in range(d):
         for b in range(a + 1, d):
             delta = delta_ij(f, dvars[a], dvars[b])
-            root = perfect_square_root(delta)
-            if root is None:
+            split[a, b] = _square_times_constant(delta)
+            if split[a, b] is None:
                 return NoRep(pair=(dvars[a], dvars[b]), delta=delta)
-            A[a][b] = root
-            A[b][a] = root
+    # diagonal: partial derivatives; off-diagonal: square roots of Wronskians,
+    # under the congruence diag(sqrt(mu)) with mu_0 = 1 and mu_a = lam_0a,
+    # which makes the first row rational: sqrt(mu_a mu_b lam_ab) * s_ab
+    mu = [Fraction(1)] + [split[0, a][0] for a in range(1, d)]
+    A: list[list[Optional[Polynomial]]] = [[None] * d for _ in range(d)]
+    for a, i in enumerate(dvars):
+        A[a][a] = f.partial(i) if mu[a] == 1 else f.partial(i) * mu[a]
+    for (a, b), (lam, root) in split.items():
+        scale = _rational_sqrt(mu[a] * mu[b] * lam) if root else 1
+        if scale is None:
+            raise IrrationalEntry((dvars[a], dvars[b]))
+        A[a][b] = A[b][a] = root if scale == 1 else root * scale
 
     # fix the sign of a_ij (2 <= i < j) so a_11*a_ij - a_1i*a_1j is divisible by f
     for a in range(1, d):
@@ -262,6 +323,30 @@ def interlacer_matrix_multiaffine(
     return InterlacerMatrix(entries=A, f=f, dvars=dvars)
 
 
+def _square_times_constant(p: Polynomial) -> Optional[tuple[Fraction, Polynomial]]:
+    """(lam, s) with p = lam * s^2 and lam > 0, or None when p is not a square over R.
+
+    lam is 1 whenever p is the square of a rational polynomial.  Otherwise a
+    real square root of p would have a positive leading coefficient c^2, and
+    p / c^2 has the same greedy square root over Q as over R, so p / lc(p)
+    decides.
+    """
+    root = perfect_square_root(p)
+    if root is not None:
+        return Fraction(1), root
+    _, lc = p.leading_term()
+    if lc < 0:
+        return None
+    root = perfect_square_root(p * (1 / lc))
+    return None if root is None else (lc, root)
+
+
+def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
+    """The nonnegative rational square root of x >= 0, or None if it is irrational."""
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(n, d) if n * n == x.numerator and d * d == x.denominator else None
+
+
 def build_detrep_multiaffine(
     f: Polynomial, dvars: Sequence[int], e: Sequence
 ) -> Union[DeterminantalRep, NoRep]:
@@ -269,7 +354,8 @@ def build_detrep_multiaffine(
 
     Requires f homogeneous of degree d, affine in the d variables `dvars`,
     with a nonzero coefficient on their product and f(e) != 0.  Returns NoRep
-    with the offending pair when some Delta_ij f is not a perfect square.
+    with the offending pair when some Delta_ij f is not a square over R, and
+    raises IrrationalEntry when the interlacer matrix has no rational form.
     Otherwise the pencil is M = kappa * f * A^-1 for the rank-one-modulo-f
     matrix A, with kappa = det A(e) / f(e)^(d-1) and gamma = kappa^(d-1).  M
     is linear, so n + 1 exact values fix it: M(e) and M(e + s*e_k) for each
@@ -361,13 +447,95 @@ def verify_detrep(rep: DeterminantalRep, f: Polynomial) -> CheckResult:
             return CheckResult(False, f"coefficient matrix {i} is not symmetric")
     if rep.gamma == 0:
         return CheckResult(False, "gamma is zero")
-    detM = poly_determinant(rep.pencil())
-    if detM != f * rep.gamma:
+    if not _det_is(rep, f):
         return CheckResult(False, "det of the pencil does not equal gamma * f")
     res = ldl_psd(rep.matrix_at(rep.e))
     if not res.is_pd:
         return CheckResult(False, f"M(e) is not positive definite: {res.reason or 'rank-deficient'}")
     return CheckResult(True, "det identity, gamma, and definiteness all verified")
+
+
+def _det_is(rep: DeterminantalRep, f: Polynomial) -> bool:
+    """det(sum_i x_i M_i) == gamma * f, as a polynomial identity, expanded in ints.
+
+    With the matrices scaled to ints by the lcm D of their denominators,
+    det(D M(x)) = D^d det M(x) comes from fraction-free Bareiss elimination,
+    whose divisions by the previous pivot are exact (an entry after step k
+    is a (k+1)-minor), so the cost is polynomial in d.  It runs in Z[t]
+    under x_i -> t^(2^(b*i)): a term dict maps the exponent of t, the
+    packed monomial, to its int coefficient.  The map is a ring
+    homomorphism, so it commutes with det, and with b bits per variable it
+    is one to one on the monomials of degree d, so det(D M(x)) is read back
+    and compared with D^d * gamma * f term by term.  The determinant is
+    homogeneous of degree d or zero, so an f with a term of another degree
+    fails at once.
+    """
+    d = rep.size
+    if any(sum(m) != d for m in f.terms):
+        return False
+    bits = d.bit_length()
+    D, flat = _common_denominator([x for Mi in rep.matrices for row in Mi for x in row])
+    # entry (r, c) of D M(x) as {packed x_i: D * M_i[r][c] for every nonzero one}
+    M = [[{1 << (bits * i): v for i in range(rep.nvars) if (v := flat[(i * d + r) * d + c])}
+          for c in range(d)] for r in range(d)]
+    sign, prev = 1, None
+    for k in range(d - 1):
+        if not M[k][k]:
+            r = next((r for r in range(k + 1, d) if M[r][k]), None)
+            if r is None:  # column k is zero below row k - 1: the determinant is zero
+                M[d - 1][d - 1] = {}
+                break
+            M[k], M[r] = M[r], M[k]
+            sign = -sign
+        pivot, top = M[k][k], M[k]
+        for row in M[k + 1:]:
+            left = row[k]
+            for j in range(k + 1, d):
+                acc: dict[int, int] = {}
+                get = acc.get
+                for x, v in pivot.items():
+                    for y, w in row[j].items():
+                        acc[x + y] = get(x + y, 0) + v * w
+                for x, v in left.items():
+                    for y, w in top[j].items():
+                        acc[x + y] = get(x + y, 0) - v * w
+                acc = {m: w for m, w in acc.items() if w}
+                row[j] = acc if prev is None else _exact_quotient(acc, prev)
+        prev = pivot
+    det = M[d - 1][d - 1]
+    # det(D M) = sign * det = D^d gamma f, with gamma = gn / gd and f = F / q
+    q, F = _common_denominator(f.terms.values())
+    gn, gd = rep.gamma.as_integer_ratio()
+    lhs, rhs = sign * gd * q, D**d * gn
+    if len(det) != len(F):
+        return False
+    return all(det.get(sum(e << (bits * i) for i, e in enumerate(m)), 0) * lhs == rhs * c
+               for m, c in zip(f.terms, F))
+
+
+def _exact_quotient(num: dict, den: dict) -> dict:
+    """num / den in Z[t], for term dicts {exponent: int} where den divides num exactly.
+
+    Long division from the highest power down: each step cancels the
+    leading term of the remainder with one term of the quotient.
+    """
+    if len(den) == 1:
+        ((y, w),) = den.items()
+        return {x - y: v // w for x, v in num.items()}
+    lead = max(den)
+    lc = den[lead]
+    rest = [(y - lead, w) for y, w in den.items() if y != lead]
+    rem, quo = dict(num), {}
+    while rem:
+        x = max(rem)
+        c = quo[x - lead] = rem.pop(x) // lc
+        for y, w in rest:
+            v = rem.get(x + y, 0) - c * w
+            if v:
+                rem[x + y] = v
+            else:
+                rem.pop(x + y, None)
+    return quo
 
 
 def interlacer_from_detrep(rep: DeterminantalRep, E: Sequence[Sequence]) -> Polynomial:

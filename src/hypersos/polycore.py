@@ -15,9 +15,9 @@ first call, and restrict_to_line compiles a one-element list per call.
 Many lines through one direction e are cheaper still: taylor_pieces
 compiles the pieces D_e^j f / j! once, and each line is then one
 evaluation of the pieces.  The
-public constructor validates its input; the module's own arithmetic builds
-results that are clean by construction and wraps them with
-Polynomial._trusted instead of checking them again.
+public constructor validates its input; the module's own arithmetic, the
+parser included, builds results that are clean by construction and wraps
+them with Polynomial._trusted instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
@@ -196,21 +196,14 @@ class Polynomial:
                 return Polynomial._trusted(self.nvars, {})
             return Polynomial._trusted(self.nvars, {m: cc * c for m, cc in self.terms.items()})
         self._check_same_ring(other)
-        return Polynomial._trusted(self.nvars, _mul_terms(self.terms, other.terms))
+        return Polynomial._trusted(self.nvars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Polynomial._trusted(self.nvars, _power(self.terms, k, (0,) * self.nvars))
 
     # -- calculus and substitution -------------------------------------------
 
@@ -327,6 +320,33 @@ def _mul_terms(a: dict, b: dict) -> dict:
             acc[m] = get(m, 0) + ca * cb
     den = da * db
     return {m: Fraction(v, den) for m, v in acc.items() if v}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Term dict of a * b: a one-term operand shifts the other's exponents."""
+    if len(a) > 1 and len(b) > 1:
+        return _mul_terms(a, b)
+    if len(b) > 1:
+        a, b = b, a
+    if not b:
+        return {}
+    ((mb, cb),) = b.items()
+    return {tuple(map(add, m, mb)): c * cb for m, c in a.items()}
+
+
+def _power(base: dict, k: int, one: Mono) -> dict:
+    """Term dict of base^k, with base^0 = 1 even for base = 0."""
+    if len(base) == 1:
+        ((m, c),) = base.items()
+        return {tuple(e * k for e in m): c**k}
+    result = {one: Fraction(1)}
+    while k:
+        if k & 1:
+            result = _product(result, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return result
 
 
 # -- univariate polynomials ----------------------------------------------------
@@ -544,21 +564,36 @@ class _IntForm:
             self.degree = max(self.degree, d)
             self.maxexp = [max(col) for col in zip(self.maxexp, *monos)]
 
+    @classmethod
+    def _from_ints(cls, nvars: int, scaled: Iterable[tuple[int, list[int], Iterable[Mono]]]) -> "_IntForm":
+        """A form compiled from (cden, int coefficients, monomials) per polynomial."""
+        form = cls.__new__(cls)
+        form._compile(nvars, scaled)
+        return form
+
     def values_at(self, point: Sequence) -> list[Fraction]:
         """The value of every polynomial at one point, in list order."""
+        qpow, nums = self.numerators_at(point)
+        return [Fraction(v, cden * qpow[d]) for v, (cden, d, _, _, _) in zip(nums, self.polys)]
+
+    def numerators_at(self, point: Sequence) -> tuple[list[int], list[int]]:
+        """(qpow, nums): the value of the k-th polynomial is nums[k] / (cden * qpow[d]) for its cden and d.
+
+        qpow[j] is q^j for the lcm q of the point's denominators.
+        """
         if len(point) != self.nvars:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
         q, xs = _common_denominator(point)
         qpow = _powers(q, self.degree)
         # powers[i][k] = xs[i]**k up to the largest exponent of variable i
         powers = list(map(_powers, xs, self.maxexp))
-        out = []
-        for cden, d, monos, coeffs, shifts in self.polys:
+        nums = []
+        for _, _, monos, coeffs, shifts in self.polys:
             total = 0
             for m, c, k in zip(monos, coeffs, shifts):
                 total += c * qpow[k] * math.prod(map(getitem, powers, m))
-            out.append(Fraction(total, cden * qpow[d]))
-        return out
+            nums.append(total)
+        return qpow, nums
 
     def restrictions(self, e: Sequence, a: Sequence) -> list[UniPoly]:
         """t -> f(t*e + a) for every polynomial f, in list order."""
@@ -600,9 +635,7 @@ class _IntForm:
                 kept = {x: v for x, v in piece.items() if v}
                 scaled.append((cden * q**j, list(kept.values()), list(kept)))
             widths.append(d + 1)
-        form = _IntForm.__new__(_IntForm)
-        form._compile(n, scaled)
-        return _LinePieces(form, widths)
+        return _LinePieces(_IntForm._from_ints(n, scaled), widths)
 
     def line_numerators(self, e: Sequence, a: Sequence) -> list[tuple[int, list[int]]]:
         """(den, [c_0, ..., c_d]) with f(t*e + a) = sum c_j t^j / den for every f."""
@@ -912,11 +945,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over term dicts {exponent tuple: int or Fraction}.
+
+    Every intermediate value is a clean term dict (no zero coefficients), so
+    names and literals skip the validating constructor, and parse wraps the
+    result once with Polynomial._trusted.  Products and powers use the
+    kernels of Polynomial itself (_product, _power): a product with a
+    one-term operand shifts the other operand's exponents, and only a
+    product of two sums goes through _mul_terms.  Errors carry the position
+    of the offending token.
+    """
+
     def __init__(self, text: str, variables: Sequence[str]):
         self.toks = _tokenize(text)
         self.k = 0
         self.names = {name: i for i, name in enumerate(variables)}
         self.nvars = len(variables)
+        self.one: Mono = (0,) * self.nvars
 
     def peek(self):
         return self.toks[self.k]
@@ -936,39 +981,39 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise PolyParseError(f"unexpected token {val!r}", pos)
-        return p
+        return Polynomial._trusted(self.nvars, {m: Fraction(c) if type(c) is int else c for m, c in p.items()})
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         p = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 q = self.term()
-                p = p + q if val == "+" else p - q
+                _accumulate(p, q.items() if val == "+" else ((m, -c) for m, c in q.items()))
             else:
                 return p
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         p = self.factor()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                p = p * self.factor()
+                p = _product(p, self.factor())
             elif kind == "op" and val == "/":
                 self.next()
                 q = self.factor()
-                if q.total_degree() > 0:
+                if any(m != self.one for m in q):
                     raise PolyParseError("divisor must be a nonzero constant", pos)
-                c = q.coefficient((0,) * self.nvars)
-                if c == 0:
+                if not q:
                     raise PolyParseError("division by zero", pos)
-                p = p * (Fraction(1) / c)
+                inv = 1 / Fraction(q[self.one])
+                p = {m: c * inv for m, c in p.items()}
             else:
                 return p
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.base()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -976,23 +1021,25 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "num":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
-            return base ** int(val)
+            return _power(base, int(val), self.one)
         return base
 
-    def base(self) -> Polynomial:
+    def base(self) -> dict:
         kind, val, pos = self.next()
         if kind == "num":
-            return Polynomial.const(self.nvars, int(val))
+            c = int(val)
+            return {self.one: c} if c else {}
         if kind == "name":
             if val not in self.names:
                 raise PolyParseError(f"unknown variable {val!r}", pos)
-            return Polynomial.variable(self.nvars, self.names[val])
+            i = self.names[val]
+            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
         if kind == "op" and val == "(":
             p = self.expr()
             self.expect_op(")")
             return p
         if kind == "op" and val == "-":
-            return -self.factor()
+            return {m: -c for m, c in self.factor().items()}
         if kind == "op" and val == "+":
             return self.factor()
         raise PolyParseError(f"unexpected token {val!r}", pos)
