@@ -6,9 +6,10 @@ off-diagonal entries are square roots of the coordinate Wronskians, and
 signs are fixed by divisibility of 2x2 minors.  A Wronskian that is not a
 square over R is the obstruction and the failure witness.  One that is a
 square over R but not over Q, lam * s^2 with lam not a rational square,
-is taken into A under the congruence diag(sqrt(mu)), mu_a = lam_1a, which
-makes the first row rational; an entry that stays irrational leaves the
-input undecided.  When A is rank one modulo f, det A =
+is taken into A under the congruence diag(sqrt(mu)), with mu chosen along a
+spanning tree of the nonzero Wronskians (mu_b = lam_ab * mu_a on a tree
+edge), which makes every tree entry rational; an entry that stays
+irrational leaves the input undecided.  When A is rank one modulo f, det A =
 kappa * f^(d-1) with kappa a constant, so the linear pencil M = adj(A) /
 f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) * f.  M is never expanded
 symbolically: kappa comes from det A(e), M is read at e and at e + s*e_k
@@ -55,7 +56,8 @@ class IrrationalEntry(DetRepError):
     def __init__(self, pair: tuple[int, int]):
         super().__init__(
             f"the ({pair[0]},{pair[1]}) entry of the interlacer matrix stays irrational under "
-            "the congruence that makes its first row rational; no representation was built"
+            "the congruence that makes a spanning tree of its nonzero entries rational; "
+            "no representation was built"
         )
         self.pair = pair
 
@@ -260,11 +262,11 @@ def interlacer_matrix_multiaffine(
 
     Returns NoRep with the offending pair when some Delta_ij f is not a
     square over R.  Raises IrrationalEntry when an entry stays irrational
-    under the congruence that makes the first row rational, and DetRepError
-    when no sign of an off-diagonal entry makes its leading 2x2 minor
-    divisible by f (reducible or non-stable input).  Whether A is rank one
-    modulo f is not tested here: the builder verifies the pencil it reads
-    from A instead.
+    under the congruence that makes a spanning tree of the nonzero entries
+    rational, and DetRepError when no sign of an off-diagonal entry makes
+    its leading 2x2 minor divisible by f (reducible or non-stable input).
+    Whether A is rank one modulo f is not tested here: the builder verifies
+    the pencil it reads from A instead.
     """
     dvars = list(dvars)
     if f.is_zero():
@@ -292,9 +294,24 @@ def interlacer_matrix_multiaffine(
             if split[a, b] is None:
                 return NoRep(pair=(dvars[a], dvars[b]), delta=delta)
     # diagonal: partial derivatives; off-diagonal: square roots of Wronskians,
-    # under the congruence diag(sqrt(mu)) with mu_0 = 1 and mu_a = lam_0a,
-    # which makes the first row rational: sqrt(mu_a mu_b lam_ab) * s_ab
-    mu = [Fraction(1)] + [split[0, a][0] for a in range(1, d)]
+    # sqrt(mu_a mu_b lam_ab) * s_ab under the congruence diag(sqrt(mu)).  mu
+    # is 1 at the root of each tree of a spanning forest of the nonzero
+    # Delta_ab and mu_b = lam_ab * mu_a along a tree edge, which makes every
+    # tree entry rational; the breadth-first forest is the star at 0 when
+    # every Delta_0a is nonzero
+    mu: list[Optional[Fraction]] = [None] * d
+    for root in range(d):
+        if mu[root] is not None:
+            continue
+        mu[root] = Fraction(1)
+        tree = [root]
+        for a in tree:
+            for b in range(d):
+                if mu[b] is None:
+                    lam, root_ab = split[min(a, b), max(a, b)]
+                    if root_ab:
+                        mu[b] = lam * mu[a]
+                        tree.append(b)
     A: list[list[Optional[Polynomial]]] = [[None] * d for _ in range(d)]
     for a, i in enumerate(dvars):
         A[a][a] = f.partial(i) if mu[a] == 1 else f.partial(i) * mu[a]

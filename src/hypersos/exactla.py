@@ -6,11 +6,11 @@ vectors out, and fraction-free: each row of [A | b] is scaled to Python ints
 by the lcm of its denominators, rows are combined by cross-multiplication
 and kept primitive (divided by the gcd of their entries), and Fractions are
 built only for the solution.  solve_linear is a square, nonsingular call of
-it, and mat_det is polycore.poly_determinant on the constant matrix.  The
-LDL^T factorization with symmetric pivoting is fraction-free too: the
-symmetry check and symmetric Bareiss elimination both run on the
-lcm-scaled ints; its D is built as Fractions, and its L only when read.
-It is the positive-semidefiniteness oracle used by the certificate
+it.  mat_det and the LDL^T factorization with symmetric pivoting are
+fraction-free too: Bareiss elimination, and the symmetry check with
+symmetric Bareiss elimination, run on the lcm-scaled ints; the determinant
+is built as one Fraction, LDL^T's D as Fractions and its L only when read.
+LDL^T is the positive-semidefiniteness oracle used by the certificate
 checkers: a completed factorization with nonnegative pivots proves PSD, and
 a negative pivot or a zero diagonal with a nonzero residual row disproves
 it.  A refutation's reason names the offending row, never the pivot's
@@ -27,7 +27,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Optional
 
-from .polycore import Polynomial, _common_denominator, _primitive, _rationals, poly_determinant
+from .polycore import _common_denominator, _primitive, _rationals
 
 Mat = list  # list[list[Fraction]]
 
@@ -108,12 +108,33 @@ def solve_linear(A: Mat, b: list[Fraction]) -> list[Fraction]:
 
 
 def mat_det(A: Mat) -> Fraction:
-    """Exact determinant of a rational matrix (poly_determinant of the constants)."""
-    if any(len(row) != len(A) for row in A):
+    """Exact determinant of a rational matrix, by fraction-free Bareiss elimination.
+
+    A is scaled to ints by the lcm q of its denominators.  A zero pivot is
+    replaced by the first row below it with a nonzero entry in its column,
+    which flips the sign; each step's division by the previous pivot is
+    exact (Sylvester's identity), and the last pivot is q^n det A.
+    """
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
-    if not A:
-        return Fraction(1)
-    return poly_determinant([[Polynomial.const(0, x) for x in row] for row in A]).coefficient(())
+    q, flat = _common_denominator(_rationals([x for row in A for x in row]))
+    M = [flat[i * n:(i + 1) * n] for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            sign = -sign
+        pivot_row, pivot = M[k], M[k][k]
+        for row in M[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - factor * pivot_row[j]) // prev
+        prev = pivot
+    return Fraction(sign * prev, q**n)
 
 
 class LdlResult:

@@ -8,16 +8,18 @@ Evaluation, line restriction, polynomial multiplication and the square
 root run fraction-free: they scale the point and the coefficients to
 integers by the lcm of their denominators, work in Python int, and build
 Fractions only for the results.  Evaluation and line restriction share one
-compiled integer form, _IntForm, whose two kernels give a whole list of
-polynomials at one point or along one line; callers that reuse polynomials
-compile them once, Polynomial.evaluate keeps the form it compiles on its
-first call, and restrict_to_line compiles a one-element list per call.
-Many lines through one direction e are cheaper still: taylor_pieces
-compiles the pieces D_e^j f / j! once, and each line is then one
-evaluation of the pieces.  The
-public constructor validates its input; the module's own arithmetic, the
-parser included, builds results that are clean by construction and wraps
-them with Polynomial._trusted instead of checking them again.
+compiled integer form, _IntForm, and one kernel: a whole list of
+polynomials is evaluated at an integer point, each term as a product read
+from one power table by its itemgetter.  A line is evaluated at one such
+point (Kronecker substitution) and its restrictions read off as digits.
+Callers that reuse polynomials compile them once, Polynomial.evaluate
+keeps the form it compiles on its first call, and restrict_to_line
+compiles a one-element list per call.  Many lines through one direction e
+are cheaper still: taylor_pieces compiles the pieces D_e^j f / j! once,
+and each line is then one evaluation of the pieces.  The public
+constructor validates its input; the module's own arithmetic, the parser
+included, builds results that are clean by construction and wraps them
+with Polynomial._trusted instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, islice
-from operator import add, getitem
+from itertools import accumulate, compress, islice
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Mono = tuple[int, ...]
@@ -530,17 +532,22 @@ def restrict_to_line(f: Polynomial, e: Sequence, a: Sequence) -> UniPoly:
 class _IntForm:
     """A list of polynomials compiled once to integer form, for batch kernels.
 
-    Each polynomial keeps its monomials, its coefficients times a common
-    denominator cden (the lcm of their denominators when compiled from a
-    Polynomial), its degree d (0 for zero) and d - |m| per term;
-    degree and maxexp are the largest degree and exponents in the list.  A
-    kernel scales its point or line (ints or Fractions) to integers by their
-    lcm q, builds power tables once for the whole list, and multiplies a term
-    by q^(d - |m|), so inhomogeneous polynomials stay exact.  Each term's
-    support as a bitmask is built on the first line that needs it.
+    Each polynomial keeps its cden, a common denominator of its coefficients
+    (their lcm when compiled from a Polynomial), its degree d (0 for zero),
+    its monomials and one compiled term per monomial: (c, d - |m|, the
+    support of m as a bitmask, an itemgetter of the powers x_i^(m_i) that m
+    uses), with c the integer coefficient.  degree and maxexp are the
+    largest degree and exponents in the list, and norms[d] is the largest
+    sum of the |c| of a polynomial of degree d.  A kernel scales its point
+    to integers by the lcm q of its denominators and builds one flat power
+    table for the whole list, with every variable's powers
+    x_i^0..x_i^maxexp_i, so a term is c * q^(d - |m|) * prod(getter(table))
+    and inhomogeneous polynomials stay exact; a term with a variable that is
+    zero at the point is skipped by its mask.  A line is one evaluation too,
+    by Kronecker substitution (see line_numerators).
     """
 
-    __slots__ = ("nvars", "polys", "degree", "maxexp", "_masks")
+    __slots__ = ("nvars", "polys", "degree", "maxexp", "norms")
 
     def __init__(self, nvars: int, polys: Iterable[Polynomial]):
         scaled = []
@@ -552,17 +559,27 @@ class _IntForm:
 
     def _compile(self, nvars: int, scaled: Iterable[tuple[int, list[int], Iterable[Mono]]]) -> None:
         """Fill the form from (cden, int coefficients, monomials) per polynomial."""
+        scaled = [(cden, coeffs, list(monos)) for cden, coeffs, monos in scaled]
         self.nvars = nvars
-        self.polys: list = []
-        self.degree = 0
         self.maxexp = [0] * nvars
-        self._masks: Optional[list[list[int]]] = None
+        for _, _, monos in scaled:
+            self.maxexp = [max(col) for col in zip(self.maxexp, *monos)]
+        # x_i^k sits at offset[i] + k of the power table, after a leading 1
+        # that pads a getter of fewer than two indices, so that it returns a tuple
+        offset = list(accumulate([k + 1 for k in self.maxexp], initial=1))
+        bits = [1 << i for i in range(nvars)]
+        self.polys: list = []
+        norms: dict[int, int] = {}
         for cden, coeffs, monos in scaled:
             degs = [sum(m) for m in monos]
             d = max(degs, default=0)
-            self.polys.append((cden, d, monos, coeffs, [d - k for k in degs]))
-            self.degree = max(self.degree, d)
-            self.maxexp = [max(col) for col in zip(self.maxexp, *monos)]
+            idxs = [[*compress(map(add, offset, m), m)] for m in monos]
+            getters = [itemgetter(*idx) if len(idx) > 1 else itemgetter(*idx, 0, 0) for idx in idxs]
+            masks = [sum(compress(bits, m)) for m in monos]
+            self.polys.append((cden, d, monos, list(zip(coeffs, [d - k for k in degs], masks, getters))))
+            norms[d] = max(norms.get(d, 0), sum(map(abs, coeffs)))
+        self.degree = max(norms, default=0)
+        self.norms = [norms.get(d, 0) for d in range(self.degree + 1)]
 
     @classmethod
     def _from_ints(cls, nvars: int, scaled: Iterable[tuple[int, list[int], Iterable[Mono]]]) -> "_IntForm":
@@ -574,7 +591,7 @@ class _IntForm:
     def values_at(self, point: Sequence) -> list[Fraction]:
         """The value of every polynomial at one point, in list order."""
         qpow, nums = self.numerators_at(point)
-        return [Fraction(v, cden * qpow[d]) for v, (cden, d, _, _, _) in zip(nums, self.polys)]
+        return [Fraction(v, cden * qpow[d]) for v, (cden, d, _, _) in zip(nums, self.polys)]
 
     def numerators_at(self, point: Sequence) -> tuple[list[int], list[int]]:
         """(qpow, nums): the value of the k-th polynomial is nums[k] / (cden * qpow[d]) for its cden and d.
@@ -585,15 +602,22 @@ class _IntForm:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
         q, xs = _common_denominator(point)
         qpow = _powers(q, self.degree)
-        # powers[i][k] = xs[i]**k up to the largest exponent of variable i
-        powers = list(map(_powers, xs, self.maxexp))
+        return qpow, self._numerators(xs, qpow)
+
+    def _numerators(self, xs: list[int], qpow: list[int]) -> list[int]:
+        """sum c * qpow[d - |m|] * x^m over the terms of every polynomial, at the integer point xs."""
+        table = [1]
+        for x, k in zip(xs, self.maxexp):
+            table += _powers(x, k)
+        dead = sum(1 << i for i, x in enumerate(xs) if not x)
         nums = []
-        for _, _, monos, coeffs, shifts in self.polys:
+        for _, _, _, terms in self.polys:
             total = 0
-            for m, c, k in zip(monos, coeffs, shifts):
-                total += c * qpow[k] * math.prod(map(getitem, powers, m))
+            for c, k, mask, getter in terms:
+                if not mask & dead:
+                    total += c * qpow[k] * math.prod(getter(table))
             nums.append(total)
-        return qpow, nums
+        return nums
 
     def restrictions(self, e: Sequence, a: Sequence) -> list[UniPoly]:
         """t -> f(t*e + a) for every polynomial f, in list order."""
@@ -615,9 +639,9 @@ class _IntForm:
         # (i, k) -> [comb(k, s) * E_i^s for s = 0..k]
         rows: dict[tuple[int, int], list[int]] = {}
         scaled, widths = [], []
-        for cden, d, monos, coeffs, _ in self.polys:
+        for cden, d, monos, terms in self.polys:
             pieces: list[dict[Mono, int]] = [{} for _ in range(d + 1)]
-            for m, c in zip(monos, coeffs):
+            for m, (c, *_) in zip(monos, terms):
                 # (exponents left on x, power of t, coefficient) of each expanded product
                 parts = [(m, 0, c)]
                 for i, k in enumerate(m):
@@ -638,40 +662,25 @@ class _IntForm:
         return _LinePieces(_IntForm._from_ints(n, scaled), widths)
 
     def line_numerators(self, e: Sequence, a: Sequence) -> list[tuple[int, list[int]]]:
-        """(den, [c_0, ..., c_d]) with f(t*e + a) = sum c_j t^j / den for every f."""
+        """(den, [c_0, ..., c_d]) with f(t*e + a) = sum c_j t^j / den for every f.
+
+        With e = E/q and a = A/q scaled to ints, N(t) = sum_m c_m q^(d-|m|)
+        prod_i (E_i t + A_i)^m_i has integer coefficients c_j and den is
+        cden * q^d.  The |c_j| sum to at most norms[d] * M^d for M the largest
+        of q and the |E_i| + |A_i|, so when 2^(B-1) exceeds every such bound,
+        N(2^B), the numerator at the integer point E * 2^B + A, holds the c_j
+        as its signed base-2^B digits.
+        """
         n = self.nvars
         if len(e) != n or len(a) != n:
             raise ValueError("direction/offset length must equal nvars")
         q, ints = _common_denominator([*e, *a])
         E, A = ints[:n], ints[n:]
+        M = max([q, *(abs(x) + abs(y) for x, y in zip(E, A))])
+        B = max(norm * M**d for d, norm in enumerate(self.norms)).bit_length() + 1
         qpow = _powers(q, self.degree)
-        # a term with a factor (0 t + 0)^x vanishes on the line, and is skipped
-        dead = sum(1 << i for i in range(n) if not E[i] and not A[i])
-        if dead and self._masks is None:
-            self._masks = [[sum(1 << i for i, x in enumerate(m) if x) for m in monos] for _, _, monos, _, _ in self.polys]
-        # (i, k) -> (s, row): (E_i t + A_i)^k = t^s * sum_j row[j] t^j, zeros trimmed
-        rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
-        out = []
-        for idx, (cden, d, monos, coeffs, shifts) in enumerate(self.polys):
-            acc = [0] * (d + 1)
-            terms = zip(monos, coeffs, shifts)
-            if dead:
-                terms = compress(terms, [not mask & dead for mask in self._masks[idx]])
-            for m, c, k in terms:
-                shift, term = 0, [c]
-                for i, x in enumerate(m):
-                    if not x:
-                        continue
-                    row = rows.get((i, x))
-                    if row is None:
-                        row = rows[(i, x)] = _binomial_row(E[i], A[i], x)
-                    shift += row[0]
-                    term = _convolve(term, row[1])
-                scale = qpow[k]
-                for j, v in enumerate(term, shift):
-                    acc[j] += v * scale
-            out.append((cden * qpow[d], acc))
-        return out
+        nums = self._numerators([(x << B) + y for x, y in zip(E, A)], qpow)
+        return [(cden * qpow[d], _signed_digits(v, B, d + 1)) for v, (cden, d, _, _) in zip(nums, self.polys)]
 
 
 class _LinePieces(NamedTuple):
@@ -711,23 +720,18 @@ def _powers(q: int, d: int) -> list[int]:
     return out
 
 
-def _binomial_row(E: int, A: int, k: int) -> tuple[int, list[int]]:
-    """(E t + A)^k as (s, row) with the t^s factor and trailing zeros split off."""
-    if E == 0:
-        return 0, ([A**k] if A else [])
-    if A == 0:
-        return k, [E**k]
-    return 0, [math.comb(k, j) * E**j * A ** (k - j) for j in range(k + 1)]
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    if len(b) == 1:
-        return [x * b[0] for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[s + j] += x * y
+def _signed_digits(v: int, B: int, count: int) -> list[int]:
+    """The digits c_0..c_(count-1), each with |c_j| < 2^(B-1), of v = sum c_j 2^(jB)."""
+    if not v:
+        return [0] * count
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    out = []
+    for _ in range(count):
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> B
     return out
 
 

@@ -573,13 +573,13 @@ class _ZeroGeometry:
         derivative of order up to 2 at p, and is skipped.
         """
         n = self.nvars
-        cden, d, monos, coeffs, shifts = self._F.polys[0]
+        cden, d, monos, terms = self._F.polys[0]
         q, P = _common_denominator(p)
         qpow = _powers(q, d)
         powers = list(map(_powers, P, self._F.maxexp))
         grad = [0] * n
         H = [[0] * n for _ in range(n)]  # upper triangle
-        for m, c, k, support in zip(monos, coeffs, shifts, self._supports):
+        for m, (c, k, _, _), support in zip(monos, terms, self._supports):
             # the coordinates of the support where P is 0, with multiplicity
             dead = [i for i in support if not P[i] for _ in range(m[i])]
             if len(dead) > 2:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersos import detrep
+from hypersos import cli, detrep
 from hypersos.corpus import gen_elementary_symmetric, gen_product
 from hypersos.detrep import (
     DeterminantalRep,
@@ -115,6 +115,18 @@ def test_build_e3_four_vars():
     rep = build_detrep_multiaffine(f, [0, 1, 2], ones(4))
     assert isinstance(rep, DeterminantalRep)
     assert verify_detrep(rep, f)
+
+
+def test_build_with_mu_along_a_spanning_tree(tmp_path, capsys):
+    # x1 * (2 x2 x3 + 6 x2 x4 + x3 x4): Delta_12 = Delta_13 = 0 and
+    # Delta_23 = 6 x1^2 x4^2, so the first row fixes no mu; the tree edge 23
+    # gives mu = (1, 1, 6), and every entry of the interlacer matrix is rational
+    common = ["--poly", "2*x1*x2*x3 + 6*x1*x2*x4 + x1*x3*x4", "--vars", "x1,x2,x3,x4", "--no-timings"]
+    path = tmp_path / "rep.json"
+    assert cli.main(["detrep-build", *common, "--dvars", "x1,x2,x3", "--e", "1,1,1,1", "--cert-out", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["status"] == "CERTIFIED_YES"
+    assert cli.main(["detrep-verify", *common, "--rep", f"@{path}"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_build_products():

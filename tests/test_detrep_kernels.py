@@ -5,7 +5,8 @@
   and on seeded mutations of both (a mutated pencil never verifies);
 - check_multiaffine_stable's sampling from the partials of f against
   evaluating every expanded Delta_ij f at every point;
-- the builder on Wronskians that are squares over R but not over Q.
+- the builder on Wronskians that are squares over R but not over Q, with
+  mu chosen along a spanning tree of the nonzero ones.
 """
 
 import itertools
@@ -16,10 +17,11 @@ from fractions import Fraction
 
 import pytest
 
-from hypersos import cli
+from hypersos import cli, detrep
 from hypersos.corpus import gen_elementary_symmetric, gen_product
 from hypersos.detrep import (
     DeterminantalRep,
+    InterlacerMatrix,
     IrrationalEntry,
     NoRep,
     _det_is,
@@ -254,15 +256,35 @@ def test_norep_only_when_not_a_square_over_the_reals():
     assert isinstance(out, NoRep) and out.pair == (0, 1)
 
 
-def test_irrational_entry_is_undecided():
-    # x1 * (2 x2 x3 + 6 x2 x4 + x3 x4): Delta_12 = Delta_13 = 0 and
-    # Delta_23 = 6 x1^2 x4^2, so mu = (1, 1, 1) leaves sqrt(6) on the (2, 3)
-    # entry.  f has a representation over R, (x1) beside a 2 x 2 one of the
-    # stable quadric, so the builder must not answer NO
-    f = parse_poly("2*x1*x2*x3 + 6*x1*x2*x4 + x1*x3*x4", ["x1", "x2", "x3", "x4"])
-    with pytest.raises(IrrationalEntry) as exc:
-        build_detrep_multiaffine(f, [0, 1, 2], [1] * 4)
+def non_square_wronskian_constants(monkeypatch, factors):
+    """Report Delta_ab = lam * s^2 with lam times the next factor, pair by pair.
+
+    mu follows a spanning tree of the nonzero Wronskians, so an entry stays
+    irrational only on a cycle whose lam product is not a square; the inputs
+    here have none, so their constants are scaled to make one.
+    """
+    real, scale = detrep._square_times_constant, iter(factors)
+
+    def scaled(p):
+        lam, root = real(p)
+        return lam * next(scale), root
+
+    monkeypatch.setattr(detrep, "_square_times_constant", scaled)
+
+
+def test_irrational_entry_is_undecided(monkeypatch):
+    # e_{4,3} along x1, x2, x3 with lam = 2, 3, 5 on the pairs 12, 13, 23:
+    # the tree gives mu = (1, 2, 3), and the (2, 3) entry stays sqrt(30) * s
+    f = gen_elementary_symmetric(4, 3)
+    with monkeypatch.context() as m:
+        non_square_wronskian_constants(m, [2, 3, 5])
+        with pytest.raises(IrrationalEntry) as exc:
+            build_detrep_multiaffine(f, [0, 1, 2], [1] * 4)
     assert exc.value.pair == (1, 2)
+    # a cycle whose lam product is a square leaves every entry rational
+    with monkeypatch.context() as m:
+        non_square_wronskian_constants(m, [2, 3, 6])
+        assert isinstance(interlacer_matrix_multiaffine(f, [0, 1, 2]), InterlacerMatrix)
     # a zero Wronskian needs no scale: here Delta_13 = 6 x2^2 x4^2 and the others vanish
     g = parse_poly("6*x1*x2*x3 + 3*x1*x2*x4 + 2*x2*x3*x4", ["x1", "x2", "x3", "x4"])
     rep = build_detrep_multiaffine(g, [0, 1, 2], [1] * 4)
@@ -287,8 +309,9 @@ def test_cli_square_over_the_reals_exits_0_and_verifies(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
-def test_cli_irrational_entry_exits_2(capsys):
-    code, out = run_cli(capsys, "detrep-build", "--poly", "2*x1*x2*x3 + 6*x1*x2*x4 + x1*x3*x4",
+def test_cli_irrational_entry_exits_2(capsys, monkeypatch):
+    non_square_wronskian_constants(monkeypatch, [2, 3, 5])
+    code, out = run_cli(capsys, "detrep-build", "--poly", "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4",
                         "--vars", "x1,x2,x3,x4", "--dvars", "x1,x2,x3", "--e", "1,1,1,1", "--no-timings")
     verdict = json.loads(out)["verdict"]
     assert code == 2 and verdict["status"] == "UNKNOWN" and verdict["witness"] == {"pair": ["x2", "x3"]}

@@ -275,7 +275,7 @@ def test_mat_det_matches_permutation_expansion():
     rng = random.Random(7)
     checked = singular = 0
     for i in range(60):
-        n = i % 7  # 0..6; sizes above 4 take poly_determinant's Bareiss path
+        n = i % 7  # 0..6
         kind = ("int", "small", "large", "mixed")[i % 4]
         A = [[_entry(rng, kind) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(n)]
         if n >= 2 and i % 3 == 0:
@@ -286,6 +286,19 @@ def test_mat_det_matches_permutation_expansion():
         checked += 1
         singular += det == 0
     assert checked == 60 and singular >= 10
+    # every entry over its own denominator near 10^12, so the lcm q runs to
+    # about 12 n^2 digits and Bareiss works on q-scaled ints; below n = 3 a
+    # zero leading entry swaps rows at once, and from n = 3 on two rows that
+    # agree in their first two entries zero the second pivot
+    for n in range(1, 7):
+        A = [[Fraction(rng.randint(-10**6, 10**6), 10**12 + 37 * (n * i + j) + 1) for j in range(n)]
+             for i in range(n)]
+        A[0][0] = Fraction(0)
+        if n >= 3:
+            A[1][:2] = A[0][:2] = [Fraction(1, 10**12 + 3), Fraction(-5, 10**12 + 7)]
+        det = mat_det(A)
+        assert type(det) is Fraction and det == naive_det(A), A
+        assert det != 0 or n == 1
     assert mat_det([]) == 1
     assert mat_det([[0, 1], [1, 0]]) == -1
     for bad in ([[1, 2]], [[1], [2, 3]], [[1, 2], [3]]):

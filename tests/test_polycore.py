@@ -322,11 +322,10 @@ def test_batch_kernels_match_naive_reference_per_polynomial():
 def test_line_restriction_with_coordinates_zero_on_the_whole_line():
     # a term with a variable that is 0 in both the direction and the offset
     # vanishes on the line; skipping it must leave every restriction as the
-    # naive one, and a line with no such coordinate needs no support masks
+    # naive one
     polys = [P("x^2*y + 3*z^3 - x*y*z + 1/2*y^2"), P("z^2 - 2*x*z"), P("y"), P("x^2 - 5")]
     form = _IntForm(3, polys)
     form.restrictions([1, 2, Fraction(1, 3)], [Fraction(-1, 2), 1, 4])
-    assert form._masks is None
     lines = [
         ([1, 0, 0], [0, 0, 1]),  # y dead
         ([0, 0, 1], [0, 0, Fraction(2, 3)]),  # x and y dead
@@ -336,7 +335,6 @@ def test_line_restriction_with_coordinates_zero_on_the_whole_line():
     ]
     for e, a in lines:
         assert form.restrictions(e, a) == [naive_restrict(f, e, a) for f in polys], (e, a)
-    assert form._masks is not None
 
 
 def test_batch_kernel_edge_inputs():
@@ -359,6 +357,56 @@ def test_batch_kernel_edge_inputs():
             form.restrictions([0, 0, 1], bad)
     with pytest.raises(ValueError):
         _IntForm(2, [P("x")])
+
+
+def test_kernels_match_naive_fractions_on_large_and_edge_inputs():
+    # coefficients up to 10^40, lines and points with denominators up to
+    # 10^20 and zero or negative coordinates, nvars 0..6 and degree up to 8,
+    # inhomogeneous, zero and constant polynomials: every value and every
+    # restriction (read as base-2^B digits of one Kronecker value) must be
+    # the naive Fraction one
+    rng = random.Random(27)
+
+    def big_rational():
+        if rng.random() < 0.15:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**rng.randint(0, 20)))
+
+    checked = 0
+    for trial in range(120):
+        nvars = trial % 7
+        polys = [Polynomial.zero(nvars), Polynomial.const(nvars, Fraction(-(10**40) + trial, 7))]
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                mono = [0] * nvars
+                for _ in range(rng.randint(0, 8)):
+                    if nvars:
+                        mono[rng.randrange(nvars)] += 1
+                terms[tuple(mono)] = Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**rng.randint(0, 12)))
+            polys.append(Polynomial(nvars, terms))
+        rng.shuffle(polys)
+        e, a, point = ([big_rational() for _ in range(nvars)] for _ in range(3))
+        if nvars and trial % 3 == 0:
+            i = rng.randrange(nvars)
+            e[i] = a[i] = Fraction(0)
+        form = _IntForm(nvars, polys)
+        assert form.restrictions(e, a) == [naive_restrict(f, e, a) for f in polys], (polys, e, a)
+        assert form.values_at(point) == [naive_evaluate(f, point) for f in polys]
+        checked += 1
+    assert checked == 120
+
+    # restriction coefficients at exactly +-(2^(B-1) - 1) for the B of
+    # line_numerators (2^(B-1) just above norm * M^d, with M the largest of q
+    # and the |E_i| + |A_i|): c t^2 on the line (1, 0) t + (0, 1), where
+    # M = 1, and c * 3^2 * (-3)^3 t^2 on (3, 0) t + (0, -3), where M = 3
+    for c, e, a, scale in ((2**40 - 1, [1, 0], [0, 1], 1), ((2**162 - 1) // 243, [3, 0], [0, -3], -243)):
+        for sign in (1, -1):
+            f = Polynomial(2, {(2, 3): Fraction(sign * c)})
+            ((den, coeffs),) = _IntForm(2, [f]).line_numerators(e, a)
+            top = 2 ** (c * abs(scale)).bit_length() - 1
+            assert den == 1 and coeffs == [0, 0, sign * scale * c, 0, 0, 0] and abs(coeffs[2]) == top
+            assert restrict_to_line(f, e, a) == naive_restrict(f, e, a)
 
 
 def test_taylor_pieces_match_line_numerators():

@@ -127,14 +127,30 @@ def test_certify_sos_rejects_negative_budget():
 
 
 def test_import_does_not_load_numpy():
+    # importing hypersos, and the exact evaluation, line and cone paths run
+    # on Vamos, leave numpy unloaded: only the SDP's float stage imports it
     import hypersos
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypersos.__file__)))
     code = "import sys, hypersos; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    exact = """
+import sys
+from hypersos.corpus import gen_vamos
+from hypersos.hypercone import HyperbolicityInstance, SampleConfig, check_hyperbolic, cone_membership
+from hypersos.polycore import restrict_to_line
+f = gen_vamos()
+e, a = [1] * 8, [1, -2, 3, 0, 1, 1, -1, 2]
+assert f.evaluate(e) > 0 and restrict_to_line(f, e, a).degree() == 4
+inst = HyperbolicityInstance(f, e)
+assert cone_membership(inst, [2] * 8).is_yes and cone_membership(inst, a, closure=True).is_no
+assert check_hyperbolic(inst, SampleConfig(trials=8, seed=1)).is_yes
+print('numpy' in sys.modules)
+"""
+    for program in (code, exact):
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def test_certify_sos_refutes_indefinite_and_infeasible():
