@@ -38,6 +38,7 @@ from .polycore import (
     Polynomial,
     _common_denominator,
     _IntForm,
+    directional_derivative,
     exact_divide,
     perfect_square_root,
     poly_adjugate,
@@ -631,19 +632,10 @@ def bordered_determinant_identity(
     if ba * dc - da * bc != detX * big:
         return False
 
-    # derivative identities: direction of the rank-one matrix u v^T on X_{ji}
-    def rank_one_derivative(p: Polynomial, u: list, v: list) -> Polynomial:
-        out = Polynomial.zero(nv)
-        for jj in range(size):
-            for ii in range(size):
-                w = u[jj] * v[ii]
-                if w:
-                    out = out + p.partial(jj * size + ii) * w
-        return out
-
-    first = rank_one_derivative(detX, b, a)
+    # derivative identities: the rank-one direction u v^T puts u_j v_i on X_{ji}
+    first = directional_derivative(detX, [x * y for x in b for y in a])
     if first != -ba:
         return False
-    if rank_one_derivative(first, dd, c) != big:
+    if directional_derivative(first, [x * y for x in dd for y in c]) != big:
         return False
     return True

@@ -12,6 +12,15 @@ and interlacing tests compile these Taylor pieces of f (and g) once per
 call, in integers (_IntForm.taylor_pieces), and read each line off one
 evaluation of the pieces at a.  A cone membership test draws a single line
 and restricts f to it directly.
+
+The mixed Wronskian Delta_{e,a} f of the SOS cone test, the interlacer
+Wronskian D_e f * g - f * D_e g, and D_a f itself come from one int kernel
+of polycore (_int_derivative and _wronskian_terms): every input is scaled
+to ints by its lcm, each directional derivative is one pass over the int
+terms, and only the result's terms become Fractions.  The coordinate
+Wronskians Delta_ij f of the stability test keep a kernel of their own
+(delta_ij), which splits f into pieces by its exponents of x_i and x_j and
+needs no derivatives.
 """
 
 from __future__ import annotations
@@ -29,10 +38,15 @@ from .polycore import (
     _IntForm,
     _LinePieces,
     _common_denominator,
+    _int_derivative,
+    _int_direction,
+    _int_terms,
     _rationals,
+    _wronskian_terms,
     directional_derivative,
     restrict_to_line,
     uni_gcd,
+    wronskian,
 )
 from .realroots import is_real_rooted, roots_interlace, sturm_root_count
 from .verdicts import Verdict, certified_no, certified_yes, unknown
@@ -125,10 +139,11 @@ def cone_membership(inst: HyperbolicityInstance, a: Sequence, closure: bool = Fa
     if len(avec) != inst.f.nvars:
         raise ValueError("point length must equal nvars")
     line = restrict_to_line(inst.f, inst.e, [-x for x in avec])
-    if closure:
-        bad = sturm_root_count(line, None, Fraction(0)) - (1 if line(Fraction(0)) == 0 else 0)
-    else:
-        bad = sturm_root_count(line, None, Fraction(0))
+    bad = sturm_root_count(line, None, Fraction(0))
+    # t = 0 is a root when the constant coefficient vanishes; the leading
+    # coefficient is f(e) != 0, so the coefficient list is never empty
+    if closure and line.coeffs[0] == 0:
+        bad -= 1
     if bad > 0:
         return certified_no(
             witness={"a": avec},
@@ -141,14 +156,21 @@ def wronskian_delta(f: Polynomial, e: Sequence, a: Sequence) -> Polynomial:
     """The mixed Wronskian D_e f * D_a f - f * D_e D_a f.
 
     Homogeneous of degree 2d-2, symmetric in e and a, and bilinear; its
-    nonnegativity characterizes membership of a in the closed cone.
+    nonnegativity characterizes membership of a in the closed cone.  It is
+    the Wronskian of f and g = D_a f in the direction e, built by the int
+    kernel of polycore: f, e and a are scaled to ints by their lcms, g and
+    the two D_e are each one pass over int terms, both products accumulate
+    in one dict of ints, and each term of the result is one Fraction.  No
+    Polynomial is built in between.  delta_ij keeps its own kernel: for
+    coordinate directions the pieces of f need no derivatives at all, and
+    on the Vamos pairs that is 3 to 5 times faster than this one.
     """
     if not f.is_homogeneous() or f.total_degree() < 1:
         raise ValueError("f must be homogeneous of degree >= 1")
-    de = directional_derivative(f, e)
-    da = directional_derivative(f, a)
-    deda = directional_derivative(de, a)
-    return de * da - f * deda
+    qe, E = _int_direction(e, f.nvars)
+    qa, A = _int_direction(a, f.nvars)
+    den, F = _int_terms(f.terms)
+    return Polynomial._trusted(f.nvars, _wronskian_terms(F, _int_derivative(F, A), E, den * den * qe * qa))
 
 
 def delta_ij(f: Polynomial, i: int, j: int) -> Polynomial:
@@ -281,7 +303,7 @@ def interlaces(
         if strict:
             strict_failures += 1
 
-    wg = directional_derivative(f, e) * g - f * directional_derivative(g, e)
+    wg = wronskian(f, g, e)
     wform = _IntForm(f.nvars, [wg])
     for p in cfg.sample(f.nvars):
         (val,) = wform.values_at(p)

@@ -4,10 +4,11 @@ A multivariate polynomial is a map from exponent tuples to nonzero Fraction
 coefficients; the zero polynomial stores no terms.  All operations are exact
 (no floating point anywhere in this module), which is what makes the
 divisibility and perfect-square decisions downstream trustworthy.
-Evaluation, line restriction, polynomial multiplication and the square
-root run fraction-free: they scale the point and the coefficients to
-integers by the lcm of their denominators, work in Python int, and build
-Fractions only for the results.  Evaluation and line restriction share one
+Evaluation, line restriction, polynomial multiplication, directional
+derivatives, Wronskians and the square root run fraction-free: they scale
+the point, the direction and the coefficients to integers by the lcm of
+their denominators, work in Python int, and build Fractions only for the
+results.  Evaluation and line restriction share one
 compiled integer form, _IntForm, and one kernel: a whole list of
 polynomials is evaluated at an integer point, each term as a product read
 from one power table by its itemgetter.  A line is evaluated at one such
@@ -248,15 +249,24 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
 
 
 def directional_derivative(f: Polynomial, a: Sequence) -> Polynomial:
-    """Sum of a_i * df/dx_i; exact and linear in the direction a."""
-    avec = [Fraction(x) for x in a]
-    if len(avec) != f.nvars:
-        raise ValueError(f"direction length {len(avec)} != nvars {f.nvars}")
-    out = Polynomial.zero(f.nvars)
-    for i, ai in enumerate(avec):
-        if ai:
-            out = out + f.partial(i) * ai
-    return out
+    """Sum of a_i * df/dx_i; exact and linear in the direction a.
+
+    Computed in ints: with f = F / den and a = A / q scaled by their lcms,
+    D_a f = D_A F / (den * q), one Fraction per term.
+    """
+    q, A = _int_direction(a, f.nvars)
+    den, F = _int_terms(f.terms)
+    den *= q
+    return Polynomial._trusted(f.nvars, {m: Fraction(v, den) for m, v in _int_derivative(F, A).items()})
+
+
+def wronskian(f: Polynomial, g: Polynomial, e: Sequence) -> Polynomial:
+    """The Wronskian D_e f * g - f * D_e g of f and g in the direction e, computed in ints."""
+    f._check_same_ring(g)
+    q, E = _int_direction(e, f.nvars)
+    df, F = _int_terms(f.terms)
+    dg, G = _int_terms(g.terms)
+    return Polynomial._trusted(f.nvars, _wronskian_terms(F, G, E, df * dg * q))
 
 
 def identify_variables(f: Polynomial, mapping: Sequence[int], new_nvars: int) -> Polynomial:
@@ -321,6 +331,55 @@ def _mul_terms(a: dict, b: dict) -> dict:
             m = tuple(map(add, ma, mb))
             acc[m] = get(m, 0) + ca * cb
     den = da * db
+    return {m: Fraction(v, den) for m, v in acc.items() if v}
+
+
+def _int_terms(terms: dict) -> tuple[int, dict]:
+    """(den, {monomial: int}): a term dict scaled to ints by the lcm den of its denominators."""
+    den, ints = _common_denominator(terms.values())
+    return den, dict(zip(terms, ints))
+
+
+def _int_direction(a: Sequence, nvars: int) -> tuple[int, list[int]]:
+    """(q, A): a direction of length nvars scaled to ints by the lcm q of its denominators."""
+    avec = _rationals(a)
+    if len(avec) != nvars:
+        raise ValueError(f"direction length {len(avec)} != nvars {nvars}")
+    return _common_denominator(avec)
+
+
+def _int_derivative(F: dict, E: Sequence[int]) -> dict:
+    """D_E F for an int term dict F and an int direction E, in one pass over F's terms.
+
+    A term c x^m gives c m_i E_i x^(m - e_i) for each i with m_i E_i != 0;
+    coefficients that cancel are dropped, so the result is clean.
+    """
+    live = [(i, x) for i, x in enumerate(E) if x]
+    acc: dict[Mono, int] = {}
+    get = acc.get
+    for m, c in F.items():
+        for i, x in live:
+            k = m[i]
+            if k:
+                mm = (*m[:i], k - 1, *m[i + 1:])
+                acc[mm] = get(mm, 0) + c * k * x
+    return {m: v for m, v in acc.items() if v}
+
+
+def _wronskian_terms(F: dict, G: dict, E: Sequence[int], den: int) -> dict:
+    """Term dict of (D_E F * G - F * D_E G) / den for int term dicts F, G and an int direction E.
+
+    Both products accumulate in one dict of Python ints, and each term of
+    the result becomes one Fraction over den.
+    """
+    acc: dict[Mono, int] = {}
+    get = acc.get
+    for a, b, sign in ((_int_derivative(F, E), G, 1), (F, _int_derivative(G, E), -1)):
+        bterms = [(mb, sign * cb) for mb, cb in b.items()]
+        for ma, ca in a.items():
+            for mb, cb in bterms:
+                m = tuple(map(add, ma, mb))
+                acc[m] = get(m, 0) + ca * cb
     return {m: Fraction(v, den) for m, v in acc.items() if v}
 
 

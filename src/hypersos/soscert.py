@@ -1139,7 +1139,7 @@ def certify_sos(F: Polynomial, max_denominator_power: int = 0) -> Verdict:
             "no denominator power can repair it",
         )
 
-    s2 = _sum_of_var_squares(F.nvars)
+    s2 = _sum_of_var_squares(F.nvars) if max_denominator_power > 0 else None
     refuted: list[int] = []
     refute_witness = None
     refute_detail = ""

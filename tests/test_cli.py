@@ -94,6 +94,38 @@ def test_delta_output(capsys):
     assert json.loads(out)["delta"] == "4*x^2 - 4*x*y + 4*y^2 + 4*z^2"
 
 
+def test_delta_output_with_rational_directions(capsys):
+    code, out, _ = run(
+        capsys, "delta", "--poly", "x^3 - 2*x*y^2 - x*z^2 + 1/3*y^2*z", "--vars", "x,y,z",
+        "--e", "3/2,1/7,0", "--a", "2,-1/3,5/11", "--no-timings",
+    )
+    assert code == 0
+    assert json.loads(out)["delta"] == (
+        "185/21*x^4 + 386/231*x^3*y - 1868/693*x^3*z + 139/462*x^2*y^2 + 1/11*x^2*y*z"
+        " + 4/21*x^2*z^2 - 370/63*x*y^2*z - 10/231*x*y*z^2 - 2/63*x*z^3 + 127/11*y^4"
+        " + 50797/4158*y^2*z^2 + 1/7*y*z^3 + 3*z^4"
+    )
+
+
+def test_wronskian_commands_reject_bad_directions_exit_3(capsys):
+    lorentz = ("--poly", "x^2-y^2-z^2", "--vars", "x,y,z")
+    cases = (
+        ("delta", lorentz, "1,0", "2,1,0", "direction length 2 != nvars 3"),
+        ("delta", lorentz, "1,0,0", "2,1", "direction length 2 != nvars 3"),
+        ("delta", lorentz, "1,0,0,0", "2,1", "direction length 4 != nvars 3"),
+        ("sos-cone-member", lorentz, "1,0", "2,1,0", "direction length must equal nvars"),
+        ("sos-cone-member", lorentz, "1,0,0", "2,1", "direction length 2 != nvars 3"),
+        ("sos-cone-member", lorentz, "1,0,0", "2,1,0,4", "direction length 4 != nvars 3"),
+        # an inhomogeneous f is rejected before any direction is read
+        ("delta", ("--poly", "x^2-y^2-z", "--vars", "x,y,z"), "1,0,0", "2,1", "f must be homogeneous of degree >= 1"),
+        ("sos-cone-member", ("--poly", "x^2-y^2-z", "--vars", "x,y,z"), "1,0,0", "2,1,0", "f must be homogeneous"),
+    )
+    for command, poly, e, a, message in cases:
+        code, out, err = run(capsys, command, *poly, "--e", e, "--a", a, "--no-timings")
+        assert (code, out) == (3, "")
+        assert err == json.dumps({"error": message}) + "\n"
+
+
 def test_poly_from_file(tmp_path, capsys):
     path = tmp_path / "poly.txt"
     path.write_text("x^2 - y^2 - z^2")

@@ -23,6 +23,7 @@ from hypersos.polycore import (
     directional_derivative,
     parse_poly,
     restrict_to_line,
+    wronskian,
 )
 from hypersos.realroots import is_real_rooted, roots_interlace
 from hypersos.verdicts import Status
@@ -252,6 +253,87 @@ def naive_delta_ij(f, i, j):
     return fi * f.partial(j) - f * fi.partial(j)
 
 
+def naive_directional(f, a):
+    """D_a f as a sum of Fraction partials, one Polynomial addition per coordinate."""
+    out = Polynomial.zero(f.nvars)
+    for i, ai in enumerate(a):
+        if ai:
+            out = out + f.partial(i) * Fraction(ai)
+    return out
+
+
+def naive_wronskian_delta(f, e, a):
+    de = naive_directional(f, e)
+    return de * naive_directional(f, a) - f * naive_directional(de, a)
+
+
+def naive_wronskian(f, g, e):
+    return naive_directional(f, e) * g - f * naive_directional(g, e)
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def rand_rational_form(rng, nvars, degree, terms):
+    """Up to `terms` terms of the given degree with rational coefficients of denominator up to 10^6."""
+    out = {}
+    for _ in range(terms):
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        mono = tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+        out[mono] = rand_rational(rng)
+    return Polynomial(nvars, out)
+
+
+def test_wronskian_kernel_matches_the_fraction_formulas():
+    # every (nvars, degree, direction kind) combination is met 11 or 12 times;
+    # e and a are rational with some zero entries, or the zero vector, or equal
+    rng = random.Random(28)
+    kinds = ("rational", "zero", "equal")
+    for k in range(1050):
+        n, d, kind = 1 + k % 6, 1 + (k // 6) % 5, kinds[(k // 30) % 3]
+        f = rand_rational_form(rng, n, d, rng.randint(1, 6))
+        e = [rand_rational(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+        a = {"rational": [rand_rational(rng) if rng.random() < 0.8 else 0 for _ in range(n)],
+             "zero": [0] * n, "equal": list(e)}[kind]
+        if kind == "zero" and k % 2:
+            e, a = a, e
+        assert wronskian_delta(f, e, a) == naive_wronskian_delta(f, e, a)
+        assert directional_derivative(f, a) == naive_directional(f, a)
+        # the interlacer Wronskian takes any g, not only D_a f
+        g = rand_rational_form(rng, n, max(d - 1, 0), rng.randint(0, 6))
+        assert wronskian(f, g, e) == naive_wronskian(f, g, e)
+        assert wronskian(f, f, e).is_zero()
+
+
+def test_wronskians_never_differentiate_a_polynomial(monkeypatch):
+    def refuse(self, i):
+        raise AssertionError("Polynomial.partial called")
+
+    monkeypatch.setattr(Polynomial, "partial", refuse)
+    f = gen_lorentz(3)
+    # 2x * (3x + 2y/7) - 3 * (x^2 - y^2 - z^2)
+    assert wronskian_delta(f, [1, 0, 0], [Fraction(3, 2), Fraction(-1, 7), 0]) == P("3*x^2 + 4/7*x*y + 3*y^2 + 3*z^2")
+    inst = HyperbolicityInstance(f, [1, 0, 0])
+    assert interlaces(inst, directional_derivative(f, [2, 1, 0]), CFG, sos_budget=0).is_yes
+    assert int_cone_membership_by_derivative(inst, [2, 1, 0], CFG, 0).is_yes
+
+
+def test_wronskian_errors_keep_their_messages():
+    f = gen_lorentz(3)
+    for e, a, length in (([1, 0], [2, 1, 0], 2), ([1, 0, 0], [2, 1], 2), ([1, 0, 0, 0], [2, 1], 4)):
+        with pytest.raises(ValueError, match=f"^direction length {length} != nvars 3$"):
+            wronskian_delta(f, e, a)
+    with pytest.raises(ValueError, match="^direction length 2 != nvars 3$"):
+        directional_derivative(f, [1, 0])
+    with pytest.raises(ValueError, match="^direction length 4 != nvars 3$"):
+        wronskian(f, f, [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="^f must be homogeneous of degree >= 1$"):
+        wronskian_delta(P("x^2 - y^2 - z"), [1, 0, 0], [2, 1])
+    with pytest.raises(ValueError, match="^f must be homogeneous of degree >= 1$"):
+        wronskian_delta(Polynomial.const(3, 7), [1, 0, 0], [2, 1, 0])
+
+
 def test_delta_ij_matches_the_derivative_reference():
     # exponents up to 3 and rational coefficients, so pieces of every shape
     # meet; every ordered (i, j), i = j and i > j included
@@ -380,7 +462,7 @@ def naive_interlacing_refutation(inst, g, cfg):
         v = roots_interlace(restrict_to_line(f, e, a), restrict_to_line(g, e, a), strict=False)
         if v.is_no:
             return {"a": a, "line_verdict": v.detail}
-    wg = directional_derivative(f, e) * g - f * directional_derivative(g, e)
+    wg = naive_wronskian(f, g, e)
     for p in cfg.vectors(f.nvars):
         val = wg.evaluate(p)
         if val < 0:

@@ -175,6 +175,28 @@ def test_certify_sos_motzkin_decided_at_both_levels():
     assert cert.verify()
 
 
+def test_square_sum_is_built_only_from_budget_one(monkeypatch):
+    import hypersos.soscert as soscert
+
+    built = []
+    square_sum = soscert._sum_of_var_squares
+
+    def counting(nvars):
+        built.append(nvars)
+        return square_sum(nvars)
+
+    monkeypatch.setattr(soscert, "_sum_of_var_squares", counting)
+    motzkin = P("x^4*y^2 + x^2*y^4 - 3*x^2*y^2*z^2 + z^6")
+    assert certify_sos(motzkin, 0).is_no
+    assert certify_sos(P("x^2 + 2*x*y + 3*y^2 + z^2"), 0).is_yes
+    assert built == []
+    for budget in (1, 2):
+        v = certify_sos(motzkin, budget)
+        assert built == [3]
+        assert v.is_yes and v.witness.denominator_power == 1 and v.witness.verify()
+        built.clear()
+
+
 def test_certificate_json_round_trip():
     d = wronskian_delta(gen_lorentz(4), [1, 0, 0, 0], [3, 1, 1, 1])
     v = certify_sos(d, 0)
