@@ -311,7 +311,14 @@ def _cmd_detrep_verify(args):
 def _cmd_stable_check(args):
     f, names = _load_poly(args)
     v = detrep.check_multiaffine_stable(f, _sample_config(args), args.sos_budget)
-    return {"verdict": to_jsonable(v)}, _verdict_exit(v)
+    verdict = to_jsonable(v)
+    # the witness names its variables, as detrep-build's does; the Verdict keeps indices
+    witness = verdict["witness"] or {}
+    if "pair" in witness:
+        witness["pair"] = [names[i] for i in v.witness["pair"]]
+    if "uncertified_pairs" in witness:
+        witness["uncertified_pairs"] = [[names[i] for i in pair] for pair in v.witness["uncertified_pairs"]]
+    return {"verdict": verdict}, _verdict_exit(v)
 
 
 def _cmd_vamos_repro(args):

@@ -12,15 +12,19 @@ edge), which makes every tree entry rational; an entry that stays
 irrational leaves the input undecided.  When A is rank one modulo f, det A =
 kappa * f^(d-1) with kappa a constant, so the linear pencil M = adj(A) /
 f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) * f.  M is never expanded
-symbolically: kappa comes from det A(e), M is read at e and at e + s*e_k
-(k = 1..n), each from one elimination of [A(p) | -I], and its
-coefficient matrices are the difference quotients.  Nothing checks
+symbolically: it is read at e and at e + s*e_k (k = 1..n), and its
+coefficient matrices are the difference quotients.  The pencil is built in
+ints: the entries of A are compiled over one common denominator, so A(p) =
+N / c for an int matrix N, and one fraction-free Gauss-Jordan elimination
+of [N | I] gives det N and adj N.  So kappa comes from det N at e, M(p) is
+adj N times one rational, and each coefficient entry is one Fraction.  The
+sign fix divides the 2x2 minors by f as int polynomials.  Nothing checks
 beforehand that A is rank one modulo f: verify_detrep (det M = gamma * f
 exactly, gamma != 0, M(e) > 0 by exact LDL^T) is the one proof that the
 result is a representation.  It expands det M over ints from the
-lcm-scaled coefficient matrices, by fraction-free Bareiss elimination.
-The stability test samples every Delta_ij f at once from f and its
-partials, compiled in ints.
+lcm-scaled coefficient matrices, by fraction-free Bareiss elimination, and
+reads M(e) from the same scaled ints (matrix_at).  The stability test
+samples every Delta_ij f at once from f and its partials, compiled in ints.
 """
 
 from __future__ import annotations
@@ -32,14 +36,19 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import soscert
-from .exactla import ldl_psd, mat_det, solve_affine_family
+from .exactla import int_det_adjugate, ldl_psd
 from .hypercone import SampleConfig, delta_ij
 from .polycore import (
     Polynomial,
+    _accumulate,
     _common_denominator,
+    _int_product,
+    _int_quotient,
+    _int_terms,
     _IntForm,
+    _primitive_divisor,
+    _rationals,
     directional_derivative,
-    exact_divide,
     perfect_square_root,
     poly_adjugate,
     poly_determinant,
@@ -109,15 +118,21 @@ class DeterminantalRep:
         return out
 
     def matrix_at(self, point: Sequence) -> list:
-        pt = [Fraction(x) for x in point]
+        """M(p) = sum_i p_i M_i at a rational point p of length nvars.
+
+        The matrices are scaled to ints by the lcm D of all their
+        denominators and p by the lcm q of its own, so each entry is one int
+        sum and one Fraction over D * q.
+        """
+        q, P = _common_denominator(_rationals(point))
+        if len(P) != self.nvars:
+            raise ValueError(f"point length {len(P)} != nvars {self.nvars}")
         d = self.size
-        out = [[Fraction(0)] * d for _ in range(d)]
-        for i, Mi in enumerate(self.matrices):
-            if pt[i]:
-                for r in range(d):
-                    for c in range(d):
-                        out[r][c] += pt[i] * Mi[r][c]
-        return out
+        D, flat = _common_denominator([x for Mi in self.matrices for row in Mi for x in row])
+        den = D * q
+        live = [(x, i * d * d) for i, x in enumerate(P) if x]
+        return [[Fraction(sum(x * flat[start + r * d + c] for x, start in live), den) for c in range(d)]
+                for r in range(d)]
 
     def to_jsonable(self) -> dict:
         return {
@@ -164,7 +179,7 @@ def check_multiaffine_stable(
     negative (pair, point) in pair-major order, and every pair is sampled
     before any is certified.  Certifying every pair as a sum of squares
     (lam * s^2 with lam > 0 short-circuits) proves stability; anything else is
-    UNKNOWN, with the uncertified pairs recorded in the detail.
+    UNKNOWN, with the uncertified pairs recorded in the witness.
     """
     cfg = cfg or SampleConfig()
     if not f.is_multiaffine():
@@ -180,7 +195,7 @@ def check_multiaffine_stable(
         (i, j), (p, val) = deltas[k][0], negative[k]
         return certified_no(
             witness={"pair": (i, j), "point": p, "value": val},
-            detail=f"Delta_{i}{j} f is negative at the witness point",
+            detail="the coordinate Wronskian of the witness pair is negative at the witness point",
         )
     uncertified: list[tuple[int, int]] = []
     for pair, d in deltas:
@@ -190,7 +205,7 @@ def check_multiaffine_stable(
         return certified_yes(detail="every coordinate Wronskian certified as a sum of squares")
     return unknown(
         witness={"uncertified_pairs": uncertified},
-        detail=f"{len(uncertified)} coordinate Wronskian(s) not certified: {uncertified}",
+        detail=f"{len(uncertified)} coordinate Wronskian(s) not certified; the witness lists their pairs",
     )
 
 
@@ -237,23 +252,33 @@ class InterlacerMatrix:
     variables, off-diagonal entries are exact square roots of the coordinate
     Wronskians with signs fixed so the leading 2x2 minors are divisible by f;
     when a Wronskian is lam * s^2 over Q, the whole matrix is taken under the
-    congruence that makes it rational.  The entries and f are compiled once,
-    for values_at.
+    congruence that makes it rational.  The entries, over the lcm of all
+    their denominators, and f are compiled once, for numerators_at.
     """
 
     entries: list  # d x d symmetric, Polynomial
     f: Polynomial
     dvars: list
     _form: _IntForm = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._form = _IntForm(self.f.nvars, [*(e for row in self.entries for e in row), self.f])
+        flat = [e for row in self.entries for e in row]
+        L = self._den = math.lcm(*(c.denominator for e in flat for c in e.terms.values()))
+        scaled = [(L, [c.numerator * (L // c.denominator) for c in e.terms.values()], e.terms) for e in flat]
+        scaled.append((*_common_denominator(self.f.terms.values()), self.f.terms))
+        self._form = _IntForm._from_ints(self.f.nvars, scaled)
 
-    def values_at(self, point: Sequence[Fraction]) -> tuple[list, Fraction]:
-        """(A(p), f(p)) at a rational point p, A(p) as a d x d list."""
-        vals = self._form.values_at(point)
+    def numerators_at(self, point: Sequence[Fraction]) -> tuple[list, int, Fraction]:
+        """(N, c, f(p)) at a rational point p: A(p) = N / c for a d x d int matrix N."""
+        qpow, nums = self._form.numerators_at(point)
+        *entries, (fden, fdeg, _, _) = self._form.polys
+        # entry k is nums[k] / (den * q^deg_k); when f is homogeneous every nonzero
+        # entry has degree d - 1, but den * q^top is common to entries of any degree
+        top = max((deg for _, deg, _, _ in entries), default=0)
+        N = [v * qpow[top - deg] for v, (_, deg, _, _) in zip(nums, entries)]
         d = len(self.entries)
-        return [vals[r * d:(r + 1) * d] for r in range(d)], vals[-1]
+        return [N[r * d:(r + 1) * d] for r in range(d)], self._den * qpow[top], Fraction(nums[-1], fden * qpow[fdeg])
 
 
 def interlacer_matrix_multiaffine(
@@ -322,21 +347,26 @@ def interlacer_matrix_multiaffine(
             raise IrrationalEntry((dvars[a], dvars[b]))
         A[a][b] = A[b][a] = root if scale == 1 else root * scale
 
-    # fix the sign of a_ij (2 <= i < j) so a_11*a_ij - a_1i*a_1j is divisible by f
+    # fix the sign of a_ij (2 <= i < j) so a_11*a_ij - a_1i*a_1j is divisible by
+    # f; with a_ij = I_ij / d_ij scaled to ints, d_11 d_ij d_1i d_1j times the minor
+    # is an int polynomial, and a positive scale leaves divisibility unchanged
+    _, divisor = _primitive_divisor(_int_terms(f.terms)[1])
+    row0 = [_int_terms(p.terms) for p in (A[0] if d else [])]
     for a in range(1, d):
         for b in range(a + 1, d):
-            minor = A[0][0] * A[a][b] - A[0][a] * A[0][b]
-            if exact_divide(minor, f) is None:
-                flipped = -A[a][b]
-                minor2 = A[0][0] * flipped - A[0][a] * A[0][b]
-                if exact_divide(minor2, f) is None:
+            dab, Iab = _int_terms(A[a][b].terms)
+            (d00, I00), (d0a, I0a), (d0b, I0b) = row0[0], row0[a], row0[b]
+            left = {m: c * d0a * d0b for m, c in _int_product(I00, Iab).items()}
+            right = [(m, -c * d00 * dab) for m, c in _int_product(I0a, I0b).items()]
+            if _int_quotient(_accumulate(dict(left), right), divisor) is None:
+                flipped = {m: -c for m, c in left.items()}
+                if _int_quotient(_accumulate(flipped, right), divisor) is None:
                     raise DetRepError(
                         f"no sign of the ({dvars[a]},{dvars[b]}) entry makes the leading "
                         "2x2 minor divisible by f; f is likely reducible - factor it and "
                         "build a representation per factor"
                     )
-                A[a][b] = flipped
-                A[b][a] = flipped
+                A[a][b] = A[b][a] = -A[a][b]
 
     return InterlacerMatrix(entries=A, f=f, dvars=dvars)
 
@@ -377,7 +407,8 @@ def build_detrep_multiaffine(
     Otherwise the pencil is M = kappa * f * A^-1 for the rank-one-modulo-f
     matrix A, with kappa = det A(e) / f(e)^(d-1) and gamma = kappa^(d-1).  M
     is linear, so n + 1 exact values fix it: M(e) and M(e + s*e_k) for each
-    k, each from one elimination of [A(p) | -I].  Raises DetRepError if
+    k, each from one fraction-free Gauss-Jordan elimination of the int
+    matrix N with A(p) = N / c (see _pencil).  Raises DetRepError if
     f(e) = 0, if some A(p) is singular, if neither M(e) nor -M(e) is
     definite, or with verify_detrep's reason if it rejects the result; each
     indicates a reducible or non-stable input.
@@ -391,25 +422,7 @@ def build_detrep_multiaffine(
     if isinstance(built, NoRep):
         return built
     d = f.total_degree()
-
-    # M = kappa * f * A^-1 is linear, so its values at e and at e + s*e_k fix
-    # it; s is the first of 1..d+1 with f(e + s*e_k) != 0, which exists since
-    # f(e + s*e_k) is a nonzero polynomial of degree <= d in s
-    Ae, fe = built.values_at(evec)
-    if fe == 0:
-        raise DetRepError("f(e) = 0: no pencil is definite at e")
-    kappa = mat_det(Ae) / fe ** (d - 1)
-    base = _pencil_value(Ae, kappa * fe, evec)
-    matrices = []
-    for k in range(n):
-        for s in range(1, d + 2):
-            p = list(evec)
-            p[k] += s
-            Ap, fp = built.values_at(p)
-            if fp:
-                break
-        Mp = _pencil_value(Ap, kappa * fp, p)
-        matrices.append([[(x - y) / s for x, y in zip(rp, rb)] for rp, rb in zip(Mp, base)])
+    matrices, kappa = _pencil(built, evec)
 
     # orient M(e) to be positive definite, then verify the result exactly
     rep = DeterminantalRep(matrices=matrices, e=evec, gamma=kappa ** (d - 1))
@@ -425,23 +438,45 @@ def build_detrep_multiaffine(
     return rep
 
 
-def _pencil_value(A: list, scale: Fraction, point: list) -> list:
-    """scale * A^-1 at one point, from one solve of [A | -I] x = 0.
+def _pencil(built: InterlacerMatrix, evec: list) -> tuple[list, Fraction]:
+    """(matrices, kappa): the coefficient matrices of M = kappa * f * A^-1, and kappa.
 
-    The nullspace vector of free column d + c holds column c of A^-1 in its
-    first d entries; a free column below d means A is singular.  A(p) is
-    symmetric, so the columns of the result are also its rows.
+    M is linear, so its values at e and at e + s*e_k fix it; s is the first
+    of 1..d+1 with f(e + s*e_k) != 0, which exists since f(e + s*e_k) is a
+    nonzero polynomial of degree <= d in s.  At each point A(p) = N / c for
+    an int matrix N, so M(p) = kappa * f(p) * c * adj N / det N is an int
+    matrix times one rational, and kappa = det N_e / (c_e^d f(e)^(d-1)).
     """
-    d = len(A)
-    rows = [{**dict(enumerate(row)), d + r: -1} for r, row in enumerate(A)]
-    _, null = solve_affine_family(rows, [0] * d, 2 * d)
-    # each vector's last column is its free column
-    if any(next(reversed(v)) < d for v in null):
+    d = len(built.entries)
+    N, c, fe = built.numerators_at(evec)
+    if fe == 0:
+        raise DetRepError("f(e) = 0: no pencil is definite at e")
+    det, base = _det_adjugate(N, evec)
+    kappa = Fraction(det, c**d) / fe ** (d - 1)
+    u0, v0 = (kappa * fe * c / det).as_integer_ratio()
+    matrices = []
+    for k in range(len(evec)):
+        for s in range(1, d + 2):
+            p = list(evec)
+            p[k] += s
+            N, c, fp = built.numerators_at(p)
+            if fp:
+                break
+        det, adj = _det_adjugate(N, p)
+        # (M(p) - M(e)) / s = (u/v adj - u0/v0 base) / s: one int and one Fraction per entry
+        u, v = (kappa * fp * c / det).as_integer_ratio()
+        a, b, den = u * v0, u0 * v, v * v0 * s
+        matrices.append([[Fraction(a * x - b * y, den) for x, y in zip(rp, rb)] for rp, rb in zip(adj, base)])
+    return matrices, kappa
+
+
+def _det_adjugate(N: list, point: list) -> tuple[int, list]:
+    """(det N, adj N) for A(p) = N / c, or DetRepError when A(p) is singular."""
+    det, adj = int_det_adjugate(N)
+    if not det:
         shown = ", ".join(map(str, point))
-        raise DetRepError(
-            f"A is singular at ({shown}), where f is not zero; no pencil fits"
-        )
-    return [[scale * v.get(r, 0) for r in range(d)] for v in null]
+        raise DetRepError(f"A is singular at ({shown}), where f is not zero; no pencil fits")
+    return det, adj
 
 
 def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:

@@ -6,10 +6,13 @@ vectors out, and fraction-free: each row of [A | b] is scaled to Python ints
 by the lcm of its denominators, rows are combined by cross-multiplication
 and kept primitive (divided by the gcd of their entries), and Fractions are
 built only for the solution.  solve_linear is a square, nonsingular call of
-it.  mat_det and the LDL^T factorization with symmetric pivoting are
-fraction-free too: Bareiss elimination, and the symmetry check with
-symmetric Bareiss elimination, run on the lcm-scaled ints; the determinant
-is built as one Fraction, LDL^T's D as Fractions and its L only when read.
+it.  Determinants have one fraction-free Bareiss loop, _bareiss: mat_det
+runs it on the lcm-scaled ints and builds one Fraction, and
+int_det_adjugate runs it as Gauss-Jordan elimination of [N | I] for an int
+matrix N, which gives det N and adj N with exact divisions only.  The
+LDL^T factorization with symmetric pivoting is fraction-free too: the
+symmetry check and symmetric Bareiss elimination run on the lcm-scaled
+ints, and LDL^T's D is built as Fractions and its L only when read.
 LDL^T is the positive-semidefiniteness oracle used by the certificate
 checkers: a completed factorization with nonnegative pivots proves PSD, and
 a negative pivot or a zero diagonal with a nonzero residual row disproves
@@ -110,31 +113,63 @@ def solve_linear(A: Mat, b: list[Fraction]) -> list[Fraction]:
 def mat_det(A: Mat) -> Fraction:
     """Exact determinant of a rational matrix, by fraction-free Bareiss elimination.
 
-    A is scaled to ints by the lcm q of its denominators.  A zero pivot is
-    replaced by the first row below it with a nonzero entry in its column,
-    which flips the sign; each step's division by the previous pivot is
-    exact (Sylvester's identity), and the last pivot is q^n det A.
+    A is scaled to ints by the lcm q of its denominators; _bareiss gives
+    det(q A) = q^n det A.
     """
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
     q, flat = _common_denominator(_rationals([x for row in A for x in row]))
-    M = [flat[i * n:(i + 1) * n] for i in range(n)]
+    sign, pivot = _bareiss([flat[i * n:(i + 1) * n] for i in range(n)], n)
+    return Fraction(sign * pivot, q**n)
+
+
+def int_det_adjugate(N: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
+    """(det N, adj N) of a square int matrix, from one fraction-free Gauss-Jordan elimination of [N | I].
+
+    adj N is None when det N = 0.  Elimination above the pivot as well as
+    below it leaves [det N * I | adj N] up to the sign of the row swaps,
+    with every division exact (each entry is a minor of [N | I]).
+    """
+    n = len(N)
+    if any(len(row) != n for row in N):
+        raise ValueError("matrix must be square")
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(N)]
+    sign, pivot = _bareiss(rows, n, jordan=True)
+    if not pivot:
+        return 0, None
+    # the left block is now pivot * I with pivot = sign * det N, and the right block sign * adj N
+    return sign * pivot, [row[n:] if sign > 0 else [-x for x in row[n:]] for row in rows]
+
+
+def _bareiss(M: list[list[int]], n: int, jordan: bool = False) -> tuple[int, int]:
+    """(sign, pivot) with sign * pivot the det of the leading n x n block of the int rows M.
+
+    Fraction-free elimination in place over the block's n columns; rows may
+    be wider, and all their columns are eliminated.  A zero pivot is
+    replaced by the first row below it with a nonzero entry in its column,
+    which flips the sign; each step's division by the previous pivot is
+    exact (Sylvester's identity), and the last pivot is the determinant up
+    to that sign, or 0 for a singular block.  With jordan the rows above the
+    pivot are eliminated too (Gauss-Jordan).  Columns left of the pivot's
+    are not updated: nothing reads them again.
+    """
     sign, prev = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if M[i][k]), None)
         if p is None:
-            return Fraction(0)
+            return sign, 0
         if p != k:
             M[k], M[p] = M[p], M[k]
             sign = -sign
         pivot_row, pivot = M[k], M[k][k]
-        for row in M[k + 1:]:
+        width = len(pivot_row)
+        for row in (M[:k] + M[k + 1:] if jordan else M[k + 1:]):
             factor = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row[j] = (pivot * row[j] - factor * pivot_row[j]) // prev
         prev = pivot
-    return Fraction(sign * prev, q**n)
+    return sign, prev
 
 
 class LdlResult:

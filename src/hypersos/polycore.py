@@ -5,11 +5,13 @@ coefficients; the zero polynomial stores no terms.  All operations are exact
 (no floating point anywhere in this module), which is what makes the
 divisibility and perfect-square decisions downstream trustworthy.
 Evaluation, line restriction, polynomial multiplication, directional
-derivatives, Wronskians and the square root run fraction-free: they scale
-the point, the direction and the coefficients to integers by the lcm of
-their denominators, work in Python int, and build Fractions only for the
-results.  Evaluation and line restriction share one
-compiled integer form, _IntForm, and one kernel: a whole list of
+derivatives, Wronskians, exact division and the square root run
+fraction-free: they scale the point, the direction and the coefficients to
+integers by the lcm of their denominators, work in Python int, and build
+Fractions only for the results.  Exact division divides by the primitive
+part of the divisor, so by Gauss's lemma every step of a division that
+succeeds is an exact int division.  Evaluation and line restriction share
+one compiled integer form, _IntForm, and one kernel: a whole list of
 polynomials is evaluated at an integer point, each term as a product read
 from one power table by its itemgetter.  A line is evaluated at one such
 point (Kronecker substitution) and its restrictions read off as digits.
@@ -321,17 +323,22 @@ def _mul_terms(a: dict, b: dict) -> dict:
     denominators; products accumulate in Python int and each result term
     becomes one Fraction over the product of the two lcms.
     """
-    da, ia = _common_denominator(a.values())
-    db, ib = _common_denominator(b.values())
-    bterms = list(zip(b, ib))
+    da, A = _int_terms(a)
+    db, B = _int_terms(b)
+    den = da * db
+    return {m: Fraction(v, den) for m, v in _int_product(A, B).items()}
+
+
+def _int_product(A: dict, B: dict) -> dict:
+    """Term dict of A * B for int term dicts, cancelled coefficients dropped."""
+    bterms = list(B.items())
     acc: dict[Mono, int] = {}
     get = acc.get
-    for ma, ca in zip(a, ia):
+    for ma, ca in A.items():
         for mb, cb in bterms:
             m = tuple(map(add, ma, mb))
             acc[m] = get(m, 0) + ca * cb
-    den = da * db
-    return {m: Fraction(v, den) for m, v in acc.items() if v}
+    return {m: v for m, v in acc.items() if v}
 
 
 def _int_terms(terms: dict) -> tuple[int, dict]:
@@ -889,30 +896,59 @@ def poly_adjugate(M: Sequence[Sequence[Polynomial]]) -> list:
 def exact_divide(p: Polynomial, f: Polynomial) -> Optional[Polynomial]:
     """Quotient q with p = q*f, or None when f does not divide p.
 
-    Single-divisor long division under graded lex.  If f | p, every
-    intermediate remainder stays divisible by f, so its leading term is
-    divisible by the leading term of f; hence the first failed step is a
-    sound certificate of non-divisibility.
+    Single-divisor long division under graded lex, in Python int: with
+    p = P / dp and f = g * F / df for a primitive int polynomial F, the
+    quotient is P / F * df / (dp * g), and _int_quotient divides P by F.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     p._check_same_ring(f)
-    nvars = p.nvars
-    ltf_m, ltf_c = f.leading_term()
-    fterms = f.terms.items()
-    q: dict[Mono, Fraction] = {}
-    rem = dict(p.terms)
+    dp, P = _int_terms(p.terms)
+    df, F = _int_terms(f.terms)
+    g, divisor = _primitive_divisor(F)
+    quo = _int_quotient(P, divisor)
+    if quo is None:
+        return None
+    den = dp * g
+    return Polynomial._trusted(p.nvars, {m: Fraction(c * df, den) for m, c in quo.items()})
+
+
+def _primitive_divisor(F: dict) -> tuple[int, list]:
+    """(g, terms): a nonzero int term dict F is g times the primitive divisor terms, for _int_quotient.
+
+    terms lists (degree, monomial, coefficient), the grlex-leading term first.
+    """
+    g = math.gcd(*F.values())
+    return g, sorted(((sum(m), m, c // g) for m, c in F.items()), reverse=True)
+
+
+def _int_quotient(P: dict, divisor: list) -> Optional[dict]:
+    """P / F for an int term dict P and a primitive divisor F, or None when F does not divide P.
+
+    Long division from the grlex-largest term down, on terms keyed by
+    (degree, monomial), so that max() compares the keys themselves.  By
+    Gauss's lemma, a quotient of P by the primitive F has integer
+    coefficients, so if F divides P, every remainder is F times an integer
+    polynomial, and its leading term is divisible by the leading term of F,
+    coefficient included; hence the first failed step is a sound certificate
+    of non-divisibility.
+    """
+    (lead_deg, lead_m, lead_c), rest = divisor[0], divisor[1:]
+    rem = {(sum(m), m): c for m, c in P.items()}
+    quo: dict[Mono, int] = {}
     while rem:
-        m = max(rem, key=grlex_key)
-        if not mono_divides(ltf_m, m):
+        key = max(rem)
+        deg, m = key
+        if not mono_divides(lead_m, m):
             return None
-        qm = tuple(x - y for x, y in zip(m, ltf_m))
-        qc = rem[m] / ltf_c
-        q[qm] = qc
-        # rem -= qc * x^qm * f
-        minus_qc = -qc
-        _accumulate(rem, ((mono_mul(fm, qm), minus_qc * fc) for fm, fc in fterms))
-    return Polynomial._trusted(nvars, q)
+        c, inexact = divmod(rem.pop(key), lead_c)
+        if inexact:
+            return None
+        qdeg, qm = deg - lead_deg, tuple(x - y for x, y in zip(m, lead_m))
+        quo[qm] = c
+        # rem -= c * x^qm * (F - its leading term)
+        _accumulate(rem, [((fdeg + qdeg, mono_mul(fm, qm)), -c * fc) for fdeg, fm, fc in rest])
+    return quo
 
 
 def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:

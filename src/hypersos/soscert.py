@@ -342,13 +342,19 @@ def assemble_gram_system(F: Polynomial, basis: Optional[list[Polynomial]] = None
     if rem:
         raise ValueError("target must have even degree")
     if basis is None:
-        basis = [Polynomial.monomial(F.nvars, m) for m in monomials_of_degree(F.nvars, k)]
+        basis = _unit_monomials(F.nvars, monomials_of_degree(F.nvars, k))
     return GramSystem(F, list(basis))
 
 
 def _auto_basis(F: Polynomial) -> list[Polynomial]:
     """The box-reduced monomial basis of F."""
-    return [Polynomial.monomial(F.nvars, m) for m in box_reduced_support(F)]
+    return _unit_monomials(F.nvars, box_reduced_support(F))
+
+
+def _unit_monomials(nvars: int, monos: list[Mono]) -> list[Polynomial]:
+    """The monomials x^m as Polynomials, for exponent tuples of length nvars, sharing one Fraction(1)."""
+    one = Fraction(1)
+    return [Polynomial._trusted(nvars, {m: one}) for m in monos]
 
 
 def scan_small_points(F: Polynomial, coord: int = 1):
@@ -1217,7 +1223,7 @@ def certify_sos_mod_f(F: Polynomial, f: Polynomial) -> Verdict:
         raise ValueError(f"deg F = {F.total_degree()} but 2*deg f - 2 = {2 * d - 2}")
     if d < 2:
         raise ValueError("modulus degree must be at least 2")
-    basis = [Polynomial.monomial(F.nvars, m) for m in monomials_of_degree(F.nvars, d - 1)]
+    basis = _unit_monomials(F.nvars, monomials_of_degree(F.nvars, d - 1))
     mult_monos = monomials_of_degree(F.nvars, d - 2)
     sys = GramSystem(F, basis, modulus=f, mult_monos=mult_monos)
     xfloat = solve_sdp(sys)

@@ -219,6 +219,24 @@ def test_stable_check_cli(capsys):
     assert code2 == 3  # not multiaffine is an input error
 
 
+def test_stable_check_names_its_witness_pairs(capsys):
+    # Delta_xw = (y z + z^2) / 100 is negative at a sampled point: the pair reads (x, w), not [0, 3]
+    poly = ["--poly", "x*y + x*z + y*z + z*w/100", "--vars", "x,y,z,w", "--no-timings"]
+    code, out, _ = run(capsys, "stable-check", *poly)
+    verdict = json.loads(out)["verdict"]
+    assert code == 1 and verdict["status"] == "CERTIFIED_NO"
+    assert verdict["witness"]["pair"] == ["x", "w"]
+    assert "Delta_03" not in verdict["detail"]
+    # one sample at bound 1 misses every negative value, and no Wronskian is a sum of squares
+    code, out, _ = run(capsys, "stable-check", *poly, "--sos-budget", "0", "--trials", "1", "--bound", "1")
+    verdict = json.loads(out)["verdict"]
+    assert code == 2 and verdict["status"] == "UNKNOWN"
+    assert verdict["witness"]["uncertified_pairs"] == [
+        ["x", "y"], ["x", "z"], ["x", "w"], ["y", "z"], ["y", "w"], ["z", "w"],
+    ]
+    assert "(0, 1)" not in verdict["detail"]
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys, "cone-member", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z",

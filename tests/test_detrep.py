@@ -201,12 +201,16 @@ def test_pencil_value_matches_a_solve_per_column():
                 p = ones(f.nvars)
                 if k >= 0:
                     p[k] += s
-                A, fp = built.values_at(p)
+                N, den, fp = built.numerators_at(p)
                 if fp:
                     break
+            A = [[Fraction(x, den) for x in row] for row in N]
             scale = Fraction(7, 3) * fp
             columns = [[scale if r == c else Fraction(0) for r in range(d)] for c in range(d)]
-            assert detrep._pencil_value(A, scale, p) == [solve_linear(A, col) for col in columns]
+            # scale * A^-1 = scale * den * adj N / det N, read column by column
+            det, adj = detrep._det_adjugate(N, p)
+            value = [[scale * den * Fraction(adj[r][c], det) for r in range(d)] for c in range(d)]
+            assert value == [solve_linear(A, col) for col in columns]
             checked += 1
     assert checked == sum(f.nvars + 1 for f, _ in inputs)
 

@@ -6,13 +6,23 @@
 - check_multiaffine_stable's sampling from the partials of f against
   evaluating every expanded Delta_ij f at every point;
 - the builder on Wronskians that are squares over R but not over Q, with
-  mu chosen along a spanning tree of the nonzero ones.
+  mu chosen along a spanning tree of the nonzero ones;
+- the builder's integer pencil (one fraction-free adjugate per point)
+  against a Fraction reference that solves [A(p) | -I] per point, the
+  elimination against solve_linear and mat_det, matrix_at against a
+  Fraction sum, and exact_divide against a Fraction long division;
+- detrep-build's stdout and certificate on the detrep workload's inputs,
+  pinned by sha256.
 """
 
+import hashlib
+import io
 import itertools
 import json
+import math
 import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -21,6 +31,7 @@ from hypersos import cli, detrep
 from hypersos.corpus import gen_elementary_symmetric, gen_product
 from hypersos.detrep import (
     DeterminantalRep,
+    DetRepError,
     InterlacerMatrix,
     IrrationalEntry,
     NoRep,
@@ -31,8 +42,9 @@ from hypersos.detrep import (
     interlacer_matrix_multiaffine,
     verify_detrep,
 )
+from hypersos.exactla import int_det_adjugate, mat_det, solve_affine_family, solve_linear
 from hypersos.hypercone import SampleConfig, delta_ij
-from hypersos.polycore import Polynomial, parse_poly, poly_determinant
+from hypersos.polycore import Polynomial, exact_divide, format_poly, grlex_key, parse_poly, poly_determinant
 
 CFG = SampleConfig(trials=24, seed=5, coordinate_bound=4)
 
@@ -315,3 +327,268 @@ def test_cli_irrational_entry_exits_2(capsys, monkeypatch):
                         "--vars", "x1,x2,x3,x4", "--dvars", "x1,x2,x3", "--e", "1,1,1,1", "--no-timings")
     verdict = json.loads(out)["verdict"]
     assert code == 2 and verdict["status"] == "UNKNOWN" and verdict["witness"] == {"pair": ["x2", "x3"]}
+
+# -- the integer pencil, its elimination, matrix_at and exact division ------------
+
+
+def fraction_value(p, point):
+    """p at a rational point, term by term in Fractions."""
+    return sum((c * math.prod(x**k for x, k in zip(point, m)) for m, c in p.terms.items()), Fraction(0))
+
+
+def reference_pencil(built, evec):
+    """(matrices, kappa) from Fraction values of the entries, each A(p)^-1 from one solve of [A(p) | -I]."""
+    f, d = built.f, len(built.entries)
+
+    def values(p):
+        return [[fraction_value(x, p) for x in row] for row in built.entries], fraction_value(f, p)
+
+    def pencil_value(A, scale, point):
+        rows = [{**dict(enumerate(row)), d + r: -1} for r, row in enumerate(A)]
+        _, null = solve_affine_family(rows, [0] * d, 2 * d)
+        if any(next(reversed(v)) < d for v in null):
+            shown = ", ".join(map(str, point))
+            raise DetRepError(f"A is singular at ({shown}), where f is not zero; no pencil fits")
+        return [[scale * v.get(r, 0) for r in range(d)] for v in null]
+
+    Ae, fe = values(evec)
+    if fe == 0:
+        raise DetRepError("f(e) = 0: no pencil is definite at e")
+    kappa = mat_det(Ae) / fe ** (d - 1)
+    base = pencil_value(Ae, kappa * fe, evec)
+    matrices = []
+    for k in range(len(evec)):
+        for s in range(1, d + 2):
+            p = list(evec)
+            p[k] += s
+            Ap, fp = values(p)
+            if fp:
+                break
+        Mp = pencil_value(Ap, kappa * fp, p)
+        matrices.append([[(x - y) / s for x, y in zip(rp, rb)] for rp, rb in zip(Mp, base)])
+    return matrices, kappa
+
+
+def bench_inputs():
+    """(name, f, d) for the detrep workload's detrep-build inputs, rank-one vectors drawn as at its seed 7."""
+    rng = random.Random(7)
+    out = [(f"e{d + 1}{d}", gen_elementary_symmetric(d + 1, d), d) for d in (3, 4, 5)]
+    out += [(f"product{d}", gen_product(d), d) for d in (3, 4, 5)]
+    out += [(f"rank1.n{n}d{d}", rank_one_det(rank_one_vectors(rng, n, d), [1] * n), d)
+            for n, d in ((6, 3), (6, 4), (7, 3), (6, 5))]
+    out += [("e42", gen_elementary_symmetric(4, 2), 2), ("e53", gen_elementary_symmetric(5, 3), 3)]
+    return out
+
+
+def congruent(built, rng):
+    """P A P^T for P unit upper triangular over large distinct denominators, as a forged interlacer matrix."""
+    d, A = len(built.entries), built.entries
+    P = [[Fraction(int(r == c)) if c <= r else Fraction(rng.randint(-9, 9), 10**15 + 11 * (r * d + c))
+          for c in range(d)] for r in range(d)]
+    zero = Polynomial.zero(built.f.nvars)
+    PA = [[sum((A[k][c] * P[r][k] for k in range(d) if P[r][k]), zero) for c in range(d)] for r in range(d)]
+    PAPt = [[sum((PA[r][k] * P[c][k] for k in range(d) if P[c][k]), zero) for c in range(d)] for r in range(d)]
+    return InterlacerMatrix(entries=PAPt, f=built.f, dvars=built.dvars)
+
+
+def pencil_cases():
+    """(built, e): the bench inputs, seeded rank-one pencils with rational vectors, and congruences."""
+    rng = random.Random(2929)
+    for _, f, d in bench_inputs():
+        built = interlacer_matrix_multiaffine(f, list(range(d)))
+        if isinstance(built, InterlacerMatrix):
+            yield built, [1] * f.nvars
+            yield congruent(built, rng), [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(f.nvars)]
+    for _ in range(24):
+        n, d = rng.randint(3, 6), rng.randint(2, 4)
+        n = max(n, d)
+        while True:
+            vs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d)] for _ in range(n)]
+            if all(mat_det([vs[i] for i in sub]) for sub in itertools.combinations(range(n), d)):
+                break
+        f = rank_one_det(vs, [rng.choice([1, 4, Fraction(9, 4)]) for _ in range(n)])
+        built = interlacer_matrix_multiaffine(f, list(range(d)))
+        yield built, [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)]
+    # forged matrices whose entries differ in degree, or are inhomogeneous
+    names = ["x", "y", "z"]
+    f = parse_poly("x*y + y*z + x*z", names)
+    for texts in ((("x^2 + 1/3*y", "z + x"), ("z + x", "y + 2")), (("x", "0"), ("0", "y^3 - z/5"))):
+        entries = [[parse_poly(t, names) for t in row] for row in texts]
+        for e in ([1, 1, 1], [Fraction(1, 2), 3, Fraction(2, 7)]):
+            yield InterlacerMatrix(entries=entries, f=f, dvars=[0, 1]), e
+
+
+def outcome(pencil, built, e):
+    try:
+        return pencil(built, e)
+    except DetRepError as exc:
+        return str(exc)
+
+
+def test_integer_pencil_matches_the_fraction_reference():
+    checked = large = 0
+    for built, e in pencil_cases():
+        got = outcome(detrep._pencil, built, e)
+        assert got == outcome(reference_pencil, built, e)
+        checked += not isinstance(got, str)
+        large += built._den > 10**30
+    assert checked >= 44 and large >= 8, (checked, large)
+
+
+def test_integer_pencil_raises_the_reference_errors():
+    x = [Polynomial.variable(2, i) for i in range(2)]
+    f = x[0] * x[1]
+    cases = [
+        # det A = 0 everywhere, so A(e) is singular
+        (InterlacerMatrix(entries=[[x[0], x[0]], [x[0], x[0]]], f=f, dvars=[0, 1]), [1, 1]),
+        # det A = x1^2 - 4 x2^2: regular at e = (1, 1), singular at e + e_1 = (2, 1), where f = 2
+        (InterlacerMatrix(entries=[[x[0], x[1] * 2], [x[1] * 2, x[0]]], f=f, dvars=[0, 1]), [1, 1]),
+        (InterlacerMatrix(entries=[[x[0], x[1] * 2], [x[1] * 2, x[0]]], f=f, dvars=[0, 1]), [Fraction(1, 2), 0]),
+    ]
+    messages = []
+    for built, e in cases:
+        with pytest.raises(DetRepError) as ref:
+            reference_pencil(built, e)
+        with pytest.raises(DetRepError) as got:
+            detrep._pencil(built, e)
+        assert str(got.value) == str(ref.value)
+        messages.append(str(got.value))
+    assert messages == [
+        "A is singular at (1, 1), where f is not zero; no pencil fits",
+        "A is singular at (2, 1), where f is not zero; no pencil fits",
+        "f(e) = 0: no pencil is definite at e",
+    ]
+
+
+def test_det_adjugate_matches_solves_and_mat_det():
+    rng = random.Random(29)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        N = [[rng.choice([0, 0, rng.randint(-3, 3), rng.randint(-10**12, 10**12)]) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # a repeated row, up to a factor
+            N[-1] = [3 * x for x in N[0]]
+        det, adj = int_det_adjugate(N)
+        assert det == mat_det(N)
+        if not det:
+            assert adj is None
+            singular += 1
+            continue
+        for c in range(n):
+            column = solve_linear(N, [Fraction(int(r == c)) for r in range(n)])
+            assert [Fraction(adj[r][c], det) for r in range(n)] == column
+    assert int_det_adjugate([]) == (1, [])
+    assert singular >= 40, singular
+
+
+def test_matrix_at_matches_a_fraction_sum_and_checks_the_length():
+    rng = random.Random(31)
+    for f, rep in built_reps():
+        for base in (rep, congruence(rep, rng)):
+            for _ in range(3):
+                p = [rng.choice([0, 1, Fraction(rng.randint(-7, 7), rng.randint(1, 10**9))]) for _ in range(rep.nvars)]
+                expected = [[sum((x * Mi[r][c] for x, Mi in zip(p, base.matrices)), Fraction(0))
+                             for c in range(rep.size)] for r in range(rep.size)]
+                assert base.matrix_at(p) == expected
+    rep = DeterminantalRep([[[Fraction(1)]], [[Fraction(2)]]], [1, 1], Fraction(1))
+    assert rep.matrix_at([1, Fraction(1, 2)]) == [[2]]
+    for point in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match=f"point length {len(point)} != nvars 2"):
+            rep.matrix_at(point)
+
+
+def naive_divide(p, f):
+    """p / f by long division over Fractions under graded lex, or None when f does not divide p."""
+    lead_m, lead_c = f.leading_term()
+    quo, rem = {}, dict(p.terms)
+    while rem:
+        m = max(rem, key=grlex_key)
+        if any(x > y for x, y in zip(lead_m, m)):
+            return None
+        qm = tuple(y - x for x, y in zip(lead_m, m))
+        qc = quo[qm] = rem[m] / lead_c
+        for fm, fc in f.terms.items():
+            k = tuple(a + b for a, b in zip(fm, qm))
+            v = rem.get(k, 0) - qc * fc
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return Polynomial(p.nvars, quo)
+
+
+def random_poly(rng, n, degree, terms, denominators):
+    out = {}
+    for _ in range(terms):
+        m = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            if n:
+                m[rng.randrange(n)] += 1
+        out[tuple(m)] = Fraction(rng.randint(-6, 6), rng.choice(denominators))
+    return Polynomial(n, out)
+
+
+def test_exact_divide_matches_fraction_long_division():
+    rng = random.Random(2929)
+    seen = {"divisible": 0, "not": 0, "zero": 0}
+    for k in range(600):
+        n = rng.randint(0, 4)
+        dens = [1] if k % 3 == 0 else [1, 2, 3, 7, 10**9 + 7]
+        b = random_poly(rng, n, 3, rng.randint(1, 4), dens)
+        if b.is_zero():
+            continue
+        if k % 4 == 1:  # non-primitive, or rational, divisor
+            b = b * rng.choice([6, Fraction(3, 4), Fraction(-10**12, 7)])
+        a = random_poly(rng, n, 3, rng.randint(0, 4), dens)
+        p = a * b
+        if k % 2:
+            p = p + random_poly(rng, n, 4, 1, dens)
+        expected = naive_divide(p, b)
+        assert exact_divide(p, b) == expected
+        seen["zero" if p.is_zero() else "not" if expected is None else "divisible"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+# detrep-build on the detrep workload's inputs: (exit code, sha256 of stdout, sha256 of --cert-out)
+BUILD_SHA256 = {
+    "e43": (0, "7139e22c7b153edaeda0169ddc9503330ecb55c5e9a4e6b4a169860e370d9536",
+            "4ff1b4c0b53717deb42b180879a6dd3d25f530dc99359bcae61bce7c945c0b9f"),
+    "e54": (0, "7b96a2e2ee4619d7dfa8f4b5dc0e10faacf5a6ca600c3475ece11f0eba026d8a",
+            "3d002f8e6234267e17892d9641a4658bd3fc7f4e42123bb6df82e2c8e0f9e24a"),
+    "e65": (0, "e9be1e53fad93b6e90e702a09777c2c0f0095abf64ebec1b3e3bf7df2940888e",
+            "1e9d0cbd0d1058abf5d50f6914736d5550ce5eb0719ab8b2b17ba8fb76c22440"),
+    "product3": (0, "638740a7860a14ea78cf744566465cb551968d14448a1215b59340e0851ace80",
+                 "bc9839065c943ffe9c6a863c4c56f4da433e6212ca4899c1a10163aed0ebb8a2"),
+    "product4": (0, "1d1fab976551fa7bf92e08b0a84e9be276fceb2462af38edfe56b462d464413e",
+                 "2a94c1f5237bb9b954319511d0302f6a5fdf38e2dbceb4eb13b8719873fb8ab1"),
+    "product5": (0, "0485a21c0d3e24f2bf976061f10d78be248ec526c31cd5a973f9c17f275db437",
+                 "ef8009ae395db75e7bcda12404b94c98e1e908f3d24e80b0b73bcc03795f8007"),
+    "rank1.n6d3": (0, "0bd9b471adfbbbafba8ea5d4b5c21e2d9cb48d315c64752e3d4216ccab7a612b",
+                   "2bd4793ab97aaea6d3cf0b6778484c3a4419e261c002189a6b4136dad6ecfb29"),
+    "rank1.n6d4": (0, "e97975e8e353ceac05e2e21da379fd34b573da40fdeb476cb3273d8262570a71",
+                   "5766bf5c45e6ad28766e7c405137601d74703db0f12c4f386e1e4290b0730493"),
+    "rank1.n7d3": (0, "3fc3f108e983dd5f60edd6188aab451212159733d743d64211272692a9619bad",
+                   "bbb6970e984ee95b75ae8ddb7659654d3cbe44862d1fa00eaf5cc34e777b1299"),
+    "rank1.n6d5": (0, "78451c12e59db942ee8119248da89f32ff8385782d3f9a3d28abe9676eb2d6c8",
+                   "42bd69d78f5def77d11cb65aad57491a9bc45d587e91506d61af2195aafc9f98"),
+    "e42": (1, "3dd5ac3ade14c9e436af86ae792d1864a6d3cb3fddcc8495dc17d550b2539314", None),
+    "e53": (1, "0c82fa96f68469392a4ef047f35cab7cb1a151de4f9db7d4d4bd0176cc66d938", None),
+}
+
+
+def test_build_output_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --cert-out keeps the path in stdout fixed
+    got = {}
+    for name, f, d in bench_inputs():
+        names = [f"x{i + 1}" for i in range(f.nvars)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["detrep-build", "--poly", format_poly(f, names), "--vars", ",".join(names),
+                             "--dvars", ",".join(names[:d]), "--e", ",".join(["1"] * f.nvars),
+                             "--no-timings", "--cert-out", "rep.json"])
+        cert = tmp_path / "rep.json"
+        digest = hashlib.sha256(cert.read_bytes()).hexdigest() if cert.exists() else None
+        cert.unlink(missing_ok=True)
+        got[name] = (code, hashlib.sha256(out.getvalue().encode()).hexdigest(), digest)
+    assert got == BUILD_SHA256
