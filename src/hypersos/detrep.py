@@ -18,13 +18,15 @@ ints: the entries of A are compiled over one common denominator, so A(p) =
 N / c for an int matrix N, and one fraction-free Gauss-Jordan elimination
 of [N | I] gives det N and adj N.  So kappa comes from det N at e, M(p) is
 adj N times one rational, and each coefficient entry is one Fraction.  The
-sign fix divides the 2x2 minors by f as int polynomials.  Nothing checks
-beforehand that A is rank one modulo f: verify_detrep (det M = gamma * f
-exactly, gamma != 0, M(e) > 0 by exact LDL^T) is the one proof that the
-result is a representation.  It expands det M over ints from the
-lcm-scaled coefficient matrices, by fraction-free Bareiss elimination, and
-reads M(e) from the same scaled ints (matrix_at).  The stability test
-samples every Delta_ij f at once from f and its partials, compiled in ints.
+sign fix forms the 2x2 minors and divides them by f with polycore's int
+kernels (_int_cross, _int_quotient).  Nothing checks beforehand that A is
+rank one modulo f: verify_detrep (det M = gamma * f exactly, gamma != 0,
+M(e) > 0 by exact LDL^T) is the one proof that the result is a
+representation.  It expands det M with poly_determinant, polycore's one
+fraction-free Bareiss loop, and reads M(e) from lcm-scaled ints
+(matrix_at).  This module packs no monomials itself: the key layout of
+those kernels stays in polycore.  The stability test samples every
+Delta_ij f at once from f and its partials, compiled in ints.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ from .exactla import int_det_adjugate, ldl_psd
 from .hypercone import SampleConfig, delta_ij
 from .polycore import (
     Polynomial,
-    _accumulate,
     _common_denominator,
-    _int_product,
+    _int_cross,
     _int_quotient,
-    _int_terms,
     _IntForm,
-    _primitive_divisor,
+    _Keys,
     _rationals,
     directional_derivative,
     perfect_square_root,
@@ -102,20 +102,10 @@ class DeterminantalRep:
     def pencil(self) -> list:
         """The d x d matrix of linear forms sum_i x_i M_i."""
         n, d = self.nvars, self.size
-        out = []
-        for r in range(d):
-            row = []
-            for c in range(d):
-                terms = {}
-                for i in range(n):
-                    v = self.matrices[i][r][c]
-                    if v:
-                        mono = [0] * n
-                        mono[i] = 1
-                        terms[tuple(mono)] = v
-                row.append(Polynomial(n, terms))
-            out.append(row)
-        return out
+        units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        return [[Polynomial._trusted(n, {u: v if type(v) is Fraction else Fraction(v)
+                                         for u, Mi in zip(units, self.matrices) if (v := Mi[r][c])})
+                 for c in range(d)] for r in range(d)]
 
     def matrix_at(self, point: Sequence) -> list:
         """M(p) = sum_i p_i M_i at a rational point p of length nvars.
@@ -348,19 +338,17 @@ def interlacer_matrix_multiaffine(
         A[a][b] = A[b][a] = root if scale == 1 else root * scale
 
     # fix the sign of a_ij (2 <= i < j) so a_11*a_ij - a_1i*a_1j is divisible by
-    # f; with a_ij = I_ij / d_ij scaled to ints, d_11 d_ij d_1i d_1j times the minor
-    # is an int polynomial, and a positive scale leaves divisibility unchanged
-    _, divisor = _primitive_divisor(_int_terms(f.terms)[1])
-    row0 = [_int_terms(p.terms) for p in (A[0] if d else [])]
+    # f; over the lcm L of the entries' denominators, L^2 times each minor is an
+    # int polynomial, and a positive scale leaves divisibility unchanged
+    keys = _Keys.for_degree(f.nvars, 2 * d)
+    _, divisor = keys.primitive(f)
+    _, flat = keys.scaled([x for row in A for x in row])
+    I = [flat[r * d:(r + 1) * d] for r in range(d)]
     for a in range(1, d):
         for b in range(a + 1, d):
-            dab, Iab = _int_terms(A[a][b].terms)
-            (d00, I00), (d0a, I0a), (d0b, I0b) = row0[0], row0[a], row0[b]
-            left = {m: c * d0a * d0b for m, c in _int_product(I00, Iab).items()}
-            right = [(m, -c * d00 * dab) for m, c in _int_product(I0a, I0b).items()]
-            if _int_quotient(_accumulate(dict(left), right), divisor) is None:
-                flipped = {m: -c for m, c in left.items()}
-                if _int_quotient(_accumulate(flipped, right), divisor) is None:
+            if _int_quotient(_int_cross(I[0][0], I[a][b], I[0][a], I[0][b]), divisor, keys.guard) is None:
+                flipped = _int_cross(I[0][0], I[a][b], {k: -c for k, c in I[0][a].items()}, I[0][b])
+                if _int_quotient(flipped, divisor, keys.guard) is None:
                     raise DetRepError(
                         f"no sign of the ({dvars[a]},{dvars[b]}) entry makes the leading "
                         "2x2 minor divisible by f; f is likely reducible - factor it and "
@@ -487,7 +475,11 @@ def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:
 
 
 def verify_detrep(rep: DeterminantalRep, f: Polynomial) -> CheckResult:
-    """Exact verification: symmetric pencil, det(pencil) = gamma * f, gamma != 0, M(e) > 0."""
+    """Exact verification: symmetric pencil, det(pencil) = gamma * f, gamma != 0, M(e) > 0.
+
+    The determinant identity is checked by _det_is, on poly_determinant's
+    fraction-free Bareiss elimination; M(e) > 0 by exact LDL^T.
+    """
     if not rep.matrices or not rep.matrices[0]:
         return CheckResult(False, "the pencil has no matrices, or 0 x 0 ones")
     if rep.nvars != f.nvars or len(rep.e) != f.nvars:
@@ -509,86 +501,15 @@ def verify_detrep(rep: DeterminantalRep, f: Polynomial) -> CheckResult:
 
 
 def _det_is(rep: DeterminantalRep, f: Polynomial) -> bool:
-    """det(sum_i x_i M_i) == gamma * f, as a polynomial identity, expanded in ints.
+    """det(sum_i x_i M_i) == gamma * f, as a polynomial identity.
 
-    With the matrices scaled to ints by the lcm D of their denominators,
-    det(D M(x)) = D^d det M(x) comes from fraction-free Bareiss elimination,
-    whose divisions by the previous pivot are exact (an entry after step k
-    is a (k+1)-minor), so the cost is polynomial in d.  It runs in Z[t]
-    under x_i -> t^(2^(b*i)): a term dict maps the exponent of t, the
-    packed monomial, to its int coefficient.  The map is a ring
-    homomorphism, so it commutes with det, and with b bits per variable it
-    is one to one on the monomials of degree d, so det(D M(x)) is read back
-    and compared with D^d * gamma * f term by term.  The determinant is
-    homogeneous of degree d or zero, so an f with a term of another degree
-    fails at once.
+    The determinant is homogeneous of degree d or zero, so an f with a term
+    of another degree fails at once; otherwise poly_determinant expands the
+    pencil by fraction-free Bareiss elimination, polynomial in d.
     """
-    d = rep.size
-    if any(sum(m) != d for m in f.terms):
+    if any(sum(m) != rep.size for m in f.terms):
         return False
-    bits = d.bit_length()
-    D, flat = _common_denominator([x for Mi in rep.matrices for row in Mi for x in row])
-    # entry (r, c) of D M(x) as {packed x_i: D * M_i[r][c] for every nonzero one}
-    M = [[{1 << (bits * i): v for i in range(rep.nvars) if (v := flat[(i * d + r) * d + c])}
-          for c in range(d)] for r in range(d)]
-    sign, prev = 1, None
-    for k in range(d - 1):
-        if not M[k][k]:
-            r = next((r for r in range(k + 1, d) if M[r][k]), None)
-            if r is None:  # column k is zero below row k - 1: the determinant is zero
-                M[d - 1][d - 1] = {}
-                break
-            M[k], M[r] = M[r], M[k]
-            sign = -sign
-        pivot, top = M[k][k], M[k]
-        for row in M[k + 1:]:
-            left = row[k]
-            for j in range(k + 1, d):
-                acc: dict[int, int] = {}
-                get = acc.get
-                for x, v in pivot.items():
-                    for y, w in row[j].items():
-                        acc[x + y] = get(x + y, 0) + v * w
-                for x, v in left.items():
-                    for y, w in top[j].items():
-                        acc[x + y] = get(x + y, 0) - v * w
-                acc = {m: w for m, w in acc.items() if w}
-                row[j] = acc if prev is None else _exact_quotient(acc, prev)
-        prev = pivot
-    det = M[d - 1][d - 1]
-    # det(D M) = sign * det = D^d gamma f, with gamma = gn / gd and f = F / q
-    q, F = _common_denominator(f.terms.values())
-    gn, gd = rep.gamma.as_integer_ratio()
-    lhs, rhs = sign * gd * q, D**d * gn
-    if len(det) != len(F):
-        return False
-    return all(det.get(sum(e << (bits * i) for i, e in enumerate(m)), 0) * lhs == rhs * c
-               for m, c in zip(f.terms, F))
-
-
-def _exact_quotient(num: dict, den: dict) -> dict:
-    """num / den in Z[t], for term dicts {exponent: int} where den divides num exactly.
-
-    Long division from the highest power down: each step cancels the
-    leading term of the remainder with one term of the quotient.
-    """
-    if len(den) == 1:
-        ((y, w),) = den.items()
-        return {x - y: v // w for x, v in num.items()}
-    lead = max(den)
-    lc = den[lead]
-    rest = [(y - lead, w) for y, w in den.items() if y != lead]
-    rem, quo = dict(num), {}
-    while rem:
-        x = max(rem)
-        c = quo[x - lead] = rem.pop(x) // lc
-        for y, w in rest:
-            v = rem.get(x + y, 0) - c * w
-            if v:
-                rem[x + y] = v
-            else:
-                rem.pop(x + y, None)
-    return quo
+    return poly_determinant(rep.pencil()) == f * rep.gamma
 
 
 def interlacer_from_detrep(rep: DeterminantalRep, E: Sequence[Sequence]) -> Polynomial:

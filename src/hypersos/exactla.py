@@ -6,10 +6,12 @@ vectors out, and fraction-free: each row of [A | b] is scaled to Python ints
 by the lcm of its denominators, rows are combined by cross-multiplication
 and kept primitive (divided by the gcd of their entries), and Fractions are
 built only for the solution.  solve_linear is a square, nonsingular call of
-it.  Determinants have one fraction-free Bareiss loop, _bareiss: mat_det
-runs it on the lcm-scaled ints and builds one Fraction, and
-int_det_adjugate runs it as Gauss-Jordan elimination of [N | I] for an int
-matrix N, which gives det N and adj N with exact divisions only.  The
+it.  Scalar determinants have one fraction-free Bareiss loop, _bareiss
+(polycore keeps the one loop for determinants of polynomial matrices,
+poly_determinant): mat_det runs it on the lcm-scaled ints and builds one
+Fraction, and int_det_adjugate runs it as Gauss-Jordan elimination of
+[N | I] for an int matrix N, which gives det N and adj N with exact
+divisions only.  The
 LDL^T factorization with symmetric pivoting is fraction-free too: the
 symmetry check and symmetric Bareiss elimination run on the lcm-scaled
 ints, and LDL^T's D is built as Fractions and its L only when read.

@@ -8,7 +8,15 @@ Evaluation, line restriction, polynomial multiplication, directional
 derivatives, Wronskians, exact division and the square root run
 fraction-free: they scale the point, the direction and the coefficients to
 integers by the lcm of their denominators, work in Python int, and build
-Fractions only for the results.  Exact division divides by the primitive
+Fractions only for the results.  Exact division and determinants share
+one packed int key per monomial (_Keys): the total degree in the top field,
+then one guarded field per variable, so that comparing keys as ints is the
+graded lex order, a product of monomials is a sum of keys, and a
+divisibility test is one subtraction and one mask.  On these keys
+_int_quotient is the one long division (exact_divide, the determinantal
+builder's 2x2-minor sign fix, every Bareiss step) and _int_determinant the
+one fraction-free Bareiss loop over polynomials (poly_determinant, and so
+poly_adjugate and verify_detrep).  exact_divide divides by the primitive
 part of the divisor, so by Gauss's lemma every step of a division that
 succeeds is an exact int division.  Evaluation and line restriction share
 one compiled integer form, _IntForm, and one kernel: a whole list of
@@ -26,8 +34,9 @@ with Polynomial._trusted instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
-the order used for canonical formatting, for single-divisor long division,
-and for the greedy square-root extraction.
+the order used for canonical formatting, for single-divisor long division
+(where it is the int order of the packed keys), and for the greedy
+square-root extraction.
 """
 
 from __future__ import annotations
@@ -326,11 +335,6 @@ def _mul_terms(a: dict, b: dict) -> dict:
     da, A = _int_terms(a)
     db, B = _int_terms(b)
     den = da * db
-    return {m: Fraction(v, den) for m, v in _int_product(A, B).items()}
-
-
-def _int_product(A: dict, B: dict) -> dict:
-    """Term dict of A * B for int term dicts, cancelled coefficients dropped."""
     bterms = list(B.items())
     acc: dict[Mono, int] = {}
     get = acc.get
@@ -338,7 +342,7 @@ def _int_product(A: dict, B: dict) -> dict:
         for mb, cb in bterms:
             m = tuple(map(add, ma, mb))
             acc[m] = get(m, 0) + ca * cb
-    return {m: v for m, v in acc.items() if v}
+    return {m: Fraction(v, den) for m, v in acc.items() if v}
 
 
 def _int_terms(terms: dict) -> tuple[int, dict]:
@@ -801,6 +805,143 @@ def _signed_digits(v: int, B: int, count: int) -> list[int]:
     return out
 
 
+# -- packed monomial keys: exact division and determinants ----------------------
+
+
+class _Keys(NamedTuple):
+    """Monomials packed into ints, for the exact division and determinant kernels.
+
+    A key holds the total degree in its top field, then one field of width
+    bits per variable, first variable most significant.  The top bit of each
+    variable's field is a guard bit that no key sets, so a field holds
+    exponents below 2^(width-1); for_degree sizes the fields for every
+    monomial of one computation.  Then comparing keys as ints is the graded
+    lex order, the product of two monomials is the sum of their keys, and
+    lead divides m exactly when m - lead has no guard bit set: the lowest
+    exponent of m below that of lead borrows and sets its field's guard bit.
+    That covers m < lead too, which always has such an exponent (the degree
+    is the sum of the exponents), since & reads a negative int in two's
+    complement.
+    """
+
+    nvars: int
+    width: int
+    guard: int
+
+    @classmethod
+    def for_degree(cls, nvars: int, degree: int) -> "_Keys":
+        """Keys for the monomials of total degree at most degree."""
+        width = degree.bit_length() + 1
+        return cls(nvars, width, sum(1 << (width * i + width - 1) for i in range(nvars)))
+
+    def scaled(self, polys: Sequence[Polynomial]) -> tuple[int, list[dict]]:
+        """(L, [{key: int}]): each polynomial times the lcm L of all their denominators."""
+        w = self.width
+        den, ints = _common_denominator([c for p in polys for c in p.terms.values()])
+        coeffs = iter(ints)
+        out = []
+        for p in polys:
+            packed = {}
+            for m in p.terms:
+                key = sum(m)
+                for e in m:
+                    key = key << w | e
+                packed[key] = next(coeffs)
+            out.append(packed)
+        return den, out
+
+    def primitive(self, f: Polynomial) -> tuple[Fraction, dict]:
+        """(s, F) with f = s * F for a primitive int polynomial F, so that _int_quotient's None is a proof."""
+        den, (F,) = self.scaled([f])
+        g = math.gcd(*F.values())
+        return Fraction(g, den), {k: c // g for k, c in F.items()}
+
+    def terms(self, packed: dict, den: int, num: int = 1) -> dict:
+        """The term dict of packed * num / den: one Fraction per term."""
+        w = self.width
+        mask, shifts = (1 << w) - 1, range(w * (self.nvars - 1), -1, -w)
+        return {tuple([k >> s & mask for s in shifts]): Fraction(c * num, den) for k, c in packed.items()}
+
+
+def _int_cross(a: dict, b: dict, c: dict, e: dict) -> dict:
+    """a * b - c * e for int polynomials keyed by _Keys, cancelled coefficients dropped."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for x, v in a.items():
+        for y, w in b.items():
+            acc[x + y] = get(x + y, 0) + v * w
+    for x, v in c.items():
+        for y, w in e.items():
+            acc[x + y] = get(x + y, 0) - v * w
+    return {m: w for m, w in acc.items() if w}
+
+
+def _int_quotient(P: dict, F: dict, guard: int) -> Optional[dict]:
+    """P / F for int polynomials keyed by _Keys, or None when a step of the long division fails.
+
+    Long division from the grlex-largest term down: each step cancels the
+    leading term of the remainder with one quotient term, and no remainder
+    term has a larger degree than P, so keys sized for P hold them all.  A
+    step fails when the leading monomial of F does not divide that of the
+    remainder, or lc(F) does not divide its coefficient.  For a primitive F
+    that proves F does not divide P: by Gauss's lemma the quotient would
+    have integer coefficients, so every remainder would be F times an
+    integer polynomial.  Where F is known to divide P (a Bareiss step), F
+    need not be primitive.
+    """
+    lead = max(F)
+    lc = F[lead]
+    rest = [(k - lead, v) for k, v in F.items() if k != lead]
+    rem, quo = dict(P), {}
+    while rem:
+        key = max(rem)
+        q = key - lead
+        if q & guard:
+            return None
+        c, inexact = divmod(rem.pop(key), lc)
+        if inexact:
+            return None
+        quo[q] = c
+        # rem -= c * x^q * (F - its leading term)
+        for k, v in rest:
+            k += key
+            v = rem.get(k, 0) - c * v
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return quo
+
+
+def _int_determinant(M: list, guard: int) -> dict:
+    """det M for a square matrix of int polynomials keyed by _Keys, by fraction-free Bareiss elimination.
+
+    Step k replaces each entry below and right of the pivot by the 2x2
+    minor with the pivot, divided by the previous pivot.  By Sylvester's
+    identity the result is a (k+2)-minor of M, so every division is exact
+    and the cost is polynomial in the size n.  The keys must hold twice the
+    degree of a determinant of M.  The rows of M are overwritten.
+    """
+    n = len(M)
+    sign, prev = 1, None
+    for k in range(n - 1):
+        if not M[k][k]:
+            r = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if r is None:  # column k is zero below row k - 1
+                return {}
+            M[k], M[r] = M[r], M[k]
+            sign = -sign
+        pivot, top = M[k][k], M[k]
+        for row in M[k + 1:]:
+            left = row[k]
+            for j in range(k + 1, n):
+                minor = _int_cross(pivot, row[j], left, top[j])
+                row[j] = minor if prev is None else _int_quotient(minor, prev, guard)
+        prev = pivot
+    det = M[n - 1][n - 1]
+    return det if sign == 1 else {k: -c for k, c in det.items()}
+
+
 # -- polynomial matrices (plain nested lists, row major) --------------------------
 
 
@@ -811,64 +952,23 @@ def _check_square(M: Sequence[Sequence[Polynomial]]) -> int:
     return n
 
 
-def _divexact(p: Polynomial, f: Polynomial) -> Polynomial:
-    q = exact_divide(p, f)
-    if q is None:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
 def poly_determinant(M: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials.
+    """Exact determinant of a square matrix of polynomials in one ring.
 
-    Cofactor expansion for sizes up to 4, fraction-free Bareiss elimination
-    above that (every division there is exact in the polynomial ring).
+    With the entries scaled to ints by the lcm L of all their denominators,
+    det M = det(L M) / L^n, and det(L M) comes from _int_determinant on keys
+    sized for 2n times the largest entry degree: one Fraction per term.
     """
     n = _check_square(M)
     nvars = M[0][0].nvars
-    if n == 1:
-        return M[0][0]
-    if n <= 4:
-        return _det_cofactor([list(row) for row in M])
-    work = [list(row) for row in M]
-    one = Polynomial.const(nvars, 1)
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = k
-        while pivot_row < n and work[pivot_row][k].is_zero():
-            pivot_row += 1
-        if pivot_row == n:
-            return Polynomial.zero(nvars)
-        if pivot_row != k:
-            work[pivot_row], work[k] = work[k], work[pivot_row]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = _divexact(num, prev)
-            work[i][k] = Polynomial.zero(nvars)
-        prev = pivot
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _det_cofactor(M: list) -> Polynomial:
-    n = len(M)
-    nvars = M[0][0].nvars
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    acc = Polynomial.zero(nvars)
-    for j in range(n):
-        if M[0][j].is_zero():
-            continue
-        minor = [[M[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = M[0][j] * _det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    entries = [p for row in M for p in row]
+    for p in entries:
+        if p.nvars != nvars:
+            raise ValueError(f"variable count mismatch: {p.nvars} vs {nvars}")
+    keys = _Keys.for_degree(nvars, 2 * n * max(0, *(p.total_degree() for p in entries)))
+    L, ints = keys.scaled(entries)
+    det = _int_determinant([ints[r * n:(r + 1) * n] for r in range(n)], keys.guard)
+    return Polynomial._trusted(nvars, keys.terms(det, L**n))
 
 
 def poly_adjugate(M: Sequence[Sequence[Polynomial]]) -> list:
@@ -896,59 +996,20 @@ def poly_adjugate(M: Sequence[Sequence[Polynomial]]) -> list:
 def exact_divide(p: Polynomial, f: Polynomial) -> Optional[Polynomial]:
     """Quotient q with p = q*f, or None when f does not divide p.
 
-    Single-divisor long division under graded lex, in Python int: with
-    p = P / dp and f = g * F / df for a primitive int polynomial F, the
-    quotient is P / F * df / (dp * g), and _int_quotient divides P by F.
+    One long division (_int_quotient) on packed keys, in Python int: with
+    p = P / dp and f = s * F for a primitive int polynomial F, the quotient
+    is (P / F) / (dp * s).
     """
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     p._check_same_ring(f)
-    dp, P = _int_terms(p.terms)
-    df, F = _int_terms(f.terms)
-    g, divisor = _primitive_divisor(F)
-    quo = _int_quotient(P, divisor)
+    keys = _Keys.for_degree(p.nvars, max(p.total_degree(), f.total_degree()))
+    s, F = keys.primitive(f)
+    dp, (P,) = keys.scaled([p])
+    quo = _int_quotient(P, F, keys.guard)
     if quo is None:
         return None
-    den = dp * g
-    return Polynomial._trusted(p.nvars, {m: Fraction(c * df, den) for m, c in quo.items()})
-
-
-def _primitive_divisor(F: dict) -> tuple[int, list]:
-    """(g, terms): a nonzero int term dict F is g times the primitive divisor terms, for _int_quotient.
-
-    terms lists (degree, monomial, coefficient), the grlex-leading term first.
-    """
-    g = math.gcd(*F.values())
-    return g, sorted(((sum(m), m, c // g) for m, c in F.items()), reverse=True)
-
-
-def _int_quotient(P: dict, divisor: list) -> Optional[dict]:
-    """P / F for an int term dict P and a primitive divisor F, or None when F does not divide P.
-
-    Long division from the grlex-largest term down, on terms keyed by
-    (degree, monomial), so that max() compares the keys themselves.  By
-    Gauss's lemma, a quotient of P by the primitive F has integer
-    coefficients, so if F divides P, every remainder is F times an integer
-    polynomial, and its leading term is divisible by the leading term of F,
-    coefficient included; hence the first failed step is a sound certificate
-    of non-divisibility.
-    """
-    (lead_deg, lead_m, lead_c), rest = divisor[0], divisor[1:]
-    rem = {(sum(m), m): c for m, c in P.items()}
-    quo: dict[Mono, int] = {}
-    while rem:
-        key = max(rem)
-        deg, m = key
-        if not mono_divides(lead_m, m):
-            return None
-        c, inexact = divmod(rem.pop(key), lead_c)
-        if inexact:
-            return None
-        qdeg, qm = deg - lead_deg, tuple(x - y for x, y in zip(m, lead_m))
-        quo[qm] = c
-        # rem -= c * x^qm * (F - its leading term)
-        _accumulate(rem, [((fdeg + qdeg, mono_mul(fm, qm)), -c * fc) for fdeg, fm, fc in rest])
-    return quo
+    return Polynomial._trusted(p.nvars, keys.terms(quo, dp * s.numerator, s.denominator))
 
 
 def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:

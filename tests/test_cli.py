@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON output, determinism, file inputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,22 @@ def test_gen_elementary_symmetric(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["poly"] == "x1*x2 + x1*x3 + x1*x4 + x2*x3 + x2*x4 + x3*x4"
+
+
+# sha256 of `gen sym-det --d <d> --no-timings` stdout: the determinant's canonical text
+SYM_DET_SHA256 = {
+    2: "ce5b1f39c0f94838a01ce9b84466a76a041244d05210e3febc0c84c0d3ae65b2",
+    3: "544cc438d9df3bd91d3c281a404249be585739ce8e39ab49012f2aadbb87ecb9",
+    4: "6cb73d1b8b30908696514b606aa45442108995d2a35d7484683d1d7423ee4242",
+    5: "7acea73c7cba377ab2fc1d237fea484de4c66ac6bac7d931bc8e1c7ac79951eb",
+}
+
+
+def test_gen_sym_det_output_is_pinned(capsys):
+    for d, digest in SYM_DET_SHA256.items():
+        code, out, _ = run(capsys, "gen", "sym-det", "--d", str(d), "--no-timings")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, d
 
 
 def test_gen_families(capsys):

@@ -1,8 +1,9 @@
 """The integer kernels of the detrep path against their Fraction references.
 
-- verify_detrep's determinant identity against poly_determinant(rep.pencil())
-  == gamma * f, on built representations, on rational congruences of them,
-  and on seeded mutations of both (a mutated pencil never verifies);
+- verify_detrep's determinant identity (poly_determinant of the pencil)
+  against the signed sum over permutations of reference_det.py, on built
+  representations, on rational congruences of them, and on seeded
+  mutations of both (a mutated pencil never verifies);
 - check_multiaffine_stable's sampling from the partials of f against
   evaluating every expanded Delta_ij f at every point;
 - the builder on Wronskians that are squares over R but not over Q, with
@@ -10,7 +11,8 @@
 - the builder's integer pencil (one fraction-free adjugate per point)
   against a Fraction reference that solves [A(p) | -I] per point, the
   elimination against solve_linear and mat_det, matrix_at against a
-  Fraction sum, and exact_divide against a Fraction long division;
+  Fraction sum, and exact_divide against a Fraction long division, on
+  seeded pairs and on the edge cases of its packed keys' guard bits;
 - detrep-build's stdout and certificate on the detrep workload's inputs,
   pinned by sha256.
 """
@@ -26,6 +28,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from reference_det import det_by_permutations
 
 from hypersos import cli, detrep
 from hypersos.corpus import gen_elementary_symmetric, gen_product
@@ -50,7 +53,8 @@ CFG = SampleConfig(trials=24, seed=5, coordinate_bound=4)
 
 
 def reference_identity(rep, f):
-    return poly_determinant(rep.pencil()) == f * rep.gamma
+    assert rep.size <= 6
+    return det_by_permutations(rep.pencil()) == f * rep.gamma
 
 
 def rank_one_det(vectors, weights):
@@ -548,6 +552,30 @@ def test_exact_divide_matches_fraction_long_division():
         assert exact_divide(p, b) == expected
         seen["zero" if p.is_zero() else "not" if expected is None else "divisible"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_exact_divide_guard_bit_edge_cases():
+    # the keys hold exponents below 2^(width-1) for width = deg.bit_length() + 1,
+    # so an exponent of 2^k - 1 fills its field up to the guard bit
+    names = ["x", "y", "z"]
+    cases = [("x*y^3", "x^2*y^2"), ("x^3*y + x*y^3", "x^2*y^2"), ("x^2*y^2*z - x*y^3*z", "x*y^2 - y^3"),
+             ("x", "x^2"), ("x + y", "x*y - z^2"), ("0", "x - y"), ("0", "7/3"),
+             # lc(F) does not divide a leading coefficient, though every monomial divides
+             ("3*x + 3*y", "2*x + 3*y"), ("3*x^2 + 6*x*y + 9*y^2", "2*x + 3*y"), ("x + 2*y", "2*x + 4*y"),
+             ("x^2 - 1/3*y*z + 5", "3"), ("x^2 - 1/3*y*z + 5", "-2/10000000007")]
+    for D in (1, 2, 3, 4, 7, 8, 15, 16):
+        cases += [(f"x^{D} - y^{D}", "x - y"), (f"x^{D} + z^{D}", "x + z"), (f"x^{D}", f"x^{D}"),
+                  (f"x^{D - 1}*y", f"x^{D}"), (f"y^{D}", "x"), (f"z^{D}", "y"), (f"x*y^{D}", f"x^2*y^{D - 1}"),
+                  (f"x^{D}*y^{D}*z^{D}", f"x^{D}*z^{D}"), (f"(x^{D} - 1)*(y^{D} + z)", f"y^{D} + z")]
+    seen = {"divisible": 0, "not": 0}
+    for ptext, ftext in cases:
+        p, f = parse_poly(ptext, names), parse_poly(ftext, names)
+        expected = naive_divide(p, f)
+        assert exact_divide(p, f) == expected, (ptext, ftext)
+        seen["not" if expected is None else "divisible"] += 1
+    assert exact_divide(parse_poly("x*y^3", names), parse_poly("x^2*y^2", names)) is None
+    assert exact_divide(parse_poly("x^15 - y^15", names), parse_poly("x - y", names)).total_degree() == 14
+    assert min(seen.values()) >= 25, seen
 
 
 # detrep-build on the detrep workload's inputs: (exit code, sha256 of stdout, sha256 of --cert-out)

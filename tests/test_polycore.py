@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_det import det_by_permutations
 
 from hypersos.polycore import (
     Polynomial,
@@ -618,30 +619,50 @@ def test_determinant_examples():
     assert poly_determinant(pencil) == parse_poly("x^2 + 2*x*y", ["x", "y"])
 
 
-def _det_permanent_style(M):
-    # independent oracle: signed permutation expansion
-    n = len(M)
-    total = Polynomial.zero(M[0][0].nvars)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Polynomial.const(M[0][0].nvars, sign)
-        for i in range(n):
-            term = term * M[i][perm[i]]
-        total = total + term
-    return total
+def random_entry(rng, nvars, max_deg, terms, dens):
+    """A polynomial of total degree <= max_deg, not necessarily homogeneous; zero with probability 1/5."""
+    if rng.random() < 0.2:
+        return Polynomial.zero(nvars)
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        m = [0] * nvars
+        for _ in range(rng.randint(0, max_deg) if nvars else 0):
+            m[rng.randrange(nvars)] += 1
+        out[tuple(m)] = Fraction(rng.randint(-5, 5), rng.choice(dens))
+    return Polynomial(nvars, out)
 
 
 def test_determinant_bareiss_matches_permutation_expansion():
+    # sizes 1-6, 0-4 variables, entries of degree 0-3 over denominators up to
+    # 10^9 + 7, with zero rows and columns, dependent rows and constant matrices
     rng = random.Random(13)
-    for size in (3, 5):
-        for _ in range(3):
-            M = [[rand_poly(rng, 2, max_deg=1, terms=2, coeff_bound=3) for _ in range(size)] for _ in range(size)]
-            assert poly_determinant(M) == _det_permanent_style(M)
+    dens = [1, 2, 3, 7, 10**9 + 7]
+    seen = {"zero": 0, "nonzero": 0}
+    for k in range(90):
+        size, nvars, shape = 1 + k % 6, rng.randint(0, 4), k // 6 % 5
+        max_deg = 0 if shape == 4 else rng.randint(1, 3 if size <= 4 else 2)
+        M = [[random_entry(rng, nvars, max_deg, 3 if size <= 4 else 2, dens) for _ in range(size)]
+             for _ in range(size)]
+        r, c = rng.randrange(size), rng.randrange(size)
+        if shape == 1:  # a zero row
+            M[r] = [Polynomial.zero(nvars)] * size
+        elif shape == 2:  # a zero column
+            for row in M:
+                row[c] = Polynomial.zero(nvars)
+        elif shape == 3 and size > 1:  # row r is a polynomial multiple of another row
+            scale = random_entry(rng, nvars, 1, 2, dens) or Polynomial.const(nvars, Fraction(-3, 10**9 + 7))
+            M[r] = [x * scale for x in M[(r + 1) % size]]
+        det = poly_determinant(M)
+        assert det == det_by_permutations(M)
+        seen["zero" if det.is_zero() else "nonzero"] += 1
+    assert min(seen.values()) >= 25, seen
+    # entries in different rings
+    x2, x3 = Polynomial.variable(2, 0), Polynomial.variable(3, 0)
+    for size in (2, 3, 5):
+        M = [[x2 + k for k in range(size)] for _ in range(size)]
+        M[size - 1][size - 1] = x3
+        with pytest.raises(ValueError):
+            poly_determinant(M)
 
 
 def test_adjugate_examples():
