@@ -9,24 +9,30 @@ square over R but not over Q, lam * s^2 with lam not a rational square,
 is taken into A under the congruence diag(sqrt(mu)), with mu chosen along a
 spanning tree of the nonzero Wronskians (mu_b = lam_ab * mu_a on a tree
 edge), which makes every tree entry rational; an entry that stays
-irrational leaves the input undecided.  When A is rank one modulo f, det A =
-kappa * f^(d-1) with kappa a constant, so the linear pencil M = adj(A) /
-f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) * f.  M is never expanded
-symbolically: it is read at e and at e + s*e_k (k = 1..n), and its
-coefficient matrices are the difference quotients.  The pencil is built in
-ints: the entries of A are compiled over one common denominator, so A(p) =
-N / c for an int matrix N, and one fraction-free Gauss-Jordan elimination
-of [N | I] gives det N and adj N.  So kappa comes from det N at e, M(p) is
-adj N times one rational, and each coefficient entry is one Fraction.  The
-sign fix forms the 2x2 minors and divides them by f with polycore's int
+irrational leaves the input undecided.  Each Wronskian is kept as an int
+polynomial over the squared lcm of f (polycore's _coordinate_wronskians,
+on its one coordinate Wronskian kernel), and lam and s come from
+polycore's one square-root peel on it (_square_split); a Wronskian becomes
+a Polynomial only as a NoRep witness or for certify_sos.  When A is rank
+one modulo f, det A = kappa * f^(d-1) with kappa a constant, so the linear
+pencil M = adj(A) / f^(d-2) is kappa * f * A^-1 and det M = kappa^(d-1) *
+f.  M is never expanded symbolically: it is read at e and at e + s*e_k
+(k = 1..n), and its coefficient matrices are the difference quotients.
+The pencil is built in ints: the entries of A are compiled over one
+common denominator, so A(p) = N / c for an int matrix N, and one
+fraction-free Gauss-Jordan elimination of [N | I] gives det N and adj N.
+So kappa comes from det N at e, M(p) is adj N times one rational, and each
+coefficient entry is one Fraction.  The sign fix forms the 2x2 minors and divides them by f with polycore's int
 kernels (_int_cross, _int_quotient).  Nothing checks beforehand that A is
 rank one modulo f: verify_detrep (det M = gamma * f exactly, gamma != 0,
 M(e) > 0 by exact LDL^T) is the one proof that the result is a
-representation.  It expands det M with poly_determinant, polycore's one
-fraction-free Bareiss loop, and reads M(e) from lcm-scaled ints
-(matrix_at).  This module packs no monomials itself: the key layout of
-those kernels stays in polycore.  The stability test samples every
-Delta_ij f at once from f and its partials, compiled in ints.
+representation.  It expands det M with polycore's one fraction-free
+Bareiss loop on the pencil packed as int linear forms
+(_pencil_determinant), compares it with gamma * f in ints, and reads M(e)
+from lcm-scaled ints (matrix_at).  This module packs no monomials itself:
+the key layout of those kernels stays in polycore.  The stability test
+certifies each Delta_ij f that is lam * s^2 and samples the others at once
+from f and its partials, compiled in ints.
 """
 
 from __future__ import annotations
@@ -39,17 +45,20 @@ from typing import Optional, Sequence, Union
 
 from . import soscert
 from .exactla import int_det_adjugate, ldl_psd
-from .hypercone import SampleConfig, delta_ij
+from .hypercone import SampleConfig
 from .polycore import (
     Polynomial,
     _common_denominator,
+    _coordinate_wronskians,
     _int_cross,
     _int_quotient,
+    _int_square_root,
     _IntForm,
     _Keys,
+    _Wronskian,
+    _pencil_determinant,
     _rationals,
     directional_derivative,
-    perfect_square_root,
     poly_adjugate,
     poly_determinant,
 )
@@ -165,11 +174,14 @@ def check_multiaffine_stable(
 
     f is stable iff every Delta_ij f is nonnegative on R^n.  Only the pairs
     i < j are tested: for multiaffine f, Delta_ii f = (d_i f)^2 is a square.
-    Sampling a negative value refutes exactly; the witness is the first
-    negative (pair, point) in pair-major order, and every pair is sampled
-    before any is certified.  Certifying every pair as a sum of squares
-    (lam * s^2 with lam > 0 short-circuits) proves stability; anything else is
-    UNKNOWN, with the uncertified pairs recorded in the witness.
+    Each Delta_ij f is computed in ints (_coordinate_wronskians), and a pair is
+    sampled unless lam * s^2 with lam > 0 certifies it.  A sampled negative
+    value refutes exactly; the witness is the first negative (pair, point)
+    in pair-major order, the same as if every pair were sampled, since a
+    certified pair is never negative.  Certifying every remaining pair as a
+    sum of squares proves stability; anything else is UNKNOWN, with the
+    uncertified pairs recorded in the witness.  Only a pair that reaches
+    certify_sos becomes a Polynomial.
     """
     cfg = cfg or SampleConfig()
     if not f.is_multiaffine():
@@ -178,19 +190,19 @@ def check_multiaffine_stable(
         raise ValueError("f must be homogeneous")
     n = f.nvars
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    deltas = [(pair, d) for pair in pairs if not (d := delta_ij(f, *pair)).is_zero()]
-    negative = _first_negatives(f, [pair for pair, _ in deltas], cfg)
+    # lam * s^2 with lam > 0 is never negative, so the first negative among the
+    # other pairs is the first of all pairs
+    open_pairs = [(pair, w) for pair, w in zip(pairs, _coordinate_wronskians(f, pairs))
+                  if _square_split(w.D, w.keys.guard) is None]
+    negative = _first_negatives(f, [pair for pair, _ in open_pairs], cfg)
     if negative:
         k = min(negative)
-        (i, j), (p, val) = deltas[k][0], negative[k]
+        (i, j), (p, val) = open_pairs[k][0], negative[k]
         return certified_no(
             witness={"pair": (i, j), "point": p, "value": val},
             detail="the coordinate Wronskian of the witness pair is negative at the witness point",
         )
-    uncertified: list[tuple[int, int]] = []
-    for pair, d in deltas:
-        if _square_times_constant(d) is None and not soscert.certify_sos(d, sos_budget).is_yes:
-            uncertified.append(pair)
+    uncertified = [pair for pair, w in open_pairs if not soscert.certify_sos(w.polynomial(), sos_budget).is_yes]
     if not uncertified:
         return certified_yes(detail="every coordinate Wronskian certified as a sum of squares")
     return unknown(
@@ -303,12 +315,11 @@ def interlacer_matrix_multiaffine(
 
     # Delta_ab = lam_ab * s_ab^2, lam_ab = 1 when Delta_ab is a rational square
     split = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            delta = delta_ij(f, dvars[a], dvars[b])
-            split[a, b] = _square_times_constant(delta)
-            if split[a, b] is None:
-                return NoRep(pair=(dvars[a], dvars[b]), delta=delta)
+    dpairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    for (a, b), w in zip(dpairs, _coordinate_wronskians(f, [(dvars[a], dvars[b]) for a, b in dpairs])):
+        split[a, b] = _square_times_constant(w)
+        if split[a, b] is None:
+            return NoRep(pair=(dvars[a], dvars[b]), delta=w.polynomial())
     # diagonal: partial derivatives; off-diagonal: square roots of Wronskians,
     # sqrt(mu_a mu_b lam_ab) * s_ab under the congruence diag(sqrt(mu)).  mu
     # is 1 at the root of each tree of a spanning forest of the nonzero
@@ -359,22 +370,40 @@ def interlacer_matrix_multiaffine(
     return InterlacerMatrix(entries=A, f=f, dvars=dvars)
 
 
-def _square_times_constant(p: Polynomial) -> Optional[tuple[Fraction, Polynomial]]:
-    """(lam, s) with p = lam * s^2 and lam > 0, or None when p is not a square over R.
+def _square_split(D: dict, guard: int) -> Optional[tuple[int, dict]]:
+    """(c, R) with c * D = R^2, or None when the int polynomial D is not a square over R.
 
-    lam is 1 whenever p is the square of a rational polynomial.  Otherwise a
-    real square root of p would have a positive leading coefficient c^2, and
-    p / c^2 has the same greedy square root over Q as over R, so p / lc(p)
-    decides.
+    c is 1 when D is the square of an integer polynomial.  Otherwise a real
+    square root of D would have a positive leading coefficient, and D /
+    lc(D) has the same greedy square root over Q as over R; by Gauss's
+    lemma it is rational exactly when lc(D) * D is the square of an integer
+    polynomial, and then c = lc(D).
     """
-    root = perfect_square_root(p)
+    root = _int_square_root(D, guard)
     if root is not None:
-        return Fraction(1), root
-    _, lc = p.leading_term()
-    if lc < 0:
+        return 1, root
+    lc = D[max(D)]
+    if lc <= 1:  # lc = 1 repeats the peel that just failed
         return None
-    root = perfect_square_root(p * (1 / lc))
+    root = _int_square_root({k: lc * v for k, v in D.items()}, guard)
     return None if root is None else (lc, root)
+
+
+def _square_times_constant(w: _Wronskian) -> Optional[tuple[Fraction, Polynomial]]:
+    """(lam, s) with Delta_ij f = lam * s^2 and lam > 0, or None when it is not a square over R.
+
+    From _square_split's c * D = R^2: lam = 1 and s = R / den when c = 1;
+    otherwise lam = lc(Delta) = c / den^2 and s = R / c, the root of
+    Delta / lc(Delta).
+    """
+    split = _square_split(w.D, w.keys.guard)
+    if split is None:
+        return None
+    c, R = split
+    n = w.keys.nvars
+    if c == 1:
+        return Fraction(1), Polynomial._trusted(n, w.keys.terms(R, w.den))
+    return Fraction(c, w.den * w.den), Polynomial._trusted(n, w.keys.terms(R, c))
 
 
 def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -477,8 +506,8 @@ def _negate_rep(rep: DeterminantalRep) -> DeterminantalRep:
 def verify_detrep(rep: DeterminantalRep, f: Polynomial) -> CheckResult:
     """Exact verification: symmetric pencil, det(pencil) = gamma * f, gamma != 0, M(e) > 0.
 
-    The determinant identity is checked by _det_is, on poly_determinant's
-    fraction-free Bareiss elimination; M(e) > 0 by exact LDL^T.
+    The determinant identity is checked by _det_is, by fraction-free
+    Bareiss elimination of the packed pencil; M(e) > 0 by exact LDL^T.
     """
     if not rep.matrices or not rep.matrices[0]:
         return CheckResult(False, "the pencil has no matrices, or 0 x 0 ones")
@@ -504,12 +533,19 @@ def _det_is(rep: DeterminantalRep, f: Polynomial) -> bool:
     """det(sum_i x_i M_i) == gamma * f, as a polynomial identity.
 
     The determinant is homogeneous of degree d or zero, so an f with a term
-    of another degree fails at once; otherwise poly_determinant expands the
-    pencil by fraction-free Bareiss elimination, polynomial in d.
+    of another degree fails at once.  Otherwise _pencil_determinant expands
+    det(L * sum_i x_i M_i) by fraction-free Bareiss elimination on packed
+    int keys, polynomial in d, and with f = F / den and gamma = g / h the
+    identity is det * den * h == L^d * g * F, compared term by term in ints.
     """
-    if any(sum(m) != rep.size for m in f.terms):
+    d = rep.size
+    if any(sum(m) != d for m in f.terms):
         return False
-    return poly_determinant(rep.pencil()) == f * rep.gamma
+    keys, L, det = _pencil_determinant(rep.matrices)
+    den, (F,) = keys.scaled([f])
+    g, h = Fraction(rep.gamma).as_integer_ratio()
+    lhs, rhs = den * h, L**d * g
+    return det.keys() == F.keys() and all(c * lhs == F[k] * rhs for k, c in det.items())
 
 
 def interlacer_from_detrep(rep: DeterminantalRep, E: Sequence[Sequence]) -> Polynomial:

@@ -18,9 +18,10 @@ Wronskian D_e f * g - f * D_e g, and D_a f itself come from one int kernel
 of polycore (_int_derivative and _wronskian_terms): every input is scaled
 to ints by its lcm, each directional derivative is one pass over the int
 terms, and only the result's terms become Fractions.  The coordinate
-Wronskians Delta_ij f of the stability test keep a kernel of their own
-(delta_ij), which splits f into pieces by its exponents of x_i and x_j and
-needs no derivatives.
+Wronskians Delta_ij f (delta_ij) come from polycore's one coordinate
+Wronskian kernel on packed monomial keys (_coordinate_wronskians), which
+splits f into pieces by its exponents of x_i and x_j and needs no
+derivatives.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import soscert
@@ -37,7 +37,7 @@ from .polycore import (
     Polynomial,
     _IntForm,
     _LinePieces,
-    _common_denominator,
+    _coordinate_wronskians,
     _int_derivative,
     _int_direction,
     _int_terms,
@@ -161,9 +161,8 @@ def wronskian_delta(f: Polynomial, e: Sequence, a: Sequence) -> Polynomial:
     kernel of polycore: f, e and a are scaled to ints by their lcms, g and
     the two D_e are each one pass over int terms, both products accumulate
     in one dict of ints, and each term of the result is one Fraction.  No
-    Polynomial is built in between.  delta_ij keeps its own kernel: for
-    coordinate directions the pieces of f need no derivatives at all, and
-    on the Vamos pairs that is 3 to 5 times faster than this one.
+    Polynomial is built in between.  delta_ij has a kernel of its own: for
+    coordinate directions the pieces of f need no derivatives at all.
     """
     if not f.is_homogeneous() or f.total_degree() < 1:
         raise ValueError("f must be homogeneous of degree >= 1")
@@ -176,50 +175,16 @@ def wronskian_delta(f: Polynomial, e: Sequence, a: Sequence) -> Polynomial:
 def delta_ij(f: Polynomial, i: int, j: int) -> Polynomial:
     """Wronskian in two coordinate directions: f_i * f_j - f * f_ij.
 
-    Computed from the pieces of f, with no derivatives.  Scaled to ints by
-    the lcm D of its denominators, f = sum_P x_i^P_i x_j^P_j f_P with f_P
-    free of x_i and x_j, and
-
-      Delta_ij f = sum_{P,Q} w(P,Q) x_i^(P_i+Q_i-1) x_j^(P_j+Q_j-1) f_P f_Q / D^2,
-      w(P,Q) = P_i Q_j - Q_i (Q_j - [i = j]),
-
-    where for i = j the one exponent of x_i is P_i + Q_i - 2.  Each unordered
-    pair of pieces is multiplied once, with weight w(P,Q) + w(Q,P); for
-    multiaffine f this is f_i f_j - f_0 f_ij over the four pieces.  The
-    products accumulate in Python int, and each term of the result becomes
+    The one-pair case of polycore's _coordinate_wronskians: f = F / D with
+    F an int polynomial on packed keys, the one coordinate Wronskian kernel
+    (_int_delta_ij) multiplies the pieces of F split by their exponents of
+    x_i and x_j, with no derivatives, and each term of the result becomes
     one Fraction over D^2.
     """
     n = f.nvars
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("variable index out of range")
-    den, ints = _common_denominator(f.terms.values())
-    pieces: dict[tuple[int, int], list] = {}
-    for m, c in zip(f.terms, ints):
-        rest = list(m)
-        rest[i] = rest[j] = 0
-        pieces.setdefault((m[i], m[j]), []).append((rest, c))
-    same = int(i == j)
-    keys = list(pieces)
-    acc: dict[tuple, int] = {}
-    get = acc.get
-    for a, P in enumerate(keys):
-        for Q in keys[a:]:
-            w = P[0] * Q[1] - Q[0] * (Q[1] - same)
-            if Q != P:
-                w += Q[0] * P[1] - P[0] * (P[1] - same)
-            if not w:
-                continue
-            ei, ej = P[0] + Q[0] - 1 - same, P[1] + Q[1] - 1
-            for mp, cp in pieces[P]:
-                wcp = w * cp
-                for mq, cq in pieces[Q]:
-                    m = list(map(add, mp, mq))
-                    m[j] = ej
-                    m[i] = ei
-                    m = tuple(m)
-                    acc[m] = get(m, 0) + wcp * cq
-    den *= den
-    return Polynomial._trusted(n, {m: Fraction(v, den) for m, v in acc.items() if v})
+    return next(_coordinate_wronskians(f, [(i, j)])).polynomial()
 
 
 class SquareFreeSampleError(ValueError):

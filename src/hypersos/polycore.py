@@ -8,15 +8,20 @@ Evaluation, line restriction, polynomial multiplication, directional
 derivatives, Wronskians, exact division and the square root run
 fraction-free: they scale the point, the direction and the coefficients to
 integers by the lcm of their denominators, work in Python int, and build
-Fractions only for the results.  Exact division and determinants share
-one packed int key per monomial (_Keys): the total degree in the top field,
-then one guarded field per variable, so that comparing keys as ints is the
-graded lex order, a product of monomials is a sum of keys, and a
-divisibility test is one subtraction and one mask.  On these keys
-_int_quotient is the one long division (exact_divide, the determinantal
-builder's 2x2-minor sign fix, every Bareiss step) and _int_determinant the
-one fraction-free Bareiss loop over polynomials (poly_determinant, and so
-poly_adjugate and verify_detrep).  exact_divide divides by the primitive
+Fractions only for the results.  Exact division, determinants, square
+roots and coordinate Wronskians share one packed int key per monomial
+(_Keys): the total degree in the top field, then one guarded field per
+variable, so that comparing keys as ints is the graded lex order, a
+product of monomials is a sum of keys, and a divisibility test is one
+subtraction and one mask.  On these keys _int_quotient is the one long
+division (exact_divide, the determinantal builder's 2x2-minor sign fix,
+every Bareiss step), _int_determinant the one fraction-free Bareiss loop
+over polynomials (poly_determinant, and so poly_adjugate, and
+_pencil_determinant for verify_detrep), _int_square_root the one greedy
+square-root peel (perfect_square_root and the builder's lam * s^2 test)
+and _int_delta_ij the one coordinate Wronskian kernel (through
+_coordinate_wronskians, which packs f once for all its pairs: delta_ij, the
+builder and the stability test).  exact_divide divides by the primitive
 part of the divisor, so by Gauss's lemma every step of a division that
 succeeds is an exact int division.  Evaluation and line restriction share
 one compiled integer form, _IntForm, and one kernel: a whole list of
@@ -34,9 +39,9 @@ with Polynomial._trusted instead of checking them again.
 
 Monomials are ordered graded lexicographically: compare total degree first,
 then the exponent tuples with the first variable most significant.  This is
-the order used for canonical formatting, for single-divisor long division
-(where it is the int order of the packed keys), and for the greedy
-square-root extraction.
+the order used for canonical formatting, and for single-divisor long
+division and the greedy square-root extraction, where it is the int order
+of the packed keys.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, compress, islice
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Mono = tuple[int, ...]
@@ -53,15 +58,6 @@ Mono = tuple[int, ...]
 def grlex_key(mono: Mono) -> tuple[int, Mono]:
     """Sort key realizing the graded lexicographic order (ascending)."""
     return (sum(mono), mono)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True if the monomial with exponents a divides the one with exponents b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 class Polynomial:
@@ -834,21 +830,17 @@ class _Keys(NamedTuple):
         width = degree.bit_length() + 1
         return cls(nvars, width, sum(1 << (width * i + width - 1) for i in range(nvars)))
 
+    def units(self) -> list[int]:
+        """The keys of x_1, ..., x_n; the key of x^m is sum_i m_i * units[i]."""
+        w, n = self.width, self.nvars
+        return [(1 << w * n) + (1 << w * (n - 1 - i)) for i in range(n)]
+
     def scaled(self, polys: Sequence[Polynomial]) -> tuple[int, list[dict]]:
         """(L, [{key: int}]): each polynomial times the lcm L of all their denominators."""
-        w = self.width
+        units = self.units()
         den, ints = _common_denominator([c for p in polys for c in p.terms.values()])
         coeffs = iter(ints)
-        out = []
-        for p in polys:
-            packed = {}
-            for m in p.terms:
-                key = sum(m)
-                for e in m:
-                    key = key << w | e
-                packed[key] = next(coeffs)
-            out.append(packed)
-        return den, out
+        return den, [{sum(map(mul, m, units)): next(coeffs) for m in p.terms} for p in polys]
 
     def primitive(self, f: Polynomial) -> tuple[Fraction, dict]:
         """(s, F) with f = s * F for a primitive int polynomial F, so that _int_quotient's None is a proof."""
@@ -942,6 +934,129 @@ def _int_determinant(M: list, guard: int) -> dict:
     return det if sign == 1 else {k: -c for k, c in det.items()}
 
 
+def _int_square_root(P: dict, guard: int) -> Optional[dict]:
+    """R with R * R = P and a positive leading coefficient, for an int polynomial P keyed by _Keys, or None.
+
+    Greedy peel under graded lex: the leading term of P must be the square
+    of the root's leading term, and each following root term is (leading
+    term of P - R^2) / (2 * leading term of R).  A step whose monomial is
+    not a multiple of the root's leading one, or whose division is
+    inexact, disproves squareness.  Each step cancels the largest key of
+    P - R^2 and adds only smaller ones, so the root's keys strictly
+    decrease and the peel ends.  The leading key is halved by lead >> 1
+    once every field is even: an odd field shifts its low bit into the
+    guard bit of the field below, and the last field, which has none below
+    it, is never the only odd one, as the degree is then odd too.  The keys
+    must hold the degree of P.
+    """
+    if not P:
+        return {}
+    lead = max(P)
+    c0 = P[lead]
+    r0 = math.isqrt(c0) if c0 > 0 else 0
+    if lead >> 1 & guard or r0 * r0 != c0:
+        return None
+    half = lead >> 1
+    rem, root = dict(P), {half: r0}
+    del rem[lead]
+    while rem:
+        key = max(rem)
+        t = key - half
+        if t & guard:
+            return None
+        tc, inexact = divmod(rem[key], 2 * r0)
+        if inexact:
+            return None
+        # rem for R + tc*x^t is rem - 2*tc*x^t*R - tc^2*x^(2t); t is new to R
+        _accumulate(rem, [(k + t, -2 * tc * c) for k, c in root.items()])
+        _accumulate(rem, [(t + t, -tc * tc)])
+        root[t] = tc
+    return root
+
+
+def _int_delta_ij(F: dict, keys: _Keys, i: int, j: int) -> dict:
+    """The coordinate Wronskian F_i * F_j - F * F_ij of an int polynomial F keyed by keys.
+
+    Computed from the pieces of F, with no derivatives: F = sum_P x_i^P_i
+    x_j^P_j F_P with F_P free of x_i and x_j, and
+
+      Delta_ij F = sum_{P,Q} w(P,Q) x_i^(P_i+Q_i-1) x_j^(P_j+Q_j-1) F_P F_Q,
+      w(P,Q) = P_i Q_j - Q_i (Q_j - [i = j]),
+
+    where for i = j the one exponent of x_i is P_i + Q_i - 2.  A piece is
+    keyed with the x_i and x_j fields cleared, so the key of a product term
+    is the sum of the two piece keys with the two exponents added back.
+    Each unordered pair of pieces is multiplied once, with weight w(P,Q) +
+    w(Q,P); for multiaffine F only the weights of F_10 F_01 (+1) and F_00
+    F_11 (-1) are nonzero.  The keys must hold twice the degree of F.
+    """
+    w, n, same = keys.width, keys.nvars, int(i == j)
+    si, sj, mask = w * (n - 1 - i), w * (n - 1 - j), (1 << w) - 1
+    # x_i^a x_j^b has the key a * ui + b * uj; for i = j the one exponent is a
+    units = keys.units()
+    ui, uj = units[i], 0 if same else units[j]
+    pieces: dict[tuple[int, int], dict] = {}
+    for k, c in F.items():
+        a, b = k >> si & mask, k >> sj & mask
+        pieces.setdefault((a, b), {})[k - a * ui - b * uj] = c
+    labels = list(pieces)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for start, P in enumerate(labels):
+        for Q in labels[start:]:
+            weight = P[0] * Q[1] - Q[0] * (Q[1] - same)
+            if Q != P:
+                weight += Q[0] * P[1] - P[0] * (P[1] - same)
+            if not weight:
+                continue
+            shift = (P[0] + Q[0] - 1 - same) * ui + (P[1] + Q[1] - 1) * uj
+            qterms = [(y + shift, weight * v) for y, v in pieces[Q].items()]
+            for x, u in pieces[P].items():
+                for y, v in qterms:
+                    acc[x + y] = get(x + y, 0) + u * v
+    return {k: c for k, c in acc.items() if c}
+
+
+class _Wronskian(NamedTuple):
+    """Delta_ij f = D / den^2 for an int polynomial D keyed by keys, with den the lcm of f's denominators."""
+
+    keys: _Keys
+    D: dict
+    den: int
+
+    def polynomial(self) -> Polynomial:
+        return Polynomial._trusted(self.keys.nvars, self.keys.terms(self.D, self.den * self.den))
+
+
+def _coordinate_wronskians(f: Polynomial, pairs: Iterable[tuple[int, int]]) -> Iterator[_Wronskian]:
+    """Delta_ij f for each (i, j) in pairs, in order, by _int_delta_ij on one packing of f.
+
+    f is scaled to ints by the lcm den of its denominators and packed once,
+    on keys sized for twice its degree, which hold every product of two
+    pieces.
+    """
+    keys = _Keys.for_degree(f.nvars, 2 * max(f.total_degree(), 0))
+    den, (F,) = keys.scaled([f])
+    for i, j in pairs:
+        yield _Wronskian(keys, _int_delta_ij(F, keys, i, j), den)
+
+
+def _pencil_determinant(matrices: Sequence) -> tuple[_Keys, int, dict]:
+    """(keys, L, det(L * sum_i x_i M_i)) for n square d x d matrices M_i of rationals.
+
+    L is the lcm of the denominators of all the entries, so det(sum_i x_i
+    M_i) = det / L^d.  Each entry of L * sum_i x_i M_i is packed as an int
+    linear form in the n variables, on keys sized for 2d, and expanded by
+    _int_determinant: no Polynomial and no Fraction is built.
+    """
+    n, d = len(matrices), len(matrices[0])
+    keys = _Keys.for_degree(n, 2 * d)
+    L, flat = _common_denominator([x for Mi in matrices for row in Mi for x in row])
+    units = keys.units()
+    M = [[{u: v for u, v in zip(units, flat[r * d + c::d * d]) if v} for c in range(d)] for r in range(d)]
+    return keys, L, _int_determinant(M, keys.guard)
+
+
 # -- polynomial matrices (plain nested lists, row major) --------------------------
 
 
@@ -1015,48 +1130,15 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Optional[Polynomial]:
 def perfect_square_root(p: Polynomial) -> Optional[Polynomial]:
     """Polynomial r with r*r = p and positive leading coefficient, or None.
 
-    Greedy term peeling under graded lex: the leading term of p must be the
-    square of the root's leading term, and each following root term is
-    (leading term of p - r^2) / (2 * leading term of r).  Any inexact step,
-    or a step that fails to strictly decrease the order, disproves squareness.
-    The peeling runs in Python int on D^2 * p, with D the lcm of the
-    denominators of p: by Gauss's lemma a rational square root of that
-    integer polynomial has integer coefficients, so every division must be
-    exact.  The root of D^2 * p is D * r.
+    The greedy peel of _int_square_root on D^2 * p, packed on keys sized for
+    the degree of p, with D the lcm of the denominators of p: by Gauss's
+    lemma a rational square root of that integer polynomial has integer
+    coefficients.  The root of D^2 * p is D * r, one Fraction per term.
     """
-    if p.is_zero():
-        return Polynomial.zero(p.nvars)
-    den, ints = _common_denominator(p.terms.values())
-    # D^2 * p - r^2, keyed by the grlex key (degree, monomial) of each term
-    rem = {(sum(m), m): den * c for m, c in zip(p.terms, ints)}
-    lt_key = max(rem)
-    if any(e % 2 for e in lt_key[1]):
-        return None
-    lt_c = rem.pop(lt_key)
-    c0 = math.isqrt(lt_c) if lt_c > 0 else 0
-    if c0 * c0 != lt_c:
-        return None
-    lead_deg, lead_m = last_key = lt_key[0] // 2, tuple(e // 2 for e in lt_key[1])
-    r = {last_key: c0}
-    while rem:
-        key = max(rem)
-        if not mono_divides(lead_m, key[1]):
-            return None
-        tkey = (key[0] - lead_deg, tuple(x - y for x, y in zip(key[1], lead_m)))
-        if tkey >= last_key:
-            return None
-        last_key = tkey
-        tc, inexact = divmod(rem[key], 2 * c0)
-        if inexact:
-            return None
-        # rem for r + tc*x^tm is rem - 2*tc*x^tm*r - tc^2*x^(2tm); tm is new to r
-        tdeg, tm = tkey
-        minus_2tc = -2 * tc
-        _accumulate(rem, [((rdeg + tdeg, mono_mul(rm, tm)), minus_2tc * rc)
-                          for (rdeg, rm), rc in r.items()])
-        _accumulate(rem, [((2 * tdeg, mono_mul(tm, tm)), -tc * tc)])
-        r[tkey] = tc
-    return Polynomial._trusted(p.nvars, {m: Fraction(c, den) for (_, m), c in r.items()})
+    keys = _Keys.for_degree(p.nvars, max(p.total_degree(), 0))
+    den, (P,) = keys.scaled([p])
+    root = _int_square_root({k: den * c for k, c in P.items()}, keys.guard)
+    return None if root is None else Polynomial._trusted(p.nvars, keys.terms(root, den))
 
 
 # -- parsing and formatting ----------------------------------------------------

@@ -1,11 +1,14 @@
 """The integer kernels of the detrep path against their Fraction references.
 
-- verify_detrep's determinant identity (poly_determinant of the pencil)
+- verify_detrep's determinant identity (the packed determinant of the pencil)
   against the signed sum over permutations of reference_det.py, on built
   representations, on rational congruences of them, and on seeded
   mutations of both (a mutated pencil never verifies);
 - check_multiaffine_stable's sampling from the partials of f against
-  evaluating every expanded Delta_ij f at every point;
+  evaluating every expanded Delta_ij f at every point, and only the pairs
+  that lam * s^2 does not certify are sampled;
+- the int Wronskians and their (lam, s) against Fraction-derivative
+  Wronskians and the Fraction square roots of reference_sqrt.py;
 - the builder on Wronskians that are squares over R but not over Q, with
   mu chosen along a spanning tree of the nonzero ones;
 - the builder's integer pencil (one fraction-free adjugate per point)
@@ -29,6 +32,7 @@ from fractions import Fraction
 
 import pytest
 from reference_det import det_by_permutations
+from reference_sqrt import fraction_square_root
 
 from hypersos import cli, detrep
 from hypersos.corpus import gen_elementary_symmetric, gen_product
@@ -47,7 +51,15 @@ from hypersos.detrep import (
 )
 from hypersos.exactla import int_det_adjugate, mat_det, solve_affine_family, solve_linear
 from hypersos.hypercone import SampleConfig, delta_ij
-from hypersos.polycore import Polynomial, exact_divide, format_poly, grlex_key, parse_poly, poly_determinant
+from hypersos.polycore import (
+    Polynomial,
+    _coordinate_wronskians,
+    exact_divide,
+    format_poly,
+    grlex_key,
+    parse_poly,
+    poly_determinant,
+)
 
 CFG = SampleConfig(trials=24, seed=5, coordinate_bound=4)
 
@@ -245,6 +257,23 @@ def test_sampling_from_partials_matches_expanded_wronskians():
     assert refuted >= 30 and zero_pairs >= 30, (refuted, zero_pairs)
 
 
+def test_only_uncertified_pairs_are_sampled(monkeypatch):
+    sampled = []
+    real = detrep._first_negatives
+
+    def spy(f, pairs, cfg):
+        sampled.append(list(pairs))
+        return real(f, pairs, cfg)
+
+    monkeypatch.setattr(detrep, "_first_negatives", spy)
+    inputs = {name: f for name, f, _ in bench_inputs()}
+    # every Delta_ij of a rank-one determinant is lam * s^2 with lam > 0
+    assert check_multiaffine_stable(inputs["rank1.n6d3"], CFG, sos_budget=0).is_yes
+    # no Delta_ij of e_{5,3} is a square over R
+    assert not check_multiaffine_stable(inputs["e53"], CFG, sos_budget=0).is_no
+    assert sampled == [[], list(itertools.combinations(range(5), 2))]
+
+
 # -- Wronskians that are squares over R but not over Q ---------------------------
 
 
@@ -270,6 +299,53 @@ def test_norep_only_when_not_a_square_over_the_reals():
     # e_{4,2}: Delta_12 = x3^2 + x3*x4 + x4^2 has no real square root
     out = build_detrep_multiaffine(gen_elementary_symmetric(4, 2), [0, 1], [1] * 4)
     assert isinstance(out, NoRep) and out.pair == (0, 1)
+
+
+def coordinate_wronskian(f, i, j):
+    """f_i * f_j - f * f_ij from Fraction partial derivatives."""
+    fi = f.partial(i)
+    return fi * f.partial(j) - f * fi.partial(j)
+
+
+def reference_square_times_constant(delta):
+    """(lam, s) with delta = lam * s^2, lam > 0, from the Fraction square roots of delta and of delta / lc(delta)."""
+    root = fraction_square_root(delta)
+    if root is not None:
+        return Fraction(1), root
+    lc = delta.leading_term()[1]
+    if lc < 0:
+        return None
+    root = fraction_square_root(delta * (1 / lc))
+    return None if root is None else (lc, root)
+
+
+def test_square_times_constant_matches_the_polynomial_reference():
+    # the bench inputs, rank-one determinants with rational weights and
+    # vectors (squares over R but not over Q among them), and non-stable
+    # forms; every pair of each
+    rng = random.Random(3030)
+    inputs = [f for _, f, _ in bench_inputs()]
+    inputs.append(rank_one_det([(-2, -2, -3), (-2, -1, -2), (-2, 1, 1), (-1, 1, 2), (1, -2, 0)], (1, 2, 3, 5, 7)))
+    inputs.append(parse_poly("x*y + 2*x*z + y*z", ["x", "y", "z"]))
+    # affine only in x1, x2, x3, as the builder allows; Delta_12 of the first is 2 * x4^4
+    names = ["x1", "x2", "x3", "x4"]
+    inputs += [parse_poly(text, names) for text in ("x4^2*(x1 + 2*x2) + x1*x2*x3", "x4^2*(x1 + 2*x2 + x3) + x1*x2*x3",
+                                                      "(x1 + x4)*(x2 + x4)*(x3 + 3*x4)", "x4^3 + x1*x2*x3")]
+    for _ in range(6):
+        n, d = rng.randint(3, 6), rng.randint(2, 3)
+        vs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)] for _ in range(n)]
+        inputs.append(rank_one_det(vs, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]))
+    inputs += [f for f in non_stable_inputs(rng, 30) if not f.is_zero()]
+    outcomes = {"square": 0, "lam": 0, "none": 0}
+    for f in inputs:
+        pairs = list(itertools.combinations(range(f.nvars), 2))
+        for (i, j), w in zip(pairs, _coordinate_wronskians(f, pairs)):
+            delta = coordinate_wronskian(f, i, j)
+            assert w.polynomial() == delta
+            expected = reference_square_times_constant(delta)
+            assert detrep._square_times_constant(w) == expected
+            outcomes["none" if expected is None else "square" if expected[0] == 1 else "lam"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def non_square_wronskian_constants(monkeypatch, factors):

@@ -1,5 +1,6 @@
 """Hyperbolicity, cone membership, Wronskians, and interlacer verdicts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -351,6 +352,35 @@ def test_delta_ij_matches_the_derivative_reference():
                 assert delta_ij(f, i, j) == naive_delta_ij(f, i, j)
                 checked += 1
     assert checked > 800
+    # the packed kernel sizes its keys for twice the degree of f: degrees 2, 4,
+    # 7, 8 and 9 give 4, 8, 14, 16 and 18, on both sides of a power of two;
+    # some variables never occur and denominators go up to 10^9 + 7
+    shapes = set()
+    for k in range(90):
+        n, degree = rng.randint(1, 5), (2, 4, 7, 8, 9)[k % 5]
+        absent = rng.randrange(n + 1)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            mono = [0] * n
+            for _ in range(rng.randint(0, degree)):
+                v = rng.randrange(n)
+                if v != absent:
+                    mono[v] += 1
+            terms[tuple(mono)] = Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 7, 10**9 + 7]))
+        f = Polynomial(n, terms)
+        for i in range(n):
+            for j in range(n):
+                d = delta_ij(f, i, j)
+                assert d == naive_delta_ij(f, i, j)
+                shapes.add((d.is_zero(), max((max(m) for m in d.terms), default=0) >= 8))
+    assert shapes == {(True, False), (False, False), (False, True)}
+    # x^(d-1) y * x^(d-1) z puts all of 2d - 2 on x
+    x, y, z = (Polynomial.variable(3, k) for k in range(3))
+    cases = [x**8 * y**8 + x, x**7 * y - y**7, (x + y) ** 8]
+    cases += [x ** (d - 1) * (y + z * Fraction(3, 7)) + y * z ** (d - 1) for d in (3, 5, 8, 9)]
+    for f in cases:
+        for i, j in itertools.product(range(3), repeat=2):
+            assert delta_ij(f, i, j) == naive_delta_ij(f, i, j)
     for n in (1, 3):
         for i in range(n):
             for j in range(n):

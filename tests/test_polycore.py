@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from reference_det import det_by_permutations
+from reference_sqrt import fraction_square_root
 
 from hypersos.polycore import (
     Polynomial,
@@ -764,6 +765,41 @@ def test_perfect_square_root_round_trip():
         assert root is not None
         assert root == r or root == -r
         assert root * root == r * r
+
+
+def test_perfect_square_root_matches_the_fraction_peel():
+    # squares (both signs of the root), near-squares, an odd leading exponent,
+    # a negative leading coefficient and zero, in 0 to 5 variables, with
+    # exponents up to 7 (fields filled to 2^k - 1 and 2^k) and large denominators
+    rng = random.Random(31)
+    kinds = {"square": 0, "near": 0, "odd": 0, "negative": 0, "zero": 0}
+    found = {True: 0, False: 0}
+    for k in range(600):
+        n, kind = k % 6, list(kinds)[(k // 6) % 5]
+        r = rand_poly(rng, n, max_deg=rng.choice([1, 2, 3, 4, 7]), terms=rng.randint(1, 5), coeff_bound=9)
+        r = r * Fraction(rng.choice([1, -1]), rng.choice([1, 3, 10**9 + 7]))
+        p = r * r
+        if kind == "near" and not p.is_zero():
+            m, c = rng.choice(sorted(p.terms.items()))
+            p = p + Polynomial.monomial(n, m, c * Fraction(rng.choice([-1, 1]), rng.randint(2, 10**6)))
+        elif kind == "odd":
+            p = p * Polynomial.monomial(n, [1] * n) if n else Polynomial.const(0, 2)
+        elif kind == "negative":
+            p = -p
+        elif kind == "zero":
+            p = Polynomial.zero(n)
+        expected = fraction_square_root(p)
+        assert perfect_square_root(p) == expected, (kind, p.terms)
+        kinds[kind] += 1
+        found[expected is not None] += 1
+        if kind == "square":
+            assert expected is not None and expected * expected == p
+    assert found[True] >= 200 and found[False] >= 200, found
+    # leading coefficients that are not rational squares, constants and univariate fields at their edges
+    x = Polynomial.variable(1, 0)
+    for p in (x**2 * 2, x**2 * Fraction(4, 3), Polynomial.const(1, 4), Polynomial.const(1, -4),
+              Polynomial.const(0, Fraction(9, 49)), (x**7 + 3) ** 2, (x**8 - x) ** 2, x**15, x**16 + 1):
+        assert perfect_square_root(p) == fraction_square_root(p)
 
 
 def test_ring_axioms_randomized():
