@@ -32,7 +32,8 @@ Bareiss loop on the pencil packed as int linear forms
 from lcm-scaled ints (matrix_at).  This module packs no monomials itself:
 the key layout of those kernels stays in polycore.  The stability test
 certifies each Delta_ij f that is lam * s^2 and samples the others at once
-from f and its partials, compiled in ints.
+from f and its partials, compiled in ints; of the pairs left, one per orbit
+of f's coordinate permutations goes to certify_sos.
 """
 
 from __future__ import annotations
@@ -180,8 +181,13 @@ def check_multiaffine_stable(
     in pair-major order, the same as if every pair were sampled, since a
     certified pair is never negative.  Certifying every remaining pair as a
     sum of squares proves stability; anything else is UNKNOWN, with the
-    uncertified pairs recorded in the witness.  Only a pair that reaches
-    certify_sos becomes a Polynomial.
+    uncertified pairs recorded in the witness.  The remaining pairs are
+    split into orbits of the coordinate permutations that fix f
+    (_pair_orbits), whose Wronskians are permutations of one another, and
+    only the first pair of an orbit goes to certify_sos: its certificate
+    with the variables permuted proves every other pair, and an exact NO
+    refutes them all.  An UNKNOWN sends each other pair to certify_sos on
+    its own.  Only a pair that reaches certify_sos becomes a Polynomial.
     """
     cfg = cfg or SampleConfig()
     if not f.is_multiaffine():
@@ -202,13 +208,51 @@ def check_multiaffine_stable(
             witness={"pair": (i, j), "point": p, "value": val},
             detail="the coordinate Wronskian of the witness pair is negative at the witness point",
         )
-    uncertified = [pair for pair, w in open_pairs if not soscert.certify_sos(w.polynomial(), sos_budget).is_yes]
+
+    def certify(k: int) -> Verdict:
+        return soscert.certify_sos(open_pairs[k][1].polynomial(), sos_budget)
+
+    uncertified = []
+    for first, *rest in _pair_orbits(f, [pair for pair, _ in open_pairs]):
+        v = certify(first)
+        if v.is_no:  # an exact refutation moves with the permutation
+            uncertified += [first, *rest]
+        elif not v.is_yes:
+            uncertified += [first, *(k for k in rest if not certify(k).is_yes)]
+    uncertified = [open_pairs[k][0] for k in sorted(uncertified)]
     if not uncertified:
         return certified_yes(detail="every coordinate Wronskian certified as a sum of squares")
     return unknown(
         witness={"uncertified_pairs": uncertified},
         detail=f"{len(uncertified)} coordinate Wronskian(s) not certified; the witness lists their pairs",
     )
+
+
+def _pair_orbits(f: Polynomial, pairs: list) -> list[list[int]]:
+    """The orbits of pairs under the coordinate permutations that fix f, as sorted index lists.
+
+    A permutation sigma with f(sigma.x) = f(x) gives Delta_{sigma i sigma j} f
+    (sigma.x) = Delta_ij f(x), so one orbit's Wronskians are permutations of
+    one another.  A union-find joins {i, j} and {g[i], g[j]} for every
+    generator g of soscert._symmetry_generators, and the orbits come in the
+    order of their first pairs.  With fewer than two pairs no symmetry is
+    searched.
+    """
+    root = list(range(len(pairs)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    index = {pair: k for k, pair in enumerate(pairs)}
+    for g in soscert._symmetry_generators(f) if len(pairs) > 1 else []:
+        for k, (i, j) in enumerate(pairs):
+            root[find(k)] = find(index.get((min(g[i], g[j]), max(g[i], g[j])), k))
+    orbits: dict[int, list[int]] = {}
+    for k in range(len(pairs)):
+        orbits.setdefault(find(k), []).append(k)
+    return list(orbits.values())
 
 
 def _first_negatives(f: Polynomial, pairs: list, cfg: SampleConfig) -> dict[int, tuple]:

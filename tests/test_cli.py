@@ -254,6 +254,29 @@ def test_stable_check_names_its_witness_pairs(capsys):
     assert "(0, 1)" not in verdict["detail"]
 
 
+def test_stable_check_of_a_polynomial_with_a_leading_minus(capsys):
+    # argparse reads a separate "-x1*x2..." as an option; the --poly=... form passes it as the value
+    code, _, err = run(capsys, "stable-check", "--poly", "-x1*x2-x1*x3-x2*x3", "--vars", "x1,x2,x3", "--no-timings")
+    assert code == 3 and json.loads(err) == {"error": "argument --poly: expected one argument"}
+    # Delta_ij(-f) = Delta_ij(f)
+    verdicts = []
+    for poly in ("--poly=-x1*x2-x1*x3-x2*x3", "--poly=x1*x2+x1*x3+x2*x3"):
+        code, out, _ = run(capsys, "stable-check", poly, "--vars", "x1,x2,x3", "--no-timings")
+        assert code == 0
+        verdicts.append(json.loads(out)["verdict"])
+    assert verdicts[0] == verdicts[1] and verdicts[0]["status"] == "CERTIFIED_YES"
+
+
+def test_python_dash_m_runs_the_cli():
+    import hypersos
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypersos.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "hypersos", "gen", "lorentz", "--n", "3", "--no-timings"],
+                          capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"family": "lorentz", "poly": "x^2 - y^2 - z^2", "vars": ["x", "y", "z"]}
+
+
 def test_text_format(capsys):
     code, out, _ = run(
         capsys, "cone-member", "--poly", "x^2-y^2-z^2", "--vars", "x,y,z",

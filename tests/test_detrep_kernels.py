@@ -7,6 +7,11 @@
 - check_multiaffine_stable's sampling from the partials of f against
   evaluating every expanded Delta_ij f at every point, and only the pairs
   that lam * s^2 does not certify are sampled;
+- check_multiaffine_stable's pair orbits against the symmetries of f
+  (e_{5,3}, e_{4,2}, Vamos, generic rank-one determinants and a form with
+  less symmetry), a representative's certificate moved by a permutation
+  onto every pair of its orbit, and one certify_sos per orbit against the
+  verdict of certify_sos on every pair;
 - the int Wronskians and their (lam, s) against Fraction-derivative
   Wronskians and the Fraction square roots of reference_sqrt.py;
 - the builder on Wronskians that are squares over R but not over Q, with
@@ -34,8 +39,8 @@ import pytest
 from reference_det import det_by_permutations
 from reference_sqrt import fraction_square_root
 
-from hypersos import cli, detrep
-from hypersos.corpus import gen_elementary_symmetric, gen_product
+from hypersos import cli, detrep, soscert
+from hypersos.corpus import gen_elementary_symmetric, gen_product, gen_vamos
 from hypersos.detrep import (
     DeterminantalRep,
     DetRepError,
@@ -60,6 +65,7 @@ from hypersos.polycore import (
     parse_poly,
     poly_determinant,
 )
+from hypersos.verdicts import Status, unknown
 
 CFG = SampleConfig(trials=24, seed=5, coordinate_bound=4)
 
@@ -272,6 +278,155 @@ def test_only_uncertified_pairs_are_sampled(monkeypatch):
     # no Delta_ij of e_{5,3} is a square over R
     assert not check_multiaffine_stable(inputs["e53"], CFG, sos_budget=0).is_no
     assert sampled == [[], list(itertools.combinations(range(5), 2))]
+
+
+# -- one certify_sos per orbit of f's coordinate permutations ---------------------
+
+ALL_PAIRS = {n: list(itertools.combinations(range(n), 2)) for n in range(2, 9)}
+VAMOS_ORBITS = [["12", "34"], ["13", "14", "23", "24"], [f"{i}{j}" for i in "1234" for j in "5678"],
+                ["56", "78"], ["57", "58", "67", "68"]]
+
+
+def named_orbits(f):
+    pairs = ALL_PAIRS[f.nvars]
+    return [[f"{pairs[k][0] + 1}{pairs[k][1] + 1}" for k in orbit] for orbit in detrep._pair_orbits(f, pairs)]
+
+
+def moved(sigma, p):
+    """p(sigma^-1 . x): the term c x^m becomes c x^(sigma.m), with (sigma.m)[sigma[i]] = m[i]."""
+    terms = {}
+    for m, c in p.terms.items():
+        image = [0] * p.nvars
+        for i, e in zip(sigma, m):
+            image[i] = e
+        terms[tuple(image)] = c
+    return Polynomial(p.nvars, terms)
+
+
+def orbit_permutations(f, pair):
+    """{pair': sigma} with sigma fixing f and sending pair onto pair', by a search over f's symmetry generators."""
+    gens = soscert._symmetry_generators(f)
+    found = {pair: tuple(range(f.nvars))}
+    queue = [pair]
+    for p in queue:  # grows while it is read
+        for g in gens:
+            sigma = tuple(g[k] for k in found[p])
+            image = tuple(sorted(sigma[i] for i in pair))
+            if image not in found:
+                found[image] = sigma
+                queue.append(image)
+    return found
+
+
+def test_pair_orbits_follow_the_symmetries_of_f():
+    assert named_orbits(gen_elementary_symmetric(5, 3)) == [[f"{i}{j}" for i, j in itertools.combinations("12345", 2)]]
+    assert named_orbits(gen_elementary_symmetric(4, 2)) == [["12", "13", "14", "23", "24", "34"]]
+    assert named_orbits(gen_vamos()) == VAMOS_ORBITS
+    inputs = {name: f for name, f, _ in bench_inputs()}
+    for name in ("rank1.n6d3", "rank1.n7d3"):
+        assert named_orbits(inputs[name]) == [[f"{i + 1}{j + 1}"] for i, j in ALL_PAIRS[inputs[name].nvars]]
+    # e_{5,3} - x1 x2 x3 is fixed by S_3 on x1..x3 times S_2 on x4, x5 only
+    f = gen_elementary_symmetric(5, 3) - parse_poly("x1*x2*x3", [f"x{i}" for i in range(1, 6)])
+    assert named_orbits(f) == [["12", "13", "23"], ["14", "15", "24", "25", "34", "35"], ["45"]]
+    # pairs share an orbit only if their Wronskians are permutations of one another
+    pairs = ALL_PAIRS[5]
+    deltas = dict(zip(pairs, (w.polynomial() for w in _coordinate_wronskians(f, pairs))))
+    for orbit in detrep._pair_orbits(f, pairs):
+        for k in orbit[1:]:
+            assert any(moved(sigma, deltas[pairs[orbit[0]]]) == deltas[pairs[k]]
+                       for sigma in itertools.permutations(range(5)))
+    # fewer than two pairs: no symmetry search
+    assert detrep._pair_orbits(f, [(0, 1)]) == [[0]] and detrep._pair_orbits(f, []) == []
+
+
+def recorded_certify_sos(monkeypatch):
+    calls = []
+    real = soscert.certify_sos
+
+    def spy(p, budget=2):
+        calls.append((p, real(p, budget)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(soscert, "certify_sos", spy)
+    return calls
+
+
+def test_a_moved_certificate_proves_every_pair_of_its_orbit(monkeypatch):
+    calls = recorded_certify_sos(monkeypatch)
+    checked = 0
+    for f in (gen_elementary_symmetric(5, 3), gen_elementary_symmetric(4, 2), gen_vamos()):
+        calls.clear()
+        check_multiaffine_stable(f, CFG, sos_budget=0)
+        pairs = ALL_PAIRS[f.nvars]
+        deltas = dict(zip(pairs, (w.polynomial() for w in _coordinate_wronskians(f, pairs))))
+        for orbit in detrep._pair_orbits(f, pairs):
+            rep = pairs[orbit[0]]
+            v = next(v for p, v in calls if p == deltas[rep])
+            if not v.is_yes:
+                continue
+            cert = v.witness
+            assert cert.target == deltas[rep]
+            sigmas = orbit_permutations(f, rep)
+            assert sorted(sigmas) == [pairs[k] for k in orbit]
+            for pair, sigma in sigmas.items():
+                out = soscert.SosCertificate([moved(sigma, b) for b in cert.basis], cert.gram,
+                                             cert.denominator_power, moved(sigma, cert.target))
+                assert out.target == deltas[pair]
+                back = soscert.SosCertificate.from_json(out.to_json())
+                assert back.target == deltas[pair] and back.verify()
+                checked += 1
+    # e_{5,3}: 10 pairs, e_{4,2}: 6, Vamos: the 24 outside the orbits {12, 34} and {56, 78}
+    assert checked == 10 + 6 + 24
+
+
+def all_pairs_verdict(f, cfg, budget):
+    """status and witness of the stability test with certify_sos on every pair that is not lam * s^2."""
+    pairs, negative = reference_first_negatives(f, cfg)
+    if negative:
+        k = min(negative)
+        p, value = negative[k]
+        return Status.CERTIFIED_NO, {"pair": pairs[k], "point": p, "value": value}
+    pairs = ALL_PAIRS[f.nvars]
+    uncertified = [pair for pair, w in zip(pairs, _coordinate_wronskians(f, pairs))
+                   if detrep._square_times_constant(w) is None
+                   and not soscert.certify_sos(w.polynomial(), budget).is_yes]
+    return (Status.UNKNOWN, {"uncertified_pairs": uncertified}) if uncertified else (Status.CERTIFIED_YES, None)
+
+
+def test_one_certify_sos_per_orbit_gives_the_all_pairs_verdict(monkeypatch):
+    inputs = [f for _, f, _ in bench_inputs()]
+    inputs.append(parse_poly("x1*x2+x3*x4", ["x1", "x2", "x3", "x4"]))
+    inputs += [f for f in non_stable_inputs(random.Random(404), 90) if not f.is_zero()]
+    expected = [all_pairs_verdict(f, CFG, 0) for f in inputs]
+    assert sum(status is Status.CERTIFIED_NO for status, _ in expected) >= 30
+    calls = recorded_certify_sos(monkeypatch)
+    for f, (status, witness) in zip(inputs, expected):
+        v = check_multiaffine_stable(f, CFG, sos_budget=0)
+        assert (v.status, v.witness) == (status, witness)
+    for f, count in ((gen_elementary_symmetric(5, 3), 1), (gen_elementary_symmetric(4, 2), 1), (gen_vamos(), 5)):
+        calls.clear()
+        v = check_multiaffine_stable(f, CFG, sos_budget=0)
+        assert len(calls) == count
+    assert v.is_unknown and v.witness == {"uncertified_pairs": [(0, 1), (2, 3), (4, 5), (6, 7)]}
+
+
+def test_an_unknown_representative_sends_each_pair_of_its_orbit_to_certify_sos(monkeypatch):
+    real, calls = soscert.certify_sos, []
+    e53 = gen_elementary_symmetric(5, 3)
+    first = next(w.polynomial() for w in _coordinate_wronskians(e53, [(0, 1)]))
+
+    def spy(p, budget=2):
+        calls.append(p)
+        return unknown() if p == first else real(p, budget)
+
+    # the representative Delta_12 comes back UNKNOWN; the other nine are certified on their own
+    monkeypatch.setattr(soscert, "certify_sos", spy)
+    v = check_multiaffine_stable(e53, CFG, sos_budget=0)
+    assert v.is_unknown and v.witness == {"uncertified_pairs": [(0, 1)]}
+    assert len(calls) == 10 and calls[0] == first
+    monkeypatch.setattr(soscert, "certify_sos", lambda p, budget=2: unknown())
+    v = check_multiaffine_stable(e53, CFG, sos_budget=0)
+    assert v.is_unknown and v.witness == {"uncertified_pairs": ALL_PAIRS[5]}
 
 
 # -- Wronskians that are squares over R but not over Q ---------------------------
